@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import QMatrix, nullspace, row_space_rref
+from .linalg import eliminate, kernel, sparse_rows
 from .model import LieModel, Part
 from .scalars import TauScalar
 
@@ -151,6 +151,17 @@ class Form:
 
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
+
+    def coefficients(self, tau: int = 0) -> dict[int, Fraction]:
+        """The coefficients of tau**tau, as mask -> Fraction.  Every
+        coefficient must be a single tau**tau term."""
+        out = {}
+        for mask, c in self.terms.items():
+            q = c.terms.get(tau)
+            if q is None or len(c.terms) != 1:
+                raise AssertionError(f"coefficient {c!r} is not a multiple of tau^{tau}")
+            out[mask] = q
+        return out
 
     def tau_split(self) -> dict[int, "Form"]:
         """Decompose into tau-homogeneous pieces keyed by tau exponent."""
@@ -392,34 +403,18 @@ def _joint_kernel(m: LieModel, masks: list[int],
             basis = kept
             continue
         images = []
-        support: dict[int, int] = {}
         for v in basis:
             img: dict[int, Fraction] = {}
             for mask, c in v.items():
                 for new_mask, c2 in op.on_mask(mask).items():
                     img[new_mask] = img.get(new_mask, Fraction(0)) + c * c2
-            img = {k: c for k, c in img.items() if c}
             images.append(img)
-            for k in img:
-                support.setdefault(k, len(support))
-        rows = len(support)
-        if rows == 0:
-            continue
-        cols = []
-        for img in images:
-            col = [Fraction(0)] * rows
-            for k, c in img.items():
-                col[support[k]] = c
-            cols.append(col)
-        mat = QMatrix.from_columns(cols)
-        combos = nullspace(mat)
+        combos = kernel(eliminate(sparse_rows(images).values()), len(basis))
         new_basis = []
         for combo in combos:
             v: dict[int, Fraction] = {}
-            for coeff, vec in zip(combo, basis):
-                if not coeff:
-                    continue
-                for mask, c in vec.items():
+            for j, coeff in combo.items():
+                for mask, c in basis[j].items():
                     v[mask] = v.get(mask, Fraction(0)) + coeff * c
             v = {k: c for k, c in v.items() if c}
             if v:
@@ -440,17 +435,7 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
         return []
     ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
     vecs = _joint_kernel(m, masks, ops)
-    if not vecs:
-        return []
     index = {mask: i for i, mask in enumerate(masks)}
-    rows = []
-    for v in vecs:
-        row = [Fraction(0)] * len(masks)
-        for mask, c in v.items():
-            row[index[mask]] = c
-        rows.append(row)
-    canon = row_space_rref(rows)
-    out = []
-    for row in canon:
-        out.append(Form({masks[i]: TauScalar.of(c) for i, c in enumerate(row) if c}))
-    return out
+    canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
+    return [Form({masks[i]: TauScalar.of(c) for i, c in sorted(canon[p].items())})
+            for p in sorted(canon)]

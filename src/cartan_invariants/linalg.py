@@ -1,16 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here is plain Gauss-Jordan over ``Fraction``: system sizes in this
-project stay small enough (a few thousand columns at the very worst) that
-exact rational pivoting is fast and keeps the code obvious.
+All of it runs on one sparse Gauss-Jordan elimination, ``eliminate``.  A row
+is a dict from column key to nonzero ``Fraction``; the systems of this
+project (Chevalley-Eilenberg differentials on monomial bases) are well under
+1% nonzero, so only nonzero entries are ever stored or touched.
+``sparse_rows`` assembles such rows from sparse columns, and the dense
+``QMatrix`` functions ``rref``, ``rank``, ``nullspace``, ``solve`` and
+``row_space_rref`` convert to and from sparse rows around the same core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = tuple[Fraction, ...]
+Row = dict[int, Fraction]
 
 
 class QMatrix:
@@ -34,37 +39,6 @@ class QMatrix:
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_columns(cls, columns: Iterable[Sequence]) -> "QMatrix":
-        cols = [list(c) for c in columns]
-        if not cols:
-            return cls.zeros(0, 0)
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
-
-    def row(self, i: int) -> Vector:
-        return tuple(self.data[i])
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ai = self.data[i]
-            out.append(
-                [
-                    sum((ai[k] * other.data[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-            )
-        return QMatrix(out)
-
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
@@ -79,74 +53,135 @@ class QMatrix:
     def __hash__(self):
         return hash(tuple(tuple(r) for r in self.data))
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
     def __repr__(self) -> str:
         return f"QMatrix({self.data!r})"
 
 
-def _rref_rows(data: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    rows = len(data)
-    pivots: list[int] = []
-    r0 = 0
-    for col in range(cols):
-        pivot_row = None
-        for i in range(r0, rows):
-            if data[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+# -- the sparse core -----------------------------------------------------------
+
+
+def sparse_rows(columns: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
+    """The matrix whose j-th column maps row keys (monomial masks) to entries,
+    as sparse rows ``{row key: {j: entry}}``."""
+    rows: dict[int, Row] = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c:
+                rows.setdefault(key, {})[j] = c
+    return rows
+
+
+def _add_multiple(target: Row, f: Fraction, row: Row) -> None:
+    """target += f * row, in place, dropping entries that cancel."""
+    for j, v in row.items():
+        x = target.get(j)
+        if x is None:
+            target[j] = f * v
+        else:
+            x += f * v
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+
+
+def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
+    """Gauss-Jordan elimination of sparse rows with ``Fraction`` entries.
+
+    Returns the nonzero rows of the reduced row echelon form keyed by pivot
+    column: each row has entry 1 at its pivot, which is its smallest column,
+    and no other row has an entry in that column.  Since the rref is unique,
+    so are the pivots and rows, whatever the order of the input rows.  The
+    input rows are not modified.
+    """
+    reduced: dict[int, Row] = {}
+    for row in rows:
+        r = {j: v for j, v in row.items() if v}
+        # The pivot rows are zero in each other's pivot columns, so one pass
+        # over the pivot columns present in r clears them all.
+        for c in [c for c in r if c in reduced]:
+            _add_multiple(r, -r[c], reduced[c])
+        if not r:
             continue
-        data[r0], data[pivot_row] = data[pivot_row], data[r0]
-        pv = data[r0][col]
+        p = min(r)
+        pv = r[p]
         if pv != 1:
-            inv = Fraction(1) / pv
-            row = data[r0]
-            for j in range(col, cols):
-                if row[j]:
-                    row[j] *= inv
-        prow = data[r0]
-        for i in range(rows):
-            if i == r0:
-                continue
-            f = data[i][col]
+            r = {j: v / pv for j, v in r.items()}
+        for other in reduced.values():
+            f = other.get(p)
             if f:
-                row = data[i]
-                for j in range(col, cols):
-                    if prow[j]:
-                        row[j] -= f * prow[j]
-        pivots.append(col)
-        r0 += 1
-        if r0 == rows:
-            break
-    return data, pivots
+                _add_multiple(other, -f, r)
+        reduced[p] = r
+    return reduced
+
+
+def kernel(reduced: dict[int, Row], cols: int) -> list[Row]:
+    """Basis of the right kernel of a matrix with ``cols`` columns, given its
+    ``eliminate`` output: one vector per free column f, with entry 1 at f, in
+    increasing order of f."""
+    basis = {f: {f: Fraction(1)} for f in range(cols) if f not in reduced}
+    for p, row in reduced.items():
+        for j, v in row.items():
+            if j != p:
+                basis[j][p] = -v
+    return list(basis.values())
+
+
+def fredholm_witness(columns: Sequence[Mapping[int, Fraction]], b: Mapping[int, Fraction]) -> Row:
+    """A left vector y (row key -> entry) with y.a = 0 for every column a and
+    y.b = 1, proving that ``A x = b`` has no solution.
+
+    By the Fredholm alternative such a y exists exactly when b is not in the
+    span of the columns.  It is the solution, with free entries zero, of the
+    transposed system whose rows are the columns of A and b, augmented by the
+    right-hand side (0, ..., 0, 1).
+    """
+    rhs = 1 + max(key for col in (*columns, b) for key in col)
+    reduced = eliminate([*columns, {**b, rhs: Fraction(1)}])
+    if rhs in reduced:
+        raise ValueError("b lies in the span of the columns")
+    return {k: row[rhs] for k, row in reduced.items() if rhs in row}
+
+
+def is_fredholm_witness(columns: Iterable[Mapping[int, Fraction]], b: Mapping[int, Fraction],
+                        y: Mapping[int, Fraction]) -> bool:
+    """Exact check that y.a = 0 for every column a and y.b != 0."""
+    def pair(vec: Mapping[int, Fraction]) -> Fraction:
+        return sum((c * y[k] for k, c in vec.items() if k in y), Fraction(0))
+
+    return all(not pair(a) for a in columns) and pair(b) != 0
+
+
+# -- dense front ends ----------------------------------------------------------
+
+
+def _sparse(data: Iterable[Sequence]) -> list[Row]:
+    return [{j: x for j, x in enumerate(row) if x} for row in data]
+
+
+def _dense(row: Row, cols: int) -> list[Fraction]:
+    out = [Fraction(0)] * cols
+    for j, v in row.items():
+        out[j] = v
+    return out
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    data = [row[:] for row in m.data]
-    data, pivots = _rref_rows(data, m.cols)
+    reduced = eliminate(_sparse(m.data))
+    pivots = sorted(reduced)
+    data = [_dense(reduced[p], m.cols) for p in pivots]
+    data += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
     return QMatrix(data), pivots
 
 
 def rank(m: QMatrix) -> int:
-    return len(rref(m)[1])
+    return len(eliminate(_sparse(m.data)))
 
 
 def nullspace(m: QMatrix) -> list[Vector]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red.data[i][fc]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(_dense(v, m.cols)) for v in kernel(eliminate(_sparse(m.data)), m.cols)]
 
 
 def solve(m: QMatrix, b: Sequence) -> Vector | None:
@@ -157,23 +192,27 @@ def solve(m: QMatrix, b: Sequence) -> Vector | None:
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length must equal row count")
-    data = [row[:] + [Fraction(bi)] for row, bi in zip(m.data, [Fraction(x) for x in b])]
-    data, pivots = _rref_rows(data, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    rows = _sparse(m.data)
+    for row, bi in zip(rows, b):
+        if bi:
+            row[n] = Fraction(bi)
+    reduced = eliminate(rows)
+    if n in reduced:
         return None
-    x = [Fraction(0)] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = data[i][m.cols]
+    x = [Fraction(0)] * n
+    for p, row in reduced.items():
+        x[p] = row.get(n, Fraction(0))
     return tuple(x)
 
 
 def row_space_rref(vectors: Iterable[Sequence]) -> list[Vector]:
     """Canonical rref basis of the span of the given row vectors."""
-    rows = [list(v) for v in vectors]
+    rows = [[Fraction(x) for x in v] for v in vectors]
     if not rows:
         return []
-    data, pivots = _rref_rows([r[:] for r in rows], len(rows[0]))
-    return [tuple(data[i]) for i in range(len(pivots))]
+    reduced = eliminate(_sparse(rows))
+    return [tuple(_dense(reduced[p], len(rows[0]))) for p in sorted(reduced)]
 
 
 def same_span(a: Iterable[Sequence], b: Iterable[Sequence]) -> bool:

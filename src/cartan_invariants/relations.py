@@ -8,13 +8,12 @@ relation is re-evaluated from scratch before it is reported.
 A primitive of a class xi at grade (p, q, r) is a cochain psi with plus
 count r-1 whose induced differential reproduces xi exactly; failure is a
 mathematical finding reported with the rank certificate of the linear
-system, not an error.
+system and a left vector that proves it (Fredholm alternative), not an
+error.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,7 +21,8 @@ from math import gcd
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
                     monomial_masks, plus_component, quotient_d)
-from .linalg import QMatrix, nullspace, rank, row_space_rref, solve
+from .linalg import (Row, eliminate, fredholm_witness, is_fredholm_witness, kernel,
+                     sparse_rows)
 from .model import LieModel, Rep
 from .scalars import TauScalar
 
@@ -57,14 +57,6 @@ def partition_label(p: Partition) -> str:
         factors.append(f"c{p[i]}" + (f"^{j - i}" if j - i > 1 else ""))
         i = j
     return "*".join(factors) if factors else "1"
-
-
-def _thread_map(fn, items):
-    workers = int(os.environ.get("CARTAN_INVARIANTS_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def evaluate_partition(cforms: list[Form], p: Partition) -> Form:
@@ -127,38 +119,20 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
         raise ValueError("degree exceeds module dimension")
     cforms = chern_forms(m, rep, degree)
     parts = partitions_of(degree)
-    columns = _thread_map(lambda p: evaluate_partition(cforms, p), parts)
-    exact_cols: list[Form] = []
+    columns = [evaluate_partition(cforms, p).coefficients(degree) for p in parts]
     if modulo_exact:
+        # The Chern monomials carry tau^degree and the exact corrections no
+        # tau; both enter as rational columns, and the kernel is then cut
+        # back to the Chern monomials.
         sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree)
-        exact_cols = _thread_map(
-            lambda b: plus_component(m, ce_differential(m, b), degree), sources
-        )
-        exact_cols = [c for c in exact_cols if not c.is_zero]
-    support = sorted({mask for col in columns + exact_cols for mask in col.terms})
-    index = {mask: i for i, mask in enumerate(support)}
-    width = len(parts) + len(exact_cols)
-    mat = [[Fraction(0)] * width for _ in range(len(support))]
-    for j, col in enumerate(columns):
-        for mask, coeff in col.terms.items():
-            exps = coeff.exponents()
-            if exps != [degree]:
-                raise AssertionError("Chern monomial with unexpected tau exponent")
-            mat[index[mask]][j] = coeff.coeff(degree)
-    for j, col in enumerate(exact_cols):
-        for mask, coeff in col.terms.items():
-            mat[index[mask]][len(parts) + j] = coeff.coeff(0)
-    if support:
-        vecs = [v[: len(parts)] for v in nullspace(QMatrix(mat))]
-        vecs = [v for v in row_space_rref(vecs)]
-    else:
-        vecs = [tuple(Fraction(int(i == j)) for j in range(len(parts)))
-                for i in range(len(parts))]
+        columns += [plus_component(m, ce_differential(m, b), degree).coefficients()
+                    for b in sources]
+    null = kernel(eliminate(sparse_rows(columns).values()), len(columns))
+    canon = eliminate({j: c for j, c in v.items() if j < len(parts)} for v in null)
+    vecs = [[canon[p].get(j, Fraction(0)) for j in range(len(parts))] for p in sorted(canon)]
     out = []
     for vec in vecs:
-        if not any(vec):
-            continue
-        coeffs = _normalize(list(vec))
+        coeffs = _normalize(vec)
         relation = Relation(degree, tuple(parts), coeffs)
         residual = Form.zero()
         for p, c in relation.nonzero():
@@ -202,34 +176,33 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     the quotient differential (min_minus defaults to the grade's p)."""
     min_minus = grade.p if min_minus is None else min_minus
     basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
-    if not basis:
-        return []
-    cols = [quotient_d(m, b, grade) for b in basis]
-    support = sorted({mask for col in cols for mask in col.terms})
-    if not support:
-        return basis
-    index = {mask: i for i, mask in enumerate(support)}
-    mat = [[Fraction(0)] * len(basis) for _ in range(len(support))]
-    for j, col in enumerate(cols):
-        for mask, coeff in col.terms.items():
-            mat[index[mask]][j] = coeff.coeff(0)
+    cols = [quotient_d(m, b, grade).coefficients() for b in basis]
     out = []
-    for combo in nullspace(QMatrix(mat)):
+    for combo in kernel(eliminate(sparse_rows(cols).values()), len(basis)):
         f = Form.zero()
-        for c, b in zip(combo, basis):
-            if c:
-                f = f + b.scale(c)
+        for j, c in sorted(combo.items()):
+            f = f + basis[j].scale(c)
         out.append(f)
     return out
 
 
 @dataclass
 class PrimitiveResult:
+    """Outcome of a primitive search.
+
+    A ``not_exact`` result carries ``witness``: a left vector y (monomial mask
+    -> Fraction) that pairs to zero with the induced differential of every
+    searched cochain and to a nonzero number with the tau^e coefficients of
+    the target, e = ``certificate["tau_exponent"]``.  By the Fredholm
+    alternative it proves that no primitive exists in the searched space.
+    """
+
     status: str  # "exact" | "not_exact"
     psi: Form | None
     grade: Grade
     searched_dimension: int
     certificate: dict
+    witness: Row | None = None
 
     @property
     def exact(self) -> bool:
@@ -243,7 +216,9 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     The search space is restricted to the g0-invariant subspace by default;
     the induced differential commutes with the reductive g0-action, so an
     invariant primitive exists whenever any primitive does, provided xi is
-    itself invariant.
+    itself invariant.  Each tau exponent of xi costs one elimination of the
+    augmented system [A | b], with b as column n; a ``not_exact`` result
+    costs one more, for its witness.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
@@ -254,41 +229,34 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
     else:
         basis = [Form.monomial(mask) for mask in monomial_masks(m, deg, grade.r - 1, min_minus)]
-    columns = _thread_map(
-        lambda b: plus_component(m, ce_differential(m, b), grade.r), basis
-    )
-    support = sorted({mask for col in columns for mask in col.terms} | set(xi.terms))
-    index = {mask: i for i, mask in enumerate(support)}
-    mat_rows = [[Fraction(0)] * len(basis) for _ in range(len(support))]
-    for j, col in enumerate(columns):
-        for mask, coeff in col.terms.items():
-            exps = coeff.exponents()
-            if exps and exps != [0]:
-                raise AssertionError("basis differentials must be tau-free")
-            mat_rows[index[mask]][j] = coeff.coeff(0)
-    mat = QMatrix(mat_rows)
+    columns = [plus_component(m, ce_differential(m, b), grade.r).coefficients() for b in basis]
+    n = len(basis)
     psi = Form.zero()
-    for exp, piece in sorted(xi.tau_split().items()):
-        # tau_split already strips the exponent from the coefficients
-        rhs = [Fraction(0)] * len(support)
-        for mask, coeff in piece.terms.items():
-            rhs[index[mask]] = coeff.coeff(0)
-        x = solve(mat, rhs)
-        if x is None:
-            aug = QMatrix([row + [rhs[i]] for i, row in enumerate(mat_rows)])
+    rank = 0
+    # tau_split strips the exponent from the coefficients; a zero target
+    # still needs one elimination for the rank.
+    for exp, piece in sorted((xi.tau_split() or {0: xi}).items()):
+        b = piece.coefficients()
+        reduced = eliminate(sparse_rows(columns + [b]).values())
+        if n in reduced:
+            y = fredholm_witness(columns, b)
+            if not is_fredholm_witness(columns, b, y):
+                raise AssertionError("not-exact witness failed re-verification")
             return PrimitiveResult(
-                "not_exact", None, grade, len(basis),
-                {"matrix_rank": rank(mat), "augmented_rank": rank(aug),
-                 "columns": len(basis), "tau_exponent": exp},
+                "not_exact", None, grade, n,
+                {"matrix_rank": len(reduced) - 1, "augmented_rank": len(reduced),
+                 "columns": n, "tau_exponent": exp},
+                y,
             )
-        for c, b in zip(x, basis):
+        rank = len(reduced)
+        for p in sorted(reduced):
+            c = reduced[p].get(n)
             if c:
-                psi = psi + b.scale(TauScalar.of(c, exp))
+                psi = psi + basis[p].scale(TauScalar.of(c, exp))
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")
-    return PrimitiveResult("exact", psi, grade, len(basis),
-                           {"matrix_rank": rank(mat), "columns": len(basis)})
+    return PrimitiveResult("exact", psi, grade, n, {"matrix_rank": rank, "columns": n})
 
 
 def exactness_audit(m: LieModel, rep: Rep, k_max: int | None = None) -> dict:

@@ -11,6 +11,7 @@ decisions ledger for the analysis.
 
 import math
 import time
+import zlib
 from fractions import Fraction as F
 
 import cartan_invariants as ci
@@ -99,14 +100,15 @@ def test_criterion_1_validation_suite():
                 if not once.is_zero and not quotient_d(m, once, grade.raised()).is_zero:
                     gen_ok = False
         checks.append((gen_ok, f"{_model_tag(m)}: d_q^2 = 0 on generator duals"))
-        rng = random.Random(hash(_model_tag(m)) & 0xFFFF)
+        seed = zlib.crc32(_model_tag(m).encode()) & 0xFFFF
+        rng = random.Random(seed)
         rand_ok = True
         for _ in range(100):
             xi, grade = _random_form_at_grade(m, rng)
             once = quotient_d(m, xi, grade)
             if not once.is_zero and not quotient_d(m, once, grade.raised()).is_zero:
                 rand_ok = False
-        checks.append((rand_ok, f"{_model_tag(m)}: d_q^2 = 0 on 100 random forms"))
+        checks.append((rand_ok, f"{_model_tag(m)}: d_q^2 = 0 on 100 random forms (seed {seed})"))
     elapsed = time.monotonic() - t0
     checks.append((elapsed < 30, f"runtime {elapsed:.1f}s < 30s"))
     _report(1, "validation suite", checks)

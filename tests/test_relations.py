@@ -6,6 +6,7 @@ import pytest
 import cartan_invariants as ci
 from cartan_invariants.forms import Form, Grade
 from cartan_invariants.invariants import InvPoly, parse_poly
+from cartan_invariants.linalg import is_fredholm_witness
 from cartan_invariants.relations import partition_label, partitions_of
 
 
@@ -234,10 +235,56 @@ def test_parse_poly_grammar():
         parse_poly("7")  # degree zero
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    m = ci.projective(3)
-    rep = m.reps["tangent"]
-    base = [r.to_json() for r in ci.find_relations(m, rep, 3)]
-    monkeypatch.setenv("CARTAN_INVARIANTS_THREADS", "4")
-    threaded = [r.to_json() for r in ci.find_relations(m, rep, 3)]
-    assert base == threaded
+def _searched_columns(m, grade, invariant_only, min_minus=0):
+    """Induced differentials of the cochains a primitive search spans,
+    recomputed apart from find_primitive."""
+    deg, plus = grade.degree() - 1, grade.r - 1
+    if invariant_only:
+        basis = ci.invariant_basis(m, deg, plus, min_minus)
+    else:
+        basis = [Form.monomial(mask) for mask in ci.monomial_masks(m, deg, plus, min_minus)]
+    return [ci.plus_component(m, ci.ce_differential(m, b), grade.r).coefficients()
+            for b in basis]
+
+
+@pytest.mark.parametrize("n, invariant_only", [(3, False), (5, True)])
+def test_not_exact_witness_rechecks(n, invariant_only):
+    m = ci.projective(n)
+    xi, grade = ci.cs_class(m, m.reps["tangent"], parse_poly("c3"))
+    res = ci.find_primitive(m, xi, grade, invariant_only=invariant_only)
+    assert not res.exact and res.witness
+    assert "witness" not in res.certificate
+    b = xi.tau_split()[res.certificate["tau_exponent"]].coefficients()
+    columns = _searched_columns(m, grade, invariant_only)
+    assert len(columns) == res.searched_dimension
+    assert is_fredholm_witness(columns, b, res.witness)
+
+
+def test_exact_result_has_no_witness():
+    m = ci.projective(1)
+    c1 = ci.chern_forms(m, m.reps["tangent"], 1)[0]
+    res = ci.find_primitive(m, c1, Grade(1, 0, 1), min_minus=0)
+    assert res.exact and res.witness is None
+
+
+def test_find_primitive_eliminates_once_per_tau_exponent(monkeypatch):
+    from cartan_invariants import linalg, relations
+    m3 = ci.projective(3)
+    xi, grade = ci.cs_class(m3, m3.reps["tangent"], parse_poly("c3"))
+    m1 = ci.projective(1)
+    c1 = ci.chern_forms(m1, m1.reps["tangent"], 1)[0]
+    two_exponents = c1 + c1.tau_shift(1)
+    calls = []
+    real = linalg.eliminate
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(relations, "eliminate", counting)
+    monkeypatch.setattr(linalg, "eliminate", counting)
+    res = ci.find_primitive(m3, xi, grade, invariant_only=False)
+    assert not res.exact and len(calls) == 2  # the search, then the witness
+    calls.clear()
+    res = ci.find_primitive(m1, two_exponents, Grade(1, 0, 1), invariant_only=False)
+    assert res.exact and len(calls) == 2  # one per tau exponent
