@@ -15,7 +15,7 @@ import os
 import sys
 
 from .charforms import (chern_forms, chern_simons_form, cs_class, chern_form_of)
-from .forms import Form, Grade, ce_differential, quotient_d
+from .forms import Form, Grade, ce_differential, plus_component
 from .invariants import PolyParseError, parse_poly
 from .model import LieModel, Part, validate_model
 from .modelio import ModelSchemaError, emit_model_json, parse_model_file
@@ -26,20 +26,20 @@ from .relations import (conformal_coefficients, exactness_audit, find_primitive,
 NATURAL_GRADE = {Part.MINUS: (1, 0, 0), Part.ZERO: (0, 1, 0), Part.PLUS: (0, 0, 1)}
 
 
+def _natural_differentials(m: LieModel):
+    """Each generator, the differential d of its dual, and the quotient
+    differential at its natural grade: the plus-count r+1 part of d."""
+    for gen in m.generators:
+        d = ce_differential(m, Form.dual(gen.gid))
+        yield gen, d, plus_component(m, d, NATURAL_GRADE[gen.part][2] + 1)
+
+
 def structure_report(m: LieModel) -> dict:
     """Full and quotient differentials of every dual generator at its natural
     grade."""
-    rows = []
-    for gen in m.generators:
-        xi = Form.dual(gen.gid)
-        grade = Grade(*NATURAL_GRADE[gen.part])
-        rows.append({
-            "name": gen.name,
-            "part": gen.part.name.lower(),
-            "index": gen.index,
-            "d": ce_differential(m, xi).to_json(m),
-            "quotient_d": quotient_d(m, xi, grade).to_json(m),
-        })
+    rows = [{"name": gen.name, "part": gen.part.name.lower(), "index": gen.index,
+             "d": d.to_json(m), "quotient_d": dq.to_json(m)}
+            for gen, d, dq in _natural_differentials(m)]
     return {"dims": list(m.dims), "generators": rows}
 
 
@@ -67,8 +67,11 @@ def _load_model(args) -> LieModel:
             params["p"], params["q"] = args.p, args.q
         if token == "projective" and args.o_weights:
             params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
-        return build_model(token, **params)
-    if os.path.exists(token):
+        try:
+            return build_model(token, **params)
+        except ValueError as e:
+            raise SystemExit2(f"family {token!r}: {e}")
+    if os.path.isfile(token):
         return parse_model_file(token)
     raise SystemExit2(f"unknown model family or missing file: {token!r}")
 
@@ -77,16 +80,17 @@ class SystemExit2(Exception):
     pass
 
 
+def _require(ok: bool, message: str):
+    if not ok:
+        raise SystemExit2(message)
+
+
 def _emit(args, obj: dict, text_lines: list[str]):
     if getattr(args, "json", False):
         print(json.dumps(obj, separators=(",", ":")))
     else:
         for line in text_lines:
             print(line)
-
-
-def _pretty_form(m: LieModel, form: Form) -> str:
-    return form.pretty(m)
 
 
 def cmd_model(args) -> int:
@@ -109,25 +113,22 @@ def cmd_model(args) -> int:
 
 def cmd_report(args) -> int:
     m = _load_model(args)
-    report = structure_report(m)
     lines = []
-    for gen in m.generators:
-        xi = Form.dual(gen.gid)
-        grade = Grade(*NATURAL_GRADE[gen.part])
-        lines.append(f"d({gen.name}) = {_pretty_form(m, ce_differential(m, xi))}")
-        lines.append(f"dq({gen.name}) = {_pretty_form(m, quotient_d(m, xi, grade))}")
-    _emit(args, report, lines)
+    for gen, d, dq in _natural_differentials(m):
+        lines += [f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}"]
+    _emit(args, structure_report(m), lines)
     return 0
 
 
 def cmd_chern(args) -> int:
     m = _load_model(args)
     rep = _rep_of(m, args.rep)
+    _require(args.max >= 1, "--max must be >= 1")
     k_max = min(args.max, rep.dim)
     cs = chern_forms(m, rep, k_max)
     obj = {"model": m.meta.get("family", "file"), "rep": rep.label,
            "forms": {f"c{k}": c.to_json(m) for k, c in enumerate(cs, start=1)}}
-    _emit(args, obj, [f"c{k} = {_pretty_form(m, c)}" for k, c in enumerate(cs, start=1)])
+    _emit(args, obj, [f"c{k} = {c.pretty(m)}" for k, c in enumerate(cs, start=1)])
     return 0
 
 
@@ -141,11 +142,11 @@ def cmd_cs(args) -> int:
     t_form, grade = cs_class(m, rep, poly)
     obj = {"poly": args.poly, "grade": list(grade.as_tuple()),
            "cs_class": t_form.to_json(m)}
-    lines = [f"grade = {grade.as_tuple()}", f"cs_class = {_pretty_form(m, t_form)}"]
+    lines = [f"grade = {grade.as_tuple()}", f"cs_class = {t_form.pretty(m)}"]
     if args.full:
         full = chern_simons_form(m, rep, poly)
         obj["chern_simons_form"] = full.to_json(m)
-        lines.append(f"chern_simons_form = {_pretty_form(m, full)}")
+        lines.append(f"chern_simons_form = {full.pretty(m)}")
     _emit(args, obj, lines)
     return 0
 
@@ -153,6 +154,7 @@ def cmd_cs(args) -> int:
 def cmd_relations(args) -> int:
     m = _load_model(args)
     rep = _rep_of(m, args.rep)
+    _require(1 <= args.degree <= rep.dim, f"--degree must be in 1..{rep.dim}, the rep dimension")
     rels = find_relations(m, rep, args.degree, modulo_exact=args.modulo_exact)
     obj = {"relations": [r.to_json() for r in rels]}
     lines = []
@@ -178,6 +180,8 @@ def cmd_primitive(args) -> int:
         grade = Grade(poly.degree, 0, poly.degree)
     else:
         xi, grade = cs_class(m, rep, poly)
+    _require(grade.r >= 1, f"no primitive search at grade {grade.as_tuple()}: "
+                           "it needs plus count >= 1")
     closed, residual = is_closed(m, xi, grade)
     if not closed:
         print(f"warning: target is not closed at grade {grade.as_tuple()}", file=sys.stderr)
@@ -192,7 +196,7 @@ def cmd_primitive(args) -> int:
     }
     lines = [f"grade = {grade.as_tuple()}"]
     if res.exact:
-        lines.append(f"primitive = {_pretty_form(m, res.psi)}")
+        lines.append(f"primitive = {res.psi.pretty(m)}")
     else:
         lines.append(f"not exact; certificate = {res.certificate}")
     _emit(args, obj, lines)
@@ -204,6 +208,8 @@ def cmd_primitive(args) -> int:
 def cmd_audit(args) -> int:
     m = _load_model(args)
     rep = _rep_of(m, args.rep)
+    _require(rep.g_module, f"rep {rep.label!r} is not a g-module restriction")
+    _require(args.max is None or args.max >= 1, "--max must be >= 1")
     report = exactness_audit(m, rep, args.max)
     obj = {
         "rep": report["rep"],
@@ -224,6 +230,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_conformal_coeffs(args) -> int:
+    _require(args.n >= 1, "--n must be >= 1")
     coeffs = conformal_coefficients(args.n)
     obj = {"n": args.n, "coefficients": [str(c) for c in coeffs]}
     _emit(args, obj, [" ".join(str(c) for c in coeffs)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .linalg import eliminate, kernel, sparse_rows
 from .model import LieModel, Part
@@ -146,9 +147,6 @@ class Form:
     def __hash__(self):
         return hash(tuple(sorted((m, c) for m, c in self.terms.items())))
 
-    def support(self) -> set[int]:
-        return set(self.terms)
-
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
@@ -218,10 +216,6 @@ def plus_count(m: LieModel, mask: int) -> int:
 
 def minus_count(m: LieModel, mask: int) -> int:
     return (mask & m.minus_mask).bit_count()
-
-
-def zero_count(m: LieModel, mask: int) -> int:
-    return (mask & m.zero_mask).bit_count()
 
 
 def is_at_grade(m: LieModel, form: Form, grade: Grade) -> bool:
@@ -359,49 +353,61 @@ def coadjoint_action(m: LieModel, u: int) -> CoadjointOperator:
 # -- invariant subspaces -------------------------------------------------------
 
 
-def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> list[int]:
+def _packed_weights(m: LieModel, torus: list[CoadjointOperator], degree: int) -> list[int]:
+    """Each dual generator's weights under the diagonal operators, each scaled
+    to integers by its LCM of denominators, packed as sum_i v_i * base**i.
+    Packing is linear and, as base > 2 * degree * max|v_i|, a sum of up to
+    ``degree`` weights packs to 0 exactly when it is zero."""
+    cols = []
+    for op in torus:
+        if not op.is_diagonal():
+            raise ValueError("torus operators must act diagonally")
+        ws = [op.weight(a) for a in range(m.total)]
+        scale = lcm(*(w.denominator for w in ws))
+        cols.append([int(w * scale) for w in ws])
+    base = 2 * degree * max((abs(w) for col in cols for w in col), default=0) + 1
+    return [sum(col[g] * base ** i for i, col in enumerate(cols)) for g in range(m.total)]
+
+
+def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
+                   torus: list[CoadjointOperator] = ()) -> list[int]:
     """All monomial masks of the stated degree with plus count exactly ``plus``
-    and minus count at least ``min_minus``, in canonical order."""
-    if plus > m.dims[2] or plus < 0 or degree < plus:
+    and minus count at least ``min_minus``, in canonical order.
+
+    With ``torus``, diagonal coadjoint operators, only masks of total weight
+    zero under each are built: plus subsets are grouped by weight and each
+    minus/zero subset takes the group that cancels its weight.  Canonical
+    order compares the minus/zero bits first, so looping over those subsets
+    outside and the plus subsets inside emits it without a sort.
+    """
+    if plus > m.dims[2] or plus < 0 or degree < plus or min_minus > degree - plus:
         return []
-    lower = degree - plus
-    minus_zero = list(m.part_range(Part.MINUS)) + list(m.part_range(Part.ZERO))
-    plus_gens = list(m.part_range(Part.PLUS))
+    weight = _packed_weights(m, torus, degree)
+    bits = [1 << g for g in range(m.total)]
+    lo = m.offsets[Part.PLUS]
+    # combinations of two parallel lists come out in the same order
+    by_weight: dict[int, list[int]] = {}
+    for pw, pb in zip(combinations(weight[lo:], plus), combinations(bits[lo:], plus)):
+        by_weight.setdefault(-sum(pw), []).append(sum(pb))
+    first_zero = 1 << m.dims[0]
     masks = []
-    for pc in combinations(plus_gens, plus):
-        pmask = 0
-        for g in pc:
-            pmask |= 1 << g
-        for rest in combinations(minus_zero, lower):
-            mask = pmask
-            ok_minus = 0
-            for g in rest:
-                mask |= 1 << g
-                if g < m.dims[0]:
-                    ok_minus += 1
-            if ok_minus >= min_minus:
-                masks.append(mask)
-    masks.sort(key=mask_key)
+    for rw, rb in zip(combinations(weight[:lo], degree - plus),
+                      combinations(bits[:lo], degree - plus)):
+        # rb is increasing: min_minus minus generators iff entry min_minus is one
+        if min_minus > 0 and rb[min_minus - 1] >= first_zero:
+            continue
+        for pmask in by_weight.get(sum(rw), ()):
+            masks.append(sum(rb) | pmask)
     return masks
 
 
-def _joint_kernel(m: LieModel, masks: list[int],
+def _joint_kernel(masks: list[int],
                   operators: list[CoadjointOperator]) -> list[dict[int, Fraction]]:
     """Vectors (as mask->coeff dicts) annihilated by every operator."""
     basis: list[dict[int, Fraction]] = [{mask: Fraction(1)} for mask in masks]
-    ops = sorted(operators, key=lambda op: not op.is_diagonal())
-    for op in ops:
+    for op in operators:
         if not basis:
             return []
-        if op.is_diagonal() and all(len(v) == 1 for v in basis):
-            kept = []
-            for v in basis:
-                (mask, _), = v.items()
-                w = sum((op.weight(a) for a in mask_bits(mask)), Fraction(0))
-                if not w:
-                    kept.append(v)
-            basis = kept
-            continue
         images = []
         for v in basis:
             img: dict[int, Fraction] = {}
@@ -427,14 +433,17 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     """Basis of the constant cochains with the stated monomial constraints that
     are annihilated by the coadjoint action of every g0 generator.
 
+    The diagonal (Cartan) operators act by enumeration: only monomials of
+    weight zero under them are built; the others by a joint kernel.
+
     The result is canonical: coefficient rows are brought to reduced row
     echelon form over the monomial list.
     """
-    masks = monomial_masks(m, degree, plus, min_minus)
+    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
+    masks = monomial_masks(m, degree, plus, min_minus, [op for op in ops if op.is_diagonal()])
     if not masks:
         return []
-    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
-    vecs = _joint_kernel(m, masks, ops)
+    vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
     return [Form({masks[i]: TauScalar.of(c) for i, c in sorted(canon[p].items())})

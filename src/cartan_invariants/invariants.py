@@ -128,7 +128,12 @@ class InvPoly:
 #   atom   := INT | 'c' INT | 'ch' INT | '(' expr ')'
 #
 # Every parsed polynomial must be homogeneous in the Chern grading
-# (deg c_k = deg ch_k = k); integers are degree 0.
+# (deg c_k = deg ch_k = k); integers are degree 0.  Indices, exponents and
+# product degrees are capped at MAX_DEGREE before the product is formed, so
+# parsing stays bounded (c16 has 231 trace words; a degree-k Chern form needs
+# k generators in each of g- and g+).
+
+MAX_DEGREE = 16
 
 
 class PolyParseError(ValueError):
@@ -172,6 +177,12 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _cap(value: int, what: str) -> int:
+    if value > MAX_DEGREE:
+        raise PolyParseError(f"{what} {value} exceeds the cap {MAX_DEGREE}")
+    return value
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -202,7 +213,9 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.take()
-            acc = acc * self.factor()
+            f = self.factor()
+            _cap(acc.degree + f.degree, "degree")
+            acc = acc * f
         return acc
 
     def factor(self) -> InvPoly:
@@ -212,6 +225,8 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise PolyParseError(f"expected integer exponent, got {tok!r}")
+            _cap(int(tok), "exponent")
+            _cap(base.degree * int(tok), "degree")
             base = base ** int(tok)
         return base
 
@@ -225,9 +240,9 @@ class _Parser:
         if tok.isdigit():
             return InvPoly.one().scale(int(tok))
         if tok.startswith("ch"):
-            return InvPoly.chern_character(int(tok[2:]))
+            return InvPoly.chern_character(_cap(int(tok[2:]), "index"))
         if tok.startswith("c"):
-            return InvPoly.chern(int(tok[1:]))
+            return InvPoly.chern(_cap(int(tok[1:]), "index"))
         raise PolyParseError(f"unexpected token {tok!r}")
 
 

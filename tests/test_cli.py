@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -21,7 +22,6 @@ def cli(*argv):
 
 
 def test_golden_projective1_file():
-    import os
     path = os.path.join(os.path.dirname(__file__), "data", "projective1.json")
     m = parse_model_file(path)
     # the sl(2) table in this realization: [w,z] = -2w, [w,u] = z, [z,u] = -2u
@@ -176,6 +176,26 @@ def test_cli_usage_errors_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["relations", "g2", "--rep", "graded-tangent", "--degree", "9"],
+    ["relations", "g2", "--rep", "graded-tangent", "--degree", "0"],
+    ["conformal-coeffs", "--n", "0"],
+    ["chern", "projective", "--n", "0", "--rep", "tangent"],
+    ["chern", "conformal", "--n", "2", "--rep", "tangent"],
+    ["primitive", "projective", "--n", "0", "--rep", "tangent", "--target", "c1"],
+    ["primitive", "projective", "--n", "1", "--rep", "tangent", "--target", "c1"],
+    ["chern", "projective", "--n", "2", "--rep", "tangent", "--max", "-3"],
+    ["cs", "projective", "--n", "2", "--rep", "tangent", "--poly", "c1^99999999"],
+    ["audit", "projective", "--n", "2", "--rep", "tangent"],
+    ["audit", "projective", "--n", "2", "--rep", "module", "--max", "0"],
+    ["chern", os.path.dirname(__file__), "--rep", "tangent"],  # a directory
+])
+def test_cli_bad_input_exits_two_with_one_line(argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_unknown_rep_exits_two():
     code, out, err = cli("chern", "projective", "--n", "1", "--rep", "nope")
     assert code == 2
@@ -198,3 +218,14 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"n": 3, "coefficients": ["3", "4", "2"]}
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "cartan_invariants", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert "conformal-coeffs" in out.stdout

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -7,8 +8,10 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                coadjoint_action, foliated_projective,
                                invariant_basis, is_at_grade, monomial_masks,
                                plus_component, projective, quotient_d, wedge)
-from cartan_invariants.forms import Form, cross_inversions, mask_bits
-from cartan_invariants.linalg import QMatrix, nullspace, row_space_rref
+from cartan_invariants.forms import (CoadjointOperator, Form, _joint_kernel,
+                                     cross_inversions, mask_bits, mask_key)
+from cartan_invariants.linalg import QMatrix, eliminate, nullspace, row_space_rref
+from cartan_invariants.model import LieModel
 from cartan_invariants.scalars import TauScalar
 
 ALL_MODELS = None
@@ -238,3 +241,92 @@ def test_form_json_sorted_and_tau_split():
     for e, piece in split.items():
         rebuilt = rebuilt + piece.tau_shift(e)
     assert rebuilt == f
+
+
+# -- the enumeration by Cartan weight against the plain enumeration -----------
+
+
+def _plain_masks(m, degree, plus, min_minus):
+    """Every mask of the trigrade, globally sorted: the enumeration
+    invariant_basis used before it enumerated by weight."""
+    if plus > m.dims[2] or plus < 0 or degree < plus:
+        return []
+    minus_zero = list(m.part_range(Part.MINUS)) + list(m.part_range(Part.ZERO))
+    masks = []
+    for pc in combinations(m.part_range(Part.PLUS), plus):
+        for rest in combinations(minus_zero, degree - plus):
+            if sum(g < m.dims[0] for g in rest) >= min_minus:
+                masks.append(sum(1 << g for g in pc + rest))
+    return sorted(masks, key=mask_key)
+
+
+def _oracle_basis(m, degree, plus, min_minus):
+    """invariant_basis as it was: plain masks, a Fraction weight filter per
+    diagonal operator, the kernel of the others, then the canonical rref."""
+    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
+    masks = [mask for mask in _plain_masks(m, degree, plus, min_minus)
+             if all(sum((op.weight(a) for a in mask_bits(mask)), F(0)) == 0
+                    for op in ops if op.is_diagonal())]
+    vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
+    index = {mask: i for i, mask in enumerate(masks)}
+    canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
+    return [{masks[i]: c for i, c in canon[p].items()} for p in sorted(canon)]
+
+
+def _rotation_model():
+    """g0 = span{r} rotating g- = span{x1, x2}; r acts on no basis vector
+    diagonally, so no weight filter applies."""
+    return LieModel((2, 1, 0), ["x1", "x2", "r"], {(0, 2): {1: F(-1)}, (1, 2): {0: F(1)}})
+
+
+def _rescaled_zero_block(m):
+    """The same algebra with g0 generator i scaled by 1/(i+2), so the Cartan
+    weights become fractions, with a different denominator per operator."""
+    s = [F(1)] * m.total
+    for i, g in enumerate(m.part_range(Part.ZERO)):
+        s[g] = F(1, i + 2)
+    brackets = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in comp.items()}
+                for (i, j), comp in m.brackets.items()}
+    return LieModel(m.dims, m.names, brackets)
+
+
+def test_invariant_basis_matches_plain_enumeration():
+    import cartan_invariants as ci
+    models = [ci.projective(2), ci.projective(3), ci.grassmannian(2, 2),
+              ci.lagrangian_grassmannian(2), ci.conformal(3), ci.foliated_projective(1, 1),
+              ci.split_projective(1, 2), ci.g2_flag()]
+    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
+    rotation, fractional = _rotation_model(), _rescaled_zero_block(ci.projective(2))
+    assert any(CoadjointOperator(fractional, u).weight(0).denominator > 1
+               for u in fractional.part_range(Part.ZERO))
+    models += [rotation, fractional]
+    cases = 0
+    for m in models:
+        diagonal = [op for op in (CoadjointOperator(m, u) for u in m.part_range(Part.ZERO))
+                    if op.is_diagonal()]
+        assert bool(diagonal) == (m is not rotation)
+        for degree in range(6):
+            for plus in range(min(degree, m.dims[2]) + 2):
+                for min_minus in range(3):
+                    plain = _plain_masks(m, degree, plus, min_minus)
+                    assert monomial_masks(m, degree, plus, min_minus) == plain
+                    zero_weight = monomial_masks(m, degree, plus, min_minus, diagonal)
+                    assert zero_weight == [
+                        mask for mask in plain
+                        if all(sum(op.weight(a) for a in mask_bits(mask)) == 0
+                               for op in diagonal)]
+                    got = [{mask: c.coeff(0) for mask, c in b.terms.items()}
+                           for b in invariant_basis(m, degree, plus, min_minus)]
+                    assert got == _oracle_basis(m, degree, plus, min_minus), (
+                        m.meta.get("family"), degree, plus, min_minus)
+                    cases += 1
+    assert cases > 500
+    (b,) = invariant_basis(rotation, 2, 0, 0)
+    assert b == Form.dual(0).wedge(Form.dual(1))
+
+
+def test_monomial_masks_rejects_a_non_diagonal_torus():
+    m = projective(2)
+    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
+    with pytest.raises(ValueError):
+        monomial_masks(m, 2, 1, 0, [op for op in ops if not op.is_diagonal()])

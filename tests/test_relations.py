@@ -233,6 +233,14 @@ def test_parse_poly_grammar():
         parse_poly("c1 *")
     with pytest.raises(ci.PolyParseError):
         parse_poly("7")  # degree zero
+    assert parse_poly("c16").degree == parse_poly("c1^16").degree == 16  # at the cap
+
+
+@pytest.mark.parametrize("text", ["c1^99999999", "2^99999999*c1", "c99999", "ch17",
+                                  "c8*c9", "(c1^4)^5", "c1^8*c1^9"])
+def test_parse_poly_degree_cap(text):
+    with pytest.raises(ci.PolyParseError, match="exceeds the cap 16"):
+        parse_poly(text)
 
 
 def _searched_columns(m, grade, invariant_only, min_minus=0):
@@ -258,6 +266,18 @@ def test_not_exact_witness_rechecks(n, invariant_only):
     columns = _searched_columns(m, grade, invariant_only)
     assert len(columns) == res.searched_dimension
     assert is_fredholm_witness(columns, b, res.witness)
+
+
+def test_projective5_top_class_not_exact():
+    # the degree-8 invariant search space of this target is 2-dimensional;
+    # enumerating by Cartan weight builds 740 of its 1,425,060 monomials
+    m = ci.projective(5)
+    xi, grade = ci.cs_class(m, m.reps["tangent"], parse_poly("c5"))
+    assert grade == Grade(4, 1, 4)
+    res = ci.find_primitive(m, xi, grade)
+    assert not res.exact
+    assert (res.certificate["matrix_rank"], res.certificate["augmented_rank"]) == (1, 2)
+    assert res.searched_dimension == 2
 
 
 def test_exact_result_has_no_witness():
