@@ -7,7 +7,7 @@ discovers the exact polynomial relations among Chern forms, and solves for
 transgression primitives in the trigraded quotient complex.
 """
 
-from .scalars import Rational, TauScalar, parse_rational, rational_str
+from .scalars import parse_rational
 from .linalg import QMatrix, nullspace, rank, rref, solve
 from .model import (Generator, LieModel, Part, Rep, ValidationReport,
                     validate_model, validate_rep)
@@ -31,7 +31,7 @@ from .modelio import (ModelSchemaError, emit_model_json, model_from_obj,
 from .cli import run, structure_report
 
 __all__ = [
-    "Rational", "TauScalar", "parse_rational", "rational_str",
+    "parse_rational",
     "QMatrix", "nullspace", "rank", "rref", "solve",
     "Generator", "LieModel", "Part", "Rep", "ValidationReport",
     "validate_model", "validate_rep",

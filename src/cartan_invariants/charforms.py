@@ -23,7 +23,6 @@ from .forms import Form, Grade, ce_differential, plus_component
 from .invariants import InvPoly
 from .linalg import QMatrix
 from .model import LieModel, Part, Rep
-from .scalars import TauScalar
 
 
 class MatrixForm:
@@ -126,7 +125,7 @@ def atiyah_form(m: LieModel, rep: Rep) -> MatrixForm:
             for i in range(n):
                 for j in range(n):
                     if rho[i][j]:
-                        grid[i][j][mask] = TauScalar.of(rho[i][j])
+                        grid[i][j][mask] = rho[i][j]
     return MatrixForm([[Form(grid[i][j]) for j in range(n)] for i in range(n)])
 
 
@@ -182,7 +181,7 @@ def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
         for i in range(n):
             for j in range(n):
                 if mat[i][j]:
-                    grid[i][j][mask] = TauScalar.of(mat[i][j])
+                    grid[i][j][mask] = mat[i][j]
     return MatrixForm([[Form(grid[i][j]) for j in range(n)] for i in range(n)])
 
 

@@ -2,7 +2,8 @@
 
 Monomials are bitmasks over the global generator order, so structural
 equality, wedge signs and trigrade counts are all bit arithmetic.  A Form
-maps monomial masks to TauScalar coefficients and never stores zeros.
+is homogeneous in tau: one tau exponent, and a map from monomial masks to
+nonzero ``Fraction`` coefficients.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -19,7 +20,6 @@ from math import lcm
 
 from .linalg import eliminate, kernel, sparse_rows
 from .model import LieModel, Part
-from .scalars import TauScalar
 
 
 def cross_inversions(a_mask: int, b_mask: int) -> int:
@@ -44,17 +44,19 @@ def mask_bits(mask: int) -> list[int]:
 
 
 class Form:
-    """Exterior form with TauScalar coefficients, canonical and immutable by use."""
+    """Exterior form tau**tau * sum_mask c_mask mask with rational c_mask.
 
-    __slots__ = ("terms",)
+    Every form the engine builds is homogeneous in tau, so the exponent is
+    stored once and ``terms`` maps monomial masks to nonzero ``Fraction``s.
+    The zero form has no terms; it is equal to every other zero form and
+    neutral under ``+`` whatever its exponent.
+    """
 
-    def __init__(self, terms: dict[int, TauScalar] | None = None):
-        clean: dict[int, TauScalar] = {}
-        if terms:
-            for mask, coeff in terms.items():
-                if not coeff.is_zero:
-                    clean[mask] = coeff
-        self.terms = clean
+    __slots__ = ("terms", "tau")
+
+    def __init__(self, terms: dict[int, Fraction] | None = None, tau: int = 0):
+        self.terms = {mask: Fraction(c) for mask, c in terms.items() if c} if terms else {}
+        self.tau = tau
 
     @classmethod
     def zero(cls) -> "Form":
@@ -62,11 +64,11 @@ class Form:
 
     @classmethod
     def unit(cls) -> "Form":
-        return cls({0: TauScalar.one()})
+        return cls({0: Fraction(1)})
 
     @classmethod
     def monomial(cls, mask: int, coeff=1, tau: int = 0) -> "Form":
-        return cls({mask: TauScalar.of(Fraction(coeff), tau)})
+        return cls({mask: coeff}, tau)
 
     @classmethod
     def dual(cls, gid: int) -> "Form":
@@ -78,45 +80,40 @@ class Form:
         return not self.terms
 
     def __add__(self, other: "Form") -> "Form":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.tau != other.tau:
+            raise ValueError(f"sum of forms at tau^{self.tau} and tau^{other.tau}")
         out = dict(self.terms)
         for mask, c in other.terms.items():
             s = out.get(mask)
             s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(mask, None)
-            else:
+            if s:
                 out[mask] = s
-        res = Form.__new__(Form)
-        res.terms = out
-        return res
+            else:
+                del out[mask]
+        return _form(out, self.tau)
 
     def __neg__(self) -> "Form":
-        res = Form.__new__(Form)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _form({m: -c for m, c in self.terms.items()}, self.tau)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        if isinstance(c, (int, Fraction)):
-            c = TauScalar.of(c)
-        out = {}
-        for mask, coeff in self.terms.items():
-            s = coeff * c
-            if not s.is_zero:
-                out[mask] = s
-        res = Form.__new__(Form)
-        res.terms = out
-        return res
+        """Multiply by a rational."""
+        if not c:
+            return _form({}, self.tau)
+        return _form({m: q * c for m, q in self.terms.items()}, self.tau)
 
     def tau_shift(self, k: int) -> "Form":
-        res = Form.__new__(Form)
-        res.terms = {m: c.shift(k) for m, c in self.terms.items()}
-        return res
+        """Multiply by tau**k."""
+        return _form(self.terms, self.tau + k)
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[int, TauScalar] = {}
+        out: dict[int, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 if m1 & m2:
@@ -127,13 +124,11 @@ class Form:
                     c = -c
                 s = out.get(mask)
                 s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(mask, None)
-                else:
+                if s:
                     out[mask] = s
-        res = Form.__new__(Form)
-        res.terms = out
-        return res
+                else:
+                    del out[mask]
+        return _form(out, self.tau + other.tau)
 
     def wedge_power(self, k: int) -> "Form":
         out = Form.unit()
@@ -142,52 +137,49 @@ class Form:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Form) and self.terms == other.terms
+        return (isinstance(other, Form) and self.terms == other.terms
+                and (self.tau == other.tau or not self.terms))
 
     def __hash__(self):
-        return hash(tuple(sorted((m, c) for m, c in self.terms.items())))
+        return hash((self.tau if self.terms else 0, tuple(sorted(self.terms.items()))))
 
     def degrees(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
 
     def coefficients(self, tau: int = 0) -> dict[int, Fraction]:
-        """The coefficients of tau**tau, as mask -> Fraction.  Every
-        coefficient must be a single tau**tau term."""
-        out = {}
-        for mask, c in self.terms.items():
-            q = c.terms.get(tau)
-            if q is None or len(c.terms) != 1:
-                raise AssertionError(f"coefficient {c!r} is not a multiple of tau^{tau}")
-            out[mask] = q
-        return out
+        """The coefficients of tau**tau, as mask -> Fraction; a nonzero form
+        must sit at that exponent."""
+        if self.terms and self.tau != tau:
+            raise AssertionError(f"form at tau^{self.tau} read at tau^{tau}")
+        return dict(self.terms)
 
-    def tau_split(self) -> dict[int, "Form"]:
-        """Decompose into tau-homogeneous pieces keyed by tau exponent."""
-        out: dict[int, dict[int, TauScalar]] = {}
-        for mask, c in self.terms.items():
-            for e, q in c.terms.items():
-                out.setdefault(e, {})[mask] = TauScalar.of(q)
-        return {e: Form(t) for e, t in out.items()}
+    def _sorted_masks(self) -> list[int]:
+        return sorted(self.terms, key=lambda m: (m.bit_count(), mask_key(m)))
 
     def to_json(self, model: LieModel) -> list:
-        rows = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), mask_key(m))):
-            names = [model.names[g] for g in mask_bits(mask)]
-            for e, q in sorted(self.terms[mask].terms.items()):
-                rows.append([names, e, str(q)])
-        return rows
+        return [[[model.names[g] for g in mask_bits(mask)], self.tau, str(self.terms[mask])]
+                for mask in self._sorted_masks()]
 
     def pretty(self, model: LieModel) -> str:
         if not self.terms:
             return "0"
+        t = "" if self.tau == 0 else "*t" if self.tau == 1 else f"*t^{self.tau}"
         bits = []
-        for mask in sorted(self.terms, key=lambda m: (m.bit_count(), mask_key(m))):
+        for mask in self._sorted_masks():
             names = "∧".join(model.names[g] for g in mask_bits(mask)) or "1"
-            bits.append(f"({self.terms[mask]!r})·{names}")
+            bits.append(f"({self.terms[mask]}{t})·{names}")
         return " + ".join(bits)
 
     def __repr__(self) -> str:
-        return f"Form<{len(self.terms)} terms>"
+        return f"Form<{len(self.terms)} terms, tau^{self.tau}>"
+
+
+def _form(terms: dict[int, Fraction], tau: int) -> Form:
+    """A Form from terms already free of zeros, without copying them."""
+    res = Form.__new__(Form)
+    res.terms = terms
+    res.tau = tau
+    return res
 
 
 def mask_key(mask: int) -> tuple[int, ...]:
@@ -247,7 +239,7 @@ def ce_differential(m: LieModel, form: Form) -> Form:
     pairs b < c is -sum c^a_bc xi^b ^ xi^c.
     """
     table = m.dual_d()
-    out: dict[int, TauScalar] = {}
+    out: dict[int, Fraction] = {}
     for mask, coeff in form.terms.items():
         bits = mask_bits(mask)
         for t, a in enumerate(bits):
@@ -265,15 +257,16 @@ def ce_differential(m: LieModel, form: Form) -> Form:
                 term = coeff * (c if sign > 0 else -c)
                 s = out.get(new_mask)
                 s = term if s is None else s + term
-                if s.is_zero:
-                    out.pop(new_mask, None)
-                else:
+                if s:
                     out[new_mask] = s
-    return Form(out)
+                else:
+                    del out[new_mask]
+    return _form(out, form.tau)
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:
-    return Form({mask: c for mask, c in form.terms.items() if plus_count(m, mask) == r})
+    return _form({mask: c for mask, c in form.terms.items() if plus_count(m, mask) == r},
+                 form.tau)
 
 
 def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
@@ -333,17 +326,17 @@ class CoadjointOperator:
         return {k: v for k, v in out.items() if v}
 
     def __call__(self, form: Form) -> Form:
-        out: dict[int, TauScalar] = {}
+        out: dict[int, Fraction] = {}
         for mask, coeff in form.terms.items():
             for new_mask, c in self.on_mask(mask).items():
                 term = coeff * c
                 s = out.get(new_mask)
                 s = term if s is None else s + term
-                if s.is_zero:
-                    out.pop(new_mask, None)
-                else:
+                if s:
                     out[new_mask] = s
-        return Form(out)
+                else:
+                    del out[new_mask]
+        return _form(out, form.tau)
 
 
 def coadjoint_action(m: LieModel, u: int) -> CoadjointOperator:
@@ -446,5 +439,5 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
-    return [Form({masks[i]: TauScalar.of(c) for i, c in sorted(canon[p].items())})
+    return [Form({masks[i]: c for i, c in sorted(canon[p].items())})
             for p in sorted(canon)]

@@ -33,6 +33,21 @@ def _req(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (list or dict), else a schema error."""
+    if not isinstance(value, kind):
+        article = "a list" if kind is list else "an object"
+        raise ModelSchemaError(f"{what} must be {article}, got {value!r}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ValueError:
+        raise ModelSchemaError(f"{what} has non-rational coefficient {value!r}")
+
+
 def model_to_obj(m: LieModel) -> dict:
     brackets = []
     for (i, j) in sorted(m.brackets):
@@ -81,65 +96,65 @@ def emit_model_json(m: LieModel) -> str:
 
 
 def model_from_obj(obj: dict) -> LieModel:
-    if not isinstance(obj, dict):
-        raise ModelSchemaError("top level must be an object")
+    _typed(obj, dict, "top level")
     dims = _req(obj, "dims", "model")
     if (not isinstance(dims, list) or len(dims) != 3
             or any(not isinstance(d, int) or d < 0 for d in dims)):
         raise ModelSchemaError("dims must be three non-negative integers")
     names = _req(obj, "names", "model")
     total = sum(dims)
-    if not isinstance(names, list) or len(names) != total:
+    if (not isinstance(names, list) or len(names) != total
+            or any(not isinstance(n, str) for n in names)):
         raise ModelSchemaError(f"names must list exactly {total} strings")
     brackets = {}
-    for entry in _req(obj, "brackets", "model"):
-        try:
-            i, j, comp = entry
-        except ValueError:
+    for entry in _typed(_req(obj, "brackets", "model"), list, "brackets"):
+        if not (isinstance(entry, list) and len(entry) == 3):
             raise ModelSchemaError(f"malformed bracket entry {entry!r}")
+        i, j, comp = entry
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < total):
             raise ModelSchemaError(f"bracket indices ({i},{j}) out of range (0..{total - 1}, i<j)")
-        parsed = {}
-        for pair in comp:
-            try:
-                k, coeff = pair
-            except ValueError:
+        if (i, j) in brackets:
+            raise ModelSchemaError(f"duplicate bracket entry ({i},{j})")
+        parsed = brackets[(i, j)] = {}
+        for pair in _typed(comp, list, f"bracket ({i},{j})"):
+            if not (isinstance(pair, list) and len(pair) == 2):
                 raise ModelSchemaError(f"malformed bracket term {pair!r} in ({i},{j})")
+            k, coeff = pair
             if not (isinstance(k, int) and 0 <= k < total):
                 raise ModelSchemaError(
-                    f"bracket ({i},{j}) hits generator {k} outside 0..{total - 1}")
-            try:
-                parsed[k] = parse_rational(coeff)
-            except (ValueError, TypeError):
-                raise ModelSchemaError(
-                    f"bracket ({i},{j}) component {k} has non-rational coefficient {coeff!r}")
-        brackets[(i, j)] = parsed
-    meta_obj = obj.get("meta", {})
+                    f"bracket ({i},{j}) hits generator {k!r} outside 0..{total - 1}")
+            if k in parsed:
+                raise ModelSchemaError(f"bracket ({i},{j}) lists generator {k} twice")
+            parsed[k] = _rational(coeff, f"bracket ({i},{j}) component {k}")
+    meta_obj = _typed(obj.get("meta", {}), dict, "meta")
     meta = {}
     if "family" in meta_obj:
         meta["family"] = meta_obj["family"]
     if "params" in meta_obj:
-        meta["params"] = dict(meta_obj["params"])
+        meta["params"] = dict(_typed(meta_obj["params"], dict, "meta.params"))
     for key in ("pairing", "plus_transport"):
         if key in meta_obj:
-            meta[key] = [[parse_rational(c) for c in row] for row in meta_obj[key]]
-    flags = meta_obj.get("flags", {})
+            where = f"meta.{key}"
+            meta[key] = [[_rational(c, where) for c in _typed(row, list, f"{where} row")]
+                         for row in _typed(meta_obj[key], list, where)]
+    flags = _typed(meta_obj.get("flags", {}), dict, "meta.flags")
     reps = {}
-    for label, rd in _req(obj, "reps", "model").items():
-        dim = _req(rd, "dim", f"rep {label!r}")
-        mats = _req(rd, "matrices", f"rep {label!r}")
+    for label, rd in _typed(_req(obj, "reps", "model"), dict, "reps").items():
+        where = f"rep {label!r}"
+        dim = _req(_typed(rd, dict, where), "dim", where)
+        if not isinstance(dim, int) or dim < 1:
+            raise ModelSchemaError(f"{where} needs a positive integer dim, got {dim!r}")
+        mats = _typed(_req(rd, "matrices", where), list, f"{where} matrices")
         if len(mats) != dims[1]:
             raise ModelSchemaError(
-                f"rep {label!r} needs one matrix per g0 generator ({dims[1]}), got {len(mats)}")
+                f"{where} needs one matrix per g0 generator ({dims[1]}), got {len(mats)}")
         parsed_mats = []
         for mat in mats:
-            if len(mat) != dim or any(len(row) != dim for row in mat):
-                raise ModelSchemaError(f"rep {label!r} matrices must be {dim}x{dim}")
-            try:
-                parsed_mats.append(QMatrix([[parse_rational(c) for c in row] for row in mat]))
-            except ValueError as e:
-                raise ModelSchemaError(f"rep {label!r}: {e}")
-        f = flags.get(label, {})
+            if (not isinstance(mat, list) or len(mat) != dim
+                    or any(not isinstance(row, list) or len(row) != dim for row in mat)):
+                raise ModelSchemaError(f"{where} matrices must be {dim}x{dim}")
+            parsed_mats.append(QMatrix([[_rational(c, where) for c in row] for row in mat]))
+        f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
         reps[label] = Rep(label, parsed_mats, ghost=bool(f.get("ghost")),
                           g_module=bool(f.get("g_module")))
     try:
@@ -157,5 +172,9 @@ def parse_model_json(text: str) -> LieModel:
 
 
 def parse_model_file(path: str) -> LieModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ModelSchemaError(f"model file is not UTF-8 text: {e}")
+    return parse_model_json(text)

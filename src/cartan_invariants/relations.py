@@ -24,7 +24,6 @@ from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
 from .linalg import (Row, eliminate, fredholm_witness, is_fredholm_witness, kernel,
                      sparse_rows)
 from .model import LieModel, Rep
-from .scalars import TauScalar
 
 Partition = tuple[int, ...]
 
@@ -216,9 +215,9 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     The search space is restricted to the g0-invariant subspace by default;
     the induced differential commutes with the reductive g0-action, so an
     invariant primitive exists whenever any primitive does, provided xi is
-    itself invariant.  Each tau exponent of xi costs one elimination of the
-    augmented system [A | b], with b as column n; a ``not_exact`` result
-    costs one more, for its witness.
+    itself invariant.  The search is one elimination of the augmented system
+    [A | b], with b the tau^e coefficients of xi as column n and e its tau
+    exponent; a ``not_exact`` result costs one more, for its witness.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
@@ -231,32 +230,28 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
         basis = [Form.monomial(mask) for mask in monomial_masks(m, deg, grade.r - 1, min_minus)]
     columns = [plus_component(m, ce_differential(m, b), grade.r).coefficients() for b in basis]
     n = len(basis)
+    b = xi.coefficients(xi.tau)
+    reduced = eliminate(sparse_rows(columns + [b]).values())
+    if n in reduced:
+        y = fredholm_witness(columns, b)
+        if not is_fredholm_witness(columns, b, y):
+            raise AssertionError("not-exact witness failed re-verification")
+        return PrimitiveResult(
+            "not_exact", None, grade, n,
+            {"matrix_rank": len(reduced) - 1, "augmented_rank": len(reduced),
+             "columns": n, "tau_exponent": xi.tau},
+            y,
+        )
     psi = Form.zero()
-    rank = 0
-    # tau_split strips the exponent from the coefficients; a zero target
-    # still needs one elimination for the rank.
-    for exp, piece in sorted((xi.tau_split() or {0: xi}).items()):
-        b = piece.coefficients()
-        reduced = eliminate(sparse_rows(columns + [b]).values())
-        if n in reduced:
-            y = fredholm_witness(columns, b)
-            if not is_fredholm_witness(columns, b, y):
-                raise AssertionError("not-exact witness failed re-verification")
-            return PrimitiveResult(
-                "not_exact", None, grade, n,
-                {"matrix_rank": len(reduced) - 1, "augmented_rank": len(reduced),
-                 "columns": n, "tau_exponent": exp},
-                y,
-            )
-        rank = len(reduced)
-        for p in sorted(reduced):
-            c = reduced[p].get(n)
-            if c:
-                psi = psi + basis[p].scale(TauScalar.of(c, exp))
+    for p in sorted(reduced):
+        c = reduced[p].get(n)
+        if c:
+            psi = psi + basis[p].scale(c)
+    psi = psi.tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")
-    return PrimitiveResult("exact", psi, grade, n, {"matrix_rank": rank, "columns": n})
+    return PrimitiveResult("exact", psi, grade, n, {"matrix_rank": len(reduced), "columns": n})
 
 
 def exactness_audit(m: LieModel, rep: Rep, k_max: int | None = None) -> dict:

@@ -1,152 +1,17 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and tau-polynomials.
-
-``tau`` is the formal normalization constant that multiplies curvature-type
-forms (it stands for i/(2*pi)).  It is treated as a transcendental: no
-relation is ever imposed on its powers, so the coefficient ring is an
-integral domain and equality of scalars is decidable by inspection.
-"""
+"""Parsing of exact rational literals."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a decimal-free rational string such as ``-3/4`` or ``17``."""
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational literal: {text!r} (expected a string)")
     if not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(text)
-
-
-def rational_str(x: Fraction) -> str:
-    return str(x)
-
-
-class TauScalar:
-    """Polynomial in tau with rational coefficients, keyed by exponent.
-
-    Zero coefficients are never stored; the canonical zero has no terms.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if exp < 0:
-                    raise ValueError("tau exponents must be >= 0")
-                c = Fraction(coeff)
-                if c:
-                    clean[exp] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "TauScalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TauScalar":
-        return cls({0: Fraction(1)})
-
-    @classmethod
-    def of(cls, coeff, exp: int = 0) -> "TauScalar":
-        return cls({exp: Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TauScalar") -> "TauScalar":
-        if not isinstance(other, TauScalar):
-            return NotImplemented
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        res = TauScalar.__new__(TauScalar)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "TauScalar":
-        res = TauScalar.__new__(TauScalar)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "TauScalar") -> "TauScalar":
-        return self + (-other)
-
-    def __mul__(self, other) -> "TauScalar":
-        if isinstance(other, TauScalar):
-            out: dict[int, Fraction] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            res = TauScalar.__new__(TauScalar)
-            res.terms = out
-            return res
-        if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            if not c0:
-                return TauScalar.zero()
-            res = TauScalar.__new__(TauScalar)
-            res.terms = {e: c * c0 for e, c in self.terms.items()}
-            return res
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "TauScalar":
-        """Multiply by tau**k."""
-        res = TauScalar.__new__(TauScalar)
-        res.terms = {e + k: c for e, c in self.terms.items()}
-        return res
-
-    def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
-
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TauScalar):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == TauScalar.of(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def to_json(self) -> list:
-        return [[e, str(c)] for e, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data) -> "TauScalar":
-        return cls({int(e): parse_rational(c) for e, c in data})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            if e == 0:
-                bits.append(str(c))
-            elif e == 1:
-                bits.append(f"{c}*t")
-            else:
-                bits.append(f"{c}*t^{e}")
-        return " + ".join(bits)

@@ -229,3 +229,57 @@ def test_python_dash_m_entry_point():
     assert out.returncode == 0
     assert out.stderr == ""
     assert "conformal-coeffs" in out.stdout
+
+
+def _set(path, value):
+    """A model-object edit that puts ``value`` at the key path."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_set(["brackets", 0, 2, 0, 1], -2), id="int-bracket-coefficient"),
+    pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], 2), id="int-rep-entry"),
+    pytest.param(_set(["meta", "pairing"], [[1]]), id="int-pairing-entry"),
+    pytest.param(_set(["reps", "tangent"], 5), id="rep-not-object"),
+    pytest.param(_set(["brackets"], 5), id="brackets-not-list"),
+    pytest.param(_set(["brackets", 0], 5), id="bracket-not-list"),
+    pytest.param(_set(["brackets", 0, 2, 0], 7), id="bracket-term-not-pair"),
+    pytest.param(lambda obj: obj["brackets"].append([0, 1, [[0, "3"]]]),
+                 id="duplicate-bracket"),
+    pytest.param(lambda obj: obj["brackets"][0][2].append([0, "3"]),
+                 id="duplicate-bracket-component"),
+    pytest.param(_set(["reps", "empty"], {"dim": 0, "matrices": [[]]}), id="rep-dim-0"),
+    pytest.param(_set(["reps", "tangent", "matrices", 0], [5]), id="matrix-row-not-list"),
+    pytest.param(_set(["meta"], []), id="meta-not-object"),
+    pytest.param(_set(["meta", "flags", "module"], True), id="flags-not-object"),
+    pytest.param(_set(["names", 0], 1), id="name-not-string"),
+    pytest.param(None, id="not-utf8"),
+])
+def test_bad_model_file_exits_two_with_one_line(tmp_path, edit):
+    path = tmp_path / "bad.json"
+    if edit is None:
+        path.write_bytes(b'{"dims": [1, 1, 1], "names": ["w\xff"]}')
+    else:
+        obj = json.loads(emit_model_json(ci.projective(1)))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = cli("report", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
+
+def _pinned_text():
+    with open(os.path.join(os.path.dirname(__file__), "data", "text_stdout.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("entry", _pinned_text(), ids=lambda entry: entry["argv"][0])
+def test_text_stdout_pinned(entry):
+    """The human-readable output, recorded before forms became tau-homogeneous:
+    coefficients at tau exponents 0, 1, 2 and 5, negative ones among them."""
+    assert cli(*entry["argv"]) == (0, entry["stdout"], "")

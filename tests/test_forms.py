@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                coadjoint_action, foliated_projective,
@@ -12,7 +13,6 @@ from cartan_invariants.forms import (CoadjointOperator, Form, _joint_kernel,
                                      cross_inversions, mask_bits, mask_key)
 from cartan_invariants.linalg import QMatrix, eliminate, nullspace, row_space_rref
 from cartan_invariants.model import LieModel
-from cartan_invariants.scalars import TauScalar
 
 ALL_MODELS = None
 
@@ -30,6 +30,80 @@ def _random_form(m, rng, degree):
     for mask in masks:
         acc = acc + Form.monomial(mask, rng.randint(-4, 4))
     return acc
+
+
+# -- Form arithmetic: one tau exponent and Fraction coefficients ---------------
+
+_TOTAL = projective(2).total
+rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+exponents = st.integers(min_value=0, max_value=5)
+masks = st.integers(min_value=0, max_value=(1 << _TOTAL) - 1)
+
+
+def forms(tau=exponents, min_size=0):
+    """Random forms over the generators of projective(2), at a random or given
+    tau exponent."""
+    return st.builds(Form, st.dictionaries(masks, rationals, min_size=min_size, max_size=4),
+                     tau)
+
+
+nonzero_forms = forms(min_size=1).filter(lambda f: not f.is_zero)
+monomials = st.builds(Form.monomial, masks, rationals.filter(bool), exponents)
+# two forms at one shared exponent, so that they can be added
+same_tau_pairs = exponents.flatmap(lambda e: st.tuples(forms(st.just(e)), forms(st.just(e))))
+
+
+def _fractions_only(f):
+    return all(type(c) is F and c for c in f.terms.values())
+
+
+@given(forms(), forms(), forms())
+def test_wedge_associates(a, b, c):
+    assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+
+
+@given(forms(), same_tau_pairs, rationals)
+def test_wedge_bilinear(a, bc, q):
+    b, c = bc
+    assert a.wedge(b + c) == a.wedge(b) + a.wedge(c)
+    assert (b + c).wedge(a) == b.wedge(a) + c.wedge(a)
+    assert a.wedge(b.scale(q)) == a.wedge(b).scale(q) == a.scale(q).wedge(b)
+    assert _fractions_only(a.wedge(b + c.scale(q)))
+
+
+@given(monomials, monomials)
+def test_wedge_graded_commutative_on_monomials(a, b):
+    (ma,), (mb,) = a.terms, b.terms
+    sign = (-1) ** (ma.bit_count() * mb.bit_count())
+    assert a.wedge(b) == b.wedge(a).scale(sign)
+
+
+@given(forms(), forms())
+def test_wedge_adds_tau_exponents(a, b):
+    assert a.wedge(b).tau == a.tau + b.tau
+    assert a.tau_shift(2).wedge(b).tau == a.tau + b.tau + 2
+
+
+@given(forms())
+def test_difference_with_itself_is_zero(a):
+    assert (a - a).is_zero and a - a == Form.zero()
+    assert _fractions_only(a) and _fractions_only(-a)
+
+
+@given(exponents, exponents, forms())
+def test_zero_forms_equal_and_neutral_at_every_exponent(e1, e2, a):
+    z1, z2 = Form.zero().tau_shift(e1), Form({}, e2)
+    assert z1 == z2 == a.scale(0)
+    assert hash(z1) == hash(z2) == hash(Form.zero())
+    assert a + z1 == a and z2 + a == a and (a + z1).tau == a.tau
+
+
+@given(nonzero_forms, nonzero_forms, st.integers(min_value=1, max_value=3))
+def test_sum_across_tau_exponents_raises(a, b, k):
+    with pytest.raises(ValueError):
+        a + b.tau_shift(a.tau - b.tau + k)
+    with pytest.raises(ValueError):
+        a.tau_shift(k) - b.tau_shift(a.tau - b.tau)
 
 
 def test_wedge_square_of_one_form_vanishes():
@@ -205,7 +279,7 @@ def test_closedness_criterion_at_plus_zero_matches_gplus_invariance():
                 for j, forms in enumerate(column_forms):
                     for t, f in enumerate(forms):
                         for mk, cc in f.terms.items():
-                            rows[t * len(support) + index[mk]][j] = cc.coeff(0)
+                            rows[t * len(support) + index[mk]][j] = cc
                 return row_space_rref(nullspace(QMatrix(rows)))
 
             assert kernel([[c] for c in dcols]) == kernel(ocols)
@@ -231,16 +305,14 @@ def test_matrix_cochain_quotient_is_componentwise():
 
 def test_form_json_sorted_and_tau_split():
     m = projective(1)
-    f = Form.dual(0).wedge(Form.dual(2)).scale(TauScalar.of(F(3, 2), 2))
-    f = f + Form.dual(1).scale(TauScalar.of(F(-1), 0))
-    rows = f.to_json(m)
-    assert rows == [[["z1"], 0, "-1"], [["w1", "u1"], 2, "3/2"]]
-    split = f.tau_split()
-    assert sorted(split) == [0, 2]
-    rebuilt = Form.zero()
-    for e, piece in split.items():
-        rebuilt = rebuilt + piece.tau_shift(e)
-    assert rebuilt == f
+    base = Form.dual(0).wedge(Form.dual(2)).scale(F(3, 2)) + Form.dual(1).scale(-1)
+    f = base.tau_shift(2)
+    assert f.tau == 2 and all(type(c) is F for c in f.terms.values())
+    assert f.to_json(m) == [[["z1"], 2, "-1"], [["w1", "u1"], 2, "3/2"]]
+    assert f.coefficients(2) == {0b010: F(-1), 0b101: F(3, 2)}
+    with pytest.raises(AssertionError):
+        f.coefficients(0)
+    assert f != base and f.tau_shift(-2) == base
 
 
 # -- the enumeration by Cartan weight against the plain enumeration -----------
@@ -315,7 +387,7 @@ def test_invariant_basis_matches_plain_enumeration():
                         mask for mask in plain
                         if all(sum(op.weight(a) for a in mask_bits(mask)) == 0
                                for op in diagonal)]
-                    got = [{mask: c.coeff(0) for mask, c in b.terms.items()}
+                    got = [{mask: c for mask, c in b.terms.items()}
                            for b in invariant_basis(m, degree, plus, min_minus)]
                     assert got == _oracle_basis(m, degree, plus, min_minus), (
                         m.meta.get("family"), degree, plus, min_minus)
