@@ -16,10 +16,10 @@ commutator argument (``cs_coefficients``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from math import factorial, prod
+from typing import Iterator
 
-from .forms import Form, Grade, ce_differential, plus_component
+from .forms import Form, Grade, _wedge_sums, ce_differential, plus_component
 from .invariants import InvPoly
 from .linalg import QMatrix
 from .model import LieModel, Part, Rep
@@ -58,20 +58,16 @@ class MatrixForm:
     def matwedge(self, other: "MatrixForm") -> "MatrixForm":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = Form.zero()
-                for k in range(self.cols):
-                    a = self.grid[i][k]
-                    b = other.grid[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a.wedge(b)
-                row.append(acc)
-            out.append(row)
-        return MatrixForm(out)
+        flat = _wedge_sums([[(row[k], other.grid[k][j]) for k in range(self.cols)]
+                            for row in self.grid for j in range(other.cols)])
+        return MatrixForm([flat[i:i + other.cols] for i in range(0, len(flat), other.cols)])
+
+    def trace_wedge(self, other: "MatrixForm") -> Form:
+        """tr(self ^ other), without the off-diagonal entries of the product."""
+        if self.cols != other.rows or self.rows != other.cols:
+            raise ValueError("shape mismatch")
+        return _wedge_sums([[(row[k], other.grid[k][i]) for i, row in enumerate(self.grid)
+                             for k in range(self.cols)]])[0]
 
     def trace(self) -> Form:
         if self.rows != self.cols:
@@ -168,7 +164,7 @@ def tangent_rep(m: LieModel, label: str = "tangent") -> Rep:
                 if k in pos:
                     data[pos[k]][j] = c
         mats.append(QMatrix(data))
-    return Rep(label, mats)
+    return Rep(label, mats, dim=m.dims[0])
 
 
 def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
@@ -197,6 +193,9 @@ def chern_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
     out = []
     b = MatrixForm.identity(rep.dim)
     for k in range(1, k_max + 1):
+        if k == k_max:  # the last step needs only tr(G_k)
+            out.append(a.trace_wedge(b).scale(Fraction(1, k)).tau_shift(k))
+            break
         g = a.matwedge(b)
         ek = g.trace().scale(Fraction(1, k))
         out.append(ek.tau_shift(k))
@@ -281,11 +280,46 @@ def _infer_degrees(args: list[MatrixForm]) -> list[int]:
     return degs
 
 
+def _distinct_orders(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of a multiset, once."""
+    if not items:
+        yield ()
+    for x in dict.fromkeys(items):
+        rest = list(items)
+        rest.remove(x)
+        for tail in _distinct_orders(tuple(rest)):
+            yield (x, *tail)
+
+
+def _sequence_weights(ids: list[int], degrees: list[int]) -> dict[tuple[int, ...], int]:
+    """sum_{sigma in S_k} of the Koszul signs, grouped by the argument
+    sequence (ids[sigma(1)], ..., ids[sigma(k)]), each sequence built once.
+
+    Permuting equal arguments among themselves keeps the sequence; for even
+    ones it keeps the sign, so a sequence weighs prod m_i! times the sign of
+    one permutation that realizes it.  Swapping two equal odd arguments flips
+    the sign, so when one repeats every weight is 0.
+    """
+    slots: dict[int, list[int]] = {}
+    for pos, i in enumerate(ids):
+        slots.setdefault(i, []).append(pos)
+    if any(len(p) > 1 and degrees[p[0]] % 2 for p in slots.values()):
+        return {}
+    mult = prod(factorial(len(p)) for p in slots.values())
+    weights = {}
+    for seq in _distinct_orders(tuple(ids)):
+        unused = {i: iter(p) for i, p in slots.items()}
+        weights[seq] = mult * _koszul_sign(tuple(next(unused[i]) for i in seq), degrees)
+    return weights
+
+
 def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None) -> Form:
     """Unnormalized graded symmetrization sum_{sigma in S_k} of the trace words.
 
-    Arguments with the same identity are collapsed first, folding Koszul signs
-    into multiplicities, so the k! loop never touches matrix arithmetic.
+    Arguments with the same identity are collapsed first, so each distinct
+    argument sequence is evaluated once with its summed Koszul weight.  A
+    trace word ends in ``trace_wedge``: a full matrix product is formed only
+    as the prefix of a longer word.
     """
     k = len(args)
     if f.degree != k:
@@ -301,12 +335,9 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     uniq: dict[int, MatrixForm] = {}
     for a, i in zip(args, ids):
         uniq[i] = a
-    weights: dict[tuple[int, ...], int] = {}
-    for perm in permutations(range(k)):
-        seq = tuple(ids[p] for p in perm)
-        weights[seq] = weights.get(seq, 0) + _koszul_sign(perm, degrees)
     result = Form.zero()
     prod_cache: dict[tuple[int, ...], MatrixForm] = {}
+    trace_cache: dict[tuple[int, ...], Form] = {}
 
     def product(seq: tuple[int, ...]) -> MatrixForm:
         if seq in prod_cache:
@@ -318,16 +349,20 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
         prod_cache[seq] = mat
         return mat
 
-    for seq, weight in weights.items():
-        if not weight:
-            continue
+    def trace(seq: tuple[int, ...]) -> Form:
+        if seq not in trace_cache:
+            trace_cache[seq] = (uniq[seq[0]].trace() if len(seq) == 1
+                                else product(seq[:-1]).trace_wedge(uniq[seq[-1]]))
+        return trace_cache[seq]
+
+    for seq, weight in _sequence_weights(ids, degrees).items():
         for word, coeff in f.terms.items():
             pos = 0
-            acc = Form.unit()
+            acc = None
             for part in word:
-                group = seq[pos:pos + part]
+                t = trace(seq[pos:pos + part])
                 pos += part
-                acc = acc.wedge(product(group).trace())
+                acc = t if acc is None else acc.wedge(t)
                 if acc.is_zero:
                     break
             if not acc.is_zero:

@@ -22,16 +22,21 @@ from .linalg import eliminate, kernel, sparse_rows
 from .model import LieModel, Part
 
 
-def cross_inversions(a_mask: int, b_mask: int) -> int:
-    """Number of pairs (x in a, y in b) with x > y."""
-    inv = 0
-    m = b_mask
-    while m:
-        low = m & -m
-        y = low.bit_length() - 1
-        inv += (a_mask >> (y + 1)).bit_count()
-        m ^= low
-    return inv
+def parity_above(mask: int) -> int:
+    """The mask whose bit y is set iff mask has an odd number of bits above y.
+
+    A prefix XOR of ``mask >> 1`` towards the low bits.  The wedge of the
+    unit monomials a and b (disjoint) is (-1)^n (a | b), where n counts the
+    pairs (x in a, y in b) with x > y; n has the parity of
+    ``(parity_above(a) & b).bit_count()``.
+    """
+    p = mask >> 1
+    width = p.bit_length()
+    shift = 1
+    while shift < width:
+        p ^= p >> shift
+        shift <<= 1
+    return p
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -113,22 +118,7 @@ class Form:
         return _form(self.terms, self.tau + k)
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[int, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                mask = m1 | m2
-                c = c1 * c2
-                if cross_inversions(m1, m2) & 1:
-                    c = -c
-                s = out.get(mask)
-                s = c if s is None else s + c
-                if s:
-                    out[mask] = s
-                else:
-                    del out[mask]
-        return _form(out, self.tau + other.tau)
+        return _wedge_sums([[(self, other)]])[0]
 
     def wedge_power(self, k: int) -> "Form":
         out = Form.unit()
@@ -180,6 +170,52 @@ def _form(terms: dict[int, Fraction], tau: int) -> Form:
     res.terms = terms
     res.tau = tau
     return res
+
+
+def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
+    """For each list of pairs (a, b), the form sum of a ^ b, in integers.
+
+    Each distinct operand is brought once to integer numerators over the LCM
+    of its denominators, with the ``parity_above`` of each mask; a sum
+    accumulates ``{mask: int}`` over the LCM of its pairs' denominator
+    products and builds one ``Fraction`` per output term.  Pairs with a zero
+    operand are skipped; the others must agree in tau.
+    """
+    cache: dict[tuple[int, bool], tuple[int, list]] = {}
+
+    def integral(f: Form, left: bool) -> tuple[int, list]:
+        """(d, [(mask, numerator)]), or with ``left`` [(mask, parity, numerator)]."""
+        key = (id(f), left)
+        if key not in cache:
+            d = lcm(*(c.denominator for c in f.terms.values()))
+            nums = [(m, c.numerator * (d // c.denominator)) for m, c in f.terms.items()]
+            cache[key] = (d, [(m, parity_above(m), n) for m, n in nums] if left else nums)
+        return cache[key]
+
+    out = []
+    for pairs in sums:
+        live = [(a, b) for a, b in pairs if a.terms and b.terms]
+        # a zero sum keeps the exponent of its first pair
+        taus = {a.tau + b.tau for a, b in live} or {sum(f.tau for f in pairs[0]) if pairs else 0}
+        if len(taus) > 1:
+            raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
+        ops = [(integral(a, True), integral(b, False)) for a, b in live]
+        d = lcm(*(da * db for (da, _), (db, _) in ops))
+        acc: dict[int, int] = {}
+        for (da, left), (db, right) in ops:
+            f = d // (da * db)
+            for m1, p1, n1 in left:
+                n1 *= f
+                for m2, n2 in right:
+                    if m1 & m2:
+                        continue
+                    mask = m1 | m2
+                    if (p1 & m2).bit_count() & 1:
+                        acc[mask] = acc.get(mask, 0) - n1 * n2
+                    else:
+                        acc[mask] = acc.get(mask, 0) + n1 * n2
+        out.append(_form({m: Fraction(n, d) for m, n in acc.items() if n}, taus.pop()))
+    return out
 
 
 def mask_key(mask: int) -> tuple[int, ...]:
@@ -244,17 +280,13 @@ def ce_differential(m: LieModel, form: Form) -> Form:
         bits = mask_bits(mask)
         for t, a in enumerate(bits):
             rest = mask ^ (1 << a)
-            below = rest & ((1 << a) - 1)
-            above = rest >> (a + 1) << (a + 1)
-            base_sign = -1 if t & 1 else 1
+            # past the t bits below a, then the pair sorts into rest
+            odd = parity_above(rest)
             for pair_mask, c in table[a]:
                 if pair_mask & rest:
                     continue
-                sign = base_sign
-                if (cross_inversions(below, pair_mask) + cross_inversions(pair_mask, above)) & 1:
-                    sign = -sign
                 new_mask = rest | pair_mask
-                term = coeff * (c if sign > 0 else -c)
+                term = -coeff * c if ((odd & pair_mask).bit_count() + t) & 1 else coeff * c
                 s = out.get(new_mask)
                 s = term if s is None else s + term
                 if s:
@@ -309,8 +341,9 @@ class CoadjointOperator:
         out: dict[int, Fraction] = {}
         for a in mask_bits(mask):
             rest = mask ^ (1 << a)
-            below = rest & ((1 << a) - 1)
-            above = rest >> (a + 1) << (a + 1)
+            # y takes the place of a: the sign counts the bits of rest
+            # between them, cross(rest, y) + |bits of rest above a|
+            odd = parity_above(rest) ^ -((rest >> a).bit_count() & 1)
             for y, c in self.table[a].items():
                 if y == a:
                     out[mask] = out.get(mask, Fraction(0)) + c
@@ -318,11 +351,8 @@ class CoadjointOperator:
                 ybit = 1 << y
                 if rest & ybit:
                     continue
-                sign = 1
-                if (cross_inversions(below, ybit) + cross_inversions(ybit, above)) & 1:
-                    sign = -1
                 new_mask = rest | ybit
-                out[new_mask] = out.get(new_mask, Fraction(0)) + (c if sign > 0 else -c)
+                out[new_mask] = out.get(new_mask, Fraction(0)) + (-c if (odd >> y) & 1 else c)
         return {k: v for k, v in out.items() if v}
 
     def __call__(self, form: Form) -> Form:

@@ -41,16 +41,19 @@ class Rep:
     ``ghost`` marks modules with no group-level associated bundle; that is
     metadata only, every formula treats ghosts like ordinary modules.
     ``g_module`` marks restrictions of representations of the whole algebra,
-    which is what the exactness audit keys on.
+    which is what the exactness audit keys on.  ``dim`` defaults to the size
+    of the matrices, and must be given when there are none (no g0).
     """
 
     __slots__ = ("label", "dim", "matrices", "ghost", "g_module")
 
     def __init__(self, label: str, matrices: list[QMatrix], ghost: bool = False,
-                 g_module: bool = False):
+                 g_module: bool = False, dim: int | None = None):
+        if dim is None and not matrices:
+            raise ValueError("a rep without matrices needs its dim")
         self.label = label
         self.matrices = matrices
-        self.dim = matrices[0].rows if matrices else 0
+        self.dim = matrices[0].rows if dim is None else dim
         for m in matrices:
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("rep matrices must be square of equal size")
@@ -78,6 +81,24 @@ class Rep:
 
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
+SparseMatrix = dict[tuple[int, int], Fraction]
+
+
+def sparse_entries(mat: QMatrix) -> SparseMatrix:
+    return {(i, j): x for i, row in enumerate(mat.data) for j, x in enumerate(row) if x}
+
+
+def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab - ba from the nonzero entries alone, without zero entries."""
+    out: SparseMatrix = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        rows: dict[int, list[tuple[int, Fraction]]] = {}
+        for (k, j), v in y.items():
+            rows.setdefault(k, []).append((j, v))
+        for (i, k), u in x.items():
+            for j, v in rows.get(k, ()):
+                out[(i, j)] = out.get((i, j), 0) + sign * u * v
+    return {key: v for key, v in out.items() if v}
 
 
 class LieModel:
@@ -268,23 +289,12 @@ def validate_rep(m: LieModel, rep: Rep) -> ValidationReport:
     """Check rho([u,v]) = rho(u)rho(v) - rho(v)rho(u) over the g0 basis."""
     report = ValidationReport(ok=True)
     zero_range = list(m.part_range(Part.ZERO))
+    sparse = [sparse_entries(mat) for mat in rep.matrices]
     for a_pos, u in enumerate(zero_range):
         for b_pos in range(a_pos + 1, len(zero_range)):
             v = zero_range[b_pos]
-            comp = m.bracket_basis(u, v)
-            expected = rep.act(m.zero_coefficients(comp))
-            ru, rv = rep.matrices[a_pos], rep.matrices[b_pos]
-            got = QMatrix(
-                [
-                    [
-                        sum((ru.data[i][k] * rv.data[k][j] - rv.data[i][k] * ru.data[k][j]
-                             for k in range(rep.dim)), Fraction(0))
-                        for j in range(rep.dim)
-                    ]
-                    for i in range(rep.dim)
-                ]
-            )
-            if got != expected:
+            expected = sparse_entries(rep.act(m.zero_coefficients(m.bracket_basis(u, v))))
+            if sparse_commutator(sparse[a_pos], sparse[b_pos]) != expected:
                 report.add(
                     "rep",
                     f"{rep.label}: commutator mismatch on ({m.names[u]},{m.names[v]})",

@@ -156,7 +156,7 @@ def model_from_obj(obj: dict) -> LieModel:
             parsed_mats.append(QMatrix([[_rational(c, where) for c in row] for row in mat]))
         f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
         reps[label] = Rep(label, parsed_mats, ghost=bool(f.get("ghost")),
-                          g_module=bool(f.get("g_module")))
+                          g_module=bool(f.get("g_module")), dim=dim)
     try:
         return LieModel(tuple(dims), names, brackets, reps=reps, meta=meta)
     except ValueError as e:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .charforms import tangent_rep
 from .chevalley import ChevalleyBasis, g2_root_system
-from .linalg import QMatrix, rref
-from .model import BracketTable, LieModel, Part, Rep
+from .linalg import QMatrix, eliminate
+from .model import BracketTable, LieModel, Part, Rep, sparse_commutator, sparse_entries
 
 
 def _E(n: int, i: int, j: int) -> QMatrix:
@@ -36,58 +36,31 @@ def _madd(*terms: tuple[Fraction, QMatrix]) -> QMatrix:
     return QMatrix(data)
 
 
-def _commutator(a: QMatrix, b: QMatrix) -> QMatrix:
-    n = a.rows
-    data = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a.data[i][k]
-            bik = b.data[i][k]
-            if aik:
-                for j in range(n):
-                    if b.data[k][j]:
-                        data[i][j] += aik * b.data[k][j]
-            if bik:
-                for j in range(n):
-                    if a.data[k][j]:
-                        data[i][j] -= bik * a.data[k][j]
-    return QMatrix(data)
-
-
 def _model_from_matrices(dims, matrices: list[QMatrix], names: list[str],
                          meta: dict) -> LieModel:
     """Structure constants of a matrix-realized algebra.
 
     Every pairwise commutator is expressed over the given basis with one
-    joint row reduction; a commutator outside the span is a hard error.
+    sparse elimination: a row per matrix cell, a column per basis matrix,
+    then one per commutator.  A commutator outside the span is a hard error.
     """
     total = len(matrices)
-    n = matrices[0].rows
-    flat = [[m.data[i][j] for m in matrices] for i in range(n) for j in range(n)]
+    sparse = [sparse_entries(mat) for mat in matrices]
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
-    aug_rows = []
-    comms = {}
-    for (i, j) in pairs:
-        comms[(i, j)] = _commutator(matrices[i], matrices[j])
-    for rix in range(n * n):
-        mi, mj = divmod(rix, n)
-        row = list(flat[rix])
-        for (i, j) in pairs:
-            row.append(comms[(i, j)].data[mi][mj])
-        aug_rows.append(row)
-    red, pivots = rref(QMatrix(aug_rows))
-    for p in pivots:
-        if p >= total:
-            raise ValueError("commutator not in the span of the basis")
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for col, entries in enumerate(sparse + [sparse_commutator(sparse[i], sparse[j])
+                                            for i, j in pairs]):
+        for cell, x in entries.items():
+            rows.setdefault(cell, {})[col] = x
+    reduced = eliminate(rows.values())
+    pivots = sorted(reduced)
+    if pivots and pivots[-1] >= total:
+        raise ValueError("commutator not in the span of the basis")
     if pivots != list(range(total)):
         raise ValueError("generator matrices are linearly dependent")
     brackets: BracketTable = {}
-    for col, (i, j) in enumerate(pairs):
-        comp = {}
-        for prow, pcol in enumerate(pivots):
-            c = red.data[prow][total + col]
-            if c:
-                comp[pcol] = c
+    for col, (i, j) in enumerate(pairs, start=total):
+        comp = {p: reduced[p][col] for p in pivots if col in reduced[p]}
         if comp:
             brackets[(i, j)] = comp
     return LieModel(dims, names, brackets, reps={}, meta=meta, realization=matrices)
@@ -113,7 +86,7 @@ def _sub_block_rep(m: LieModel, label: str, lo: int, hi: int) -> Rep:
                 elif c and k < m.dims[0]:
                     raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
         mats.append(QMatrix(data))
-    return Rep(label, mats)
+    return Rep(label, mats, dim=size)
 
 
 # -- projective space --------------------------------------------------------

@@ -1,11 +1,14 @@
 import math
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 import cartan_invariants as ci
 from cartan_invariants import Part
-from cartan_invariants.charforms import _polarized
+from cartan_invariants.charforms import (MatrixForm, _koszul_sign, _polarized,
+                                         _sequence_weights)
 from cartan_invariants.forms import (Form, Grade, ce_differential, is_at_grade,
                                      minus_count, plus_count)
 from cartan_invariants.invariants import InvPoly
@@ -290,3 +293,122 @@ def test_o_d_ghost_flags():
     m = ci.projective(2, o_weights=(1, 3))
     assert m.reps["O(1)"].ghost
     assert not m.reps["O(3)"].ghost  # n+1 = 3 divides 3
+
+
+# -- oracles: the integer kernel and the multiset walk against the old paths ----
+
+
+def _random_matrix_form(rng, rows, cols, width=8):
+    grid = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                mask = 0
+                for g in rng.sample(range(width), rng.choice((1, 2))):
+                    mask |= 1 << g
+                terms[mask] = F(rng.randint(-9, 9), rng.randint(1, 12))
+            row.append(Form(terms))
+        grid.append(row)
+    return MatrixForm(grid)
+
+
+def test_matwedge_and_trace_wedge_match_entrywise_wedges():
+    rng = random.Random(17)
+    for _ in range(60):
+        n, k, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = _random_matrix_form(rng, n, k)
+        b = _random_matrix_form(rng, k, p)
+        ref = [[Form.zero() for _ in range(p)] for _ in range(n)]
+        for i in range(n):
+            for j in range(p):
+                for t in range(k):
+                    ref[i][j] = ref[i][j] + a.grid[i][t].wedge(b.grid[t][j])
+        assert a.matwedge(b) == MatrixForm(ref)
+        c = _random_matrix_form(rng, p, n)
+        tr = Form.zero()
+        for i in range(n):
+            for t in range(p):
+                tr = tr + a.matwedge(b).grid[i][t].wedge(c.grid[t][i])
+        assert a.matwedge(b).trace_wedge(c) == tr
+    with pytest.raises(ValueError):
+        _random_matrix_form(rng, 2, 3).trace_wedge(_random_matrix_form(rng, 3, 3))
+
+
+def _full_product_chern(m, rep, k_max):
+    """Faddeev-LeVerrier with the full product G_k at every step."""
+    a = ci.atiyah_form(m, rep)
+    b = MatrixForm.identity(rep.dim)
+    out = []
+    for k in range(1, k_max + 1):
+        g = a.matwedge(b)
+        ek = g.trace().scale(F(1, k))
+        out.append(ek.tau_shift(k))
+        b = MatrixForm([[(ek if i == j else Form.zero()) - g.grid[i][j]
+                         for j in range(rep.dim)] for i in range(rep.dim)])
+    return out
+
+
+@pytest.mark.parametrize("family,params,rep", [
+    ("projective", dict(n=3), "tangent"), ("grassmannian", dict(p=2, q=2), "tangent"),
+    ("grassmannian", dict(p=2, q=2), "U"), ("lagrangian", dict(n=2), "tangent"),
+    ("conformal", dict(n=4), "tangent"), ("g2", dict(), "graded-tangent"),
+])
+def test_chern_forms_match_full_product_recursion(family, params, rep):
+    m = ci.build_model(family, **params)
+    r = m.reps[rep] if rep in m.reps else ci.tangent_rep(m)
+    for k_max in range(1, min(r.dim, 4) + 1):
+        assert ci.chern_forms(m, r, k_max) == _full_product_chern(m, r, k_max)
+
+
+def _walk_weights(ids, degrees):
+    """The k! walk: every permutation, its Koszul sign summed per sequence."""
+    weights = {}
+    for perm in permutations(range(len(ids))):
+        seq = tuple(ids[p] for p in perm)
+        weights[seq] = weights.get(seq, 0) + _koszul_sign(perm, degrees)
+    return {seq: w for seq, w in weights.items() if w}
+
+
+def test_sequence_weights_match_permutation_walk():
+    rng = random.Random(23)
+    cases = [([0, 1, 1, 1], [1, 2, 2, 2]), ([0, 0], [1, 1]), ([0, 1, 0], [1, 2, 1]),
+             ([0, 1, 0, 2, 1, 0], [2, 1, 2, 1, 1, 2]), ([0, 1, 2, 3, 4, 5], [1, 2, 1, 1, 2, 1])]
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        parity = [rng.choice((1, 2)) for _ in range(k)]
+        ids = [rng.randrange(rng.randint(1, k)) for _ in range(k)]
+        cases.append((ids, [parity[i] for i in ids]))
+    for ids, degrees in cases:
+        assert _sequence_weights(ids, degrees) == _walk_weights(ids, degrees), (ids, degrees)
+    assert _sequence_weights([0, 1, 0], [1, 2, 1]) == {}
+
+
+def _walk_polarized(f, args, degrees):
+    """The k! walk with the full product and its trace for every word."""
+    result = Form.zero()
+    for perm in permutations(range(len(args))):
+        sign = _koszul_sign(perm, degrees)
+        for word, coeff in f.terms.items():
+            pos, acc = 0, Form.unit()
+            for part in word:
+                mat = args[perm[pos]]
+                for p in perm[pos + 1:pos + part]:
+                    mat = mat.matwedge(args[p])
+                pos += part
+                acc = acc.wedge(mat.trace())
+            result = result + acc.scale(coeff * sign)
+    return result
+
+
+def test_polarized_matches_permutation_walk():
+    m = ci.projective(2)
+    rep = m.reps["tangent"]
+    u, a = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
+    v = u.matwedge(u)
+    for f in (InvPoly.chern(3), InvPoly.trace_power(3), InvPoly.chern(2)):
+        for args, degrees in (([u, a, a], [1, 2, 2]), ([u, v, a], [1, 2, 2]),
+                              ([a, a, a], [2, 2, 2]), ([u, u, a], [1, 1, 2])):
+            args, degrees = args[:f.degree], degrees[:f.degree]
+            assert _polarized(f, args, degrees) == _walk_polarized(f, args, degrees)

@@ -78,6 +78,20 @@ def test_model_build_round_trip_validates(tmp_path):
     assert code == 0
 
 
+def test_model_without_g0_keeps_rep_dim(tmp_path):
+    path = tmp_path / "nog0.json"
+    path.write_text(json.dumps({"dims": [1, 0, 1], "names": ["w1", "u1"], "brackets": [],
+                                "reps": {"V": {"dim": 2, "matrices": []}}}))
+    code, out, err = cli("chern", str(path), "--rep", "V")
+    assert (code, out, err) == (0, "c1 = 0\nc2 = 0\n", "")
+    again = tmp_path / "again.json"
+    code, out, err = cli("model", "build", str(path), "-o", str(again))
+    assert code == 0
+    m = parse_model_file(str(again))
+    assert m.reps["V"].dim == 2
+    assert emit_model_json(m) == emit_model_json(parse_model_file(str(path)))
+
+
 def test_cli_relations_g2_golden():
     code, out, err = cli("relations", "g2", "--rep", "graded-tangent",
                          "--degree", "2", "--modulo-exact", "--json")

@@ -10,7 +10,7 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                invariant_basis, is_at_grade, monomial_masks,
                                plus_component, projective, quotient_d, wedge)
 from cartan_invariants.forms import (CoadjointOperator, Form, _joint_kernel,
-                                     cross_inversions, mask_bits, mask_key)
+                                     mask_bits, mask_key, parity_above)
 from cartan_invariants.linalg import QMatrix, eliminate, nullspace, row_space_rref
 from cartan_invariants.model import LieModel
 
@@ -132,13 +132,52 @@ def test_wedge_associative_random():
         assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 
-def test_cross_inversions_matches_bruteforce():
+def test_parity_above_matches_bruteforce():
     rng = random.Random(3)
-    for _ in range(200):
-        a = rng.getrandbits(10)
-        b = rng.getrandbits(10) & ~a
-        brute = sum(1 for x in mask_bits(a) for y in mask_bits(b) if x > y)
-        assert cross_inversions(a, b) == brute
+    for _ in range(300):
+        width = rng.randint(0, 70)
+        a = rng.getrandbits(width) if width else 0
+        b = rng.getrandbits(70) & ~a
+        p = parity_above(a)
+        for y in range(72):
+            assert (p >> y) & 1 == sum(1 for x in mask_bits(a) if x > y) % 2
+        inversions = sum(1 for x in mask_bits(a) for y in mask_bits(b) if x > y)
+        assert (p & b).bit_count() % 2 == inversions % 2
+
+
+def _reference_wedge(a, b):
+    """The wedge Fraction by Fraction, each sign from the pairs it inverts."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if m1 & m2:
+                continue
+            inversions = sum(1 for x in mask_bits(m1) for y in mask_bits(m2) if x > y)
+            out[m1 | m2] = out.get(m1 | m2, F(0)) + (-1) ** inversions * c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_rational_form(rng, width, tau):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        mask = 0
+        for g in rng.sample(range(width), rng.randint(0, 4)):
+            mask |= 1 << g
+        terms[mask] = F(rng.randint(-30, 30), rng.randint(1, 12))
+    return Form(terms, tau)
+
+
+def test_wedge_matches_fraction_reference():
+    rng = random.Random(5)
+    for _ in range(400):
+        width = rng.choice((6, 12, 70))
+        a = _random_rational_form(rng, width, rng.randint(0, 3))
+        b = _random_rational_form(rng, width, rng.randint(0, 3))
+        got = a.wedge(b)
+        assert got.terms == _reference_wedge(a, b)
+        assert all(type(c) is F for c in got.terms.values())
+        if got.terms:
+            assert got.tau == a.tau + b.tau
 
 
 def test_ce_differential_sl2_examples(sl2):

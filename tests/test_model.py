@@ -6,6 +6,8 @@ import pytest
 from cartan_invariants import (Part, coadjoint_action, projective, validate_model,
                                validate_rep)
 from cartan_invariants.forms import Form, ce_differential, wedge
+from cartan_invariants.linalg import QMatrix
+from cartan_invariants.model import Rep, sparse_commutator, sparse_entries
 from conftest import sl2_corrupted
 
 
@@ -96,6 +98,37 @@ def test_rep_consistency_all_builtin():
     m = projective(2)
     for rep in m.reps.values():
         assert validate_rep(m, rep).ok, rep.label
+
+
+def test_validate_rep_reports_a_corrupted_entry():
+    m = projective(2)
+    good = m.reps["tangent"]
+    mats = [QMatrix(mat.data) for mat in good.matrices]
+    mats[1].data[0][1] += 1
+    report = validate_rep(m, Rep("bent", mats))
+    assert not report.ok
+    assert all(f["check"] == "rep" for f in report.failures)
+
+
+def test_sparse_commutator_matches_dense():
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a, b = ([[F(rng.choice((0, 0, 0, 1, -2, 3)), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)] for _ in range(2))
+        dense = [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), F(0))
+                  for j in range(n)] for i in range(n)]
+        assert sparse_commutator(sparse_entries(QMatrix(a)),
+                                 sparse_entries(QMatrix(b))) == sparse_entries(QMatrix(dense))
+
+
+def test_rep_dim_is_explicit_without_matrices():
+    assert Rep("V", [], dim=2).dim == 2
+    assert Rep("V", [QMatrix([[1, 0], [0, 1]])]).dim == 2
+    with pytest.raises(ValueError):
+        Rep("V", [])
+    with pytest.raises(ValueError):
+        Rep("V", [QMatrix([[1, 0], [0, 1]])], dim=3)
 
 
 def test_projective_bracket_plus_minus_lands_in_h_complement():

@@ -5,6 +5,8 @@ import pytest
 import cartan_invariants as ci
 from cartan_invariants import Part, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, quotient_d, mask_bits
+from cartan_invariants.linalg import QMatrix, rref
+from cartan_invariants.models import _model_from_matrices
 
 BUILTIN = [
     ("projective", dict(n=1)), ("projective", dict(n=2)), ("projective", dict(n=3)),
@@ -277,3 +279,55 @@ def test_builder_params_validated():
         ci.conformal(2)
     with pytest.raises(ValueError):
         ci.build_model("nonsense")
+
+
+# -- oracle: the sparse structure-constant solve against the dense one ---------
+
+
+def _dense_commutator(a, b):
+    n = a.rows
+    return QMatrix([[sum((a.data[i][k] * b.data[k][j] - b.data[i][k] * a.data[k][j]
+                          for k in range(n)), F(0)) for j in range(n)] for i in range(n)])
+
+
+def _dense_brackets(matrices):
+    """Every commutator against the basis by one dense rref over all cells."""
+    total, n = len(matrices), matrices[0].rows
+    pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
+    comms = [_dense_commutator(matrices[i], matrices[j]) for i, j in pairs]
+    red, pivots = rref(QMatrix([[m.data[r][c] for m in matrices + comms]
+                                for r in range(n) for c in range(n)]))
+    assert pivots == list(range(total))
+    brackets = {}
+    for col, pair in enumerate(pairs, start=total):
+        comp = {p: red.data[row][col] for row, p in enumerate(pivots) if red.data[row][col]}
+        if comp:
+            brackets[pair] = comp
+    return brackets
+
+
+# every matrix-realized family; g2 is built from a Chevalley basis instead
+ORACLE_GRID = [case for case in BUILTIN if case[0] != "g2"] + [
+    ("grassmannian", dict(p=1, q=3)), ("grassmannian", dict(p=3, q=2)),
+    ("lagrangian", dict(n=3)), ("conformal", dict(n=6)), ("foliated", dict(p=1, q=2)),
+    ("split", dict(p=1, q=3)),
+]
+
+
+@pytest.mark.parametrize("family,params", ORACLE_GRID)
+def test_sparse_bracket_table_matches_dense_rref(family, params):
+    m = ci.build_model(family, **params)
+    assert m.brackets == _dense_brackets(m.realization)
+    assert [list(c) for c in m.brackets.values()] == [
+        sorted(c) for c in m.brackets.values()]
+
+
+def test_model_from_matrices_errors():
+    e00 = QMatrix([[1, 0], [0, 0]])
+    e01 = QMatrix([[0, 1], [0, 0]])
+    e10 = QMatrix([[0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="not in the span"):
+        _model_from_matrices((1, 0, 1), [e01, e10], ["w1", "u1"], {})
+    with pytest.raises(ValueError, match="linearly dependent"):
+        _model_from_matrices((1, 1, 1), [e00, e01, QMatrix([[0, 2], [0, 0]])],
+                             ["w1", "z1", "u1"], {})
