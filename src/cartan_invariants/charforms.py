@@ -72,19 +72,13 @@ class MatrixForm:
     def trace(self) -> Form:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        acc = Form.zero()
-        for i in range(self.rows):
-            acc = acc + self.grid[i][i]
-        return acc
+        return sum((self.grid[i][i] for i in range(self.rows)), Form.zero())
 
     def is_zero(self) -> bool:
         return all(f.is_zero for row in self.grid for f in row)
 
     def entry_degree(self) -> int | None:
-        degs = set()
-        for row in self.grid:
-            for f in row:
-                degs |= f.degrees()
+        degs = set().union(*(f.degrees() for row in self.grid for f in row))
         if not degs:
             return None
         if len(degs) > 1:
@@ -92,16 +86,7 @@ class MatrixForm:
         return degs.pop()
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixForm)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.grid[i][j] == other.grid[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return isinstance(other, MatrixForm) and self.grid == other.grid
 
 
 def atiyah_form(m: LieModel, rep: Rep) -> MatrixForm:
@@ -199,18 +184,10 @@ def chern_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
         g = a.matwedge(b)
         ek = g.trace().scale(Fraction(1, k))
         out.append(ek.tau_shift(k))
-        b = _sub(_diag(ek, rep.dim), g)
+        # B_k = e_k I - G_k
+        b = MatrixForm([[(ek if i == j else Form.zero()) - x for j, x in enumerate(row)]
+                        for i, row in enumerate(g.grid)])
     return out
-
-
-def _diag(f: Form, n: int) -> MatrixForm:
-    return MatrixForm([[f if i == j else Form.zero() for j in range(n)] for i in range(n)])
-
-
-def _sub(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    return MatrixForm(
-        [[a.grid[i][j] - b.grid[i][j] for j in range(a.cols)] for i in range(a.rows)]
-    )
 
 
 def chern_character(m: LieModel, rep: Rep, j_max: int) -> list[Form]:
@@ -273,11 +250,7 @@ def _koszul_sign(perm: tuple[int, ...], degrees: list[int]) -> int:
 
 
 def _infer_degrees(args: list[MatrixForm]) -> list[int]:
-    degs = []
-    for a in args:
-        d = a.entry_degree()
-        degs.append(2 if d is None else d)
-    return degs
+    return [2 if (d := a.entry_degree()) is None else d for a in args]
 
 
 def _distinct_orders(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -332,22 +305,16 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     for a in args:
         seen.setdefault(id(a), len(seen))
         ids.append(seen[id(a)])
-    uniq: dict[int, MatrixForm] = {}
-    for a, i in zip(args, ids):
-        uniq[i] = a
+    uniq = {i: a for a, i in zip(args, ids)}
     result = Form.zero()
     prod_cache: dict[tuple[int, ...], MatrixForm] = {}
     trace_cache: dict[tuple[int, ...], Form] = {}
 
     def product(seq: tuple[int, ...]) -> MatrixForm:
-        if seq in prod_cache:
-            return prod_cache[seq]
-        if len(seq) == 1:
-            mat = uniq[seq[0]]
-        else:
-            mat = product(seq[:-1]).matwedge(uniq[seq[-1]])
-        prod_cache[seq] = mat
-        return mat
+        if seq not in prod_cache:
+            prod_cache[seq] = (uniq[seq[0]] if len(seq) == 1
+                               else product(seq[:-1]).matwedge(uniq[seq[-1]]))
+        return prod_cache[seq]
 
     def trace(seq: tuple[int, ...]) -> Form:
         if seq not in trace_cache:

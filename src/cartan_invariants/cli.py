@@ -66,7 +66,11 @@ def _load_model(args) -> LieModel:
                 raise SystemExit2(f"family {token!r} needs --p and --q")
             params["p"], params["q"] = args.p, args.q
         if token == "projective" and args.o_weights:
-            params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
+            try:
+                params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
+            except ValueError:
+                raise SystemExit2(f"--o-weights must be comma-separated integers, "
+                                  f"not {args.o_weights!r}")
         try:
             return build_model(token, **params)
         except ValueError as e:
@@ -171,6 +175,7 @@ def cmd_relations(args) -> int:
 def cmd_primitive(args) -> int:
     m = _load_model(args)
     rep = _rep_of(m, args.rep)
+    _require(args.min_minus >= 0, "--min-minus must be >= 0")
     try:
         poly = parse_poly(args.target)
     except PolyParseError as e:

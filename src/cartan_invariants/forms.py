@@ -5,6 +5,12 @@ equality, wedge signs and trigrade counts are all bit arithmetic.  A Form
 is homogeneous in tau: one tau exponent, and a map from monomial masks to
 nonzero ``Fraction`` coefficients.
 
+The wedge, the CE differential and the coadjoint action run on integer
+numerators: each input form is brought once to numerators over the LCM of
+its denominators, the structure tables are held as numerators over their
+own LCM, sums accumulate as ``{mask: int}`` and one ``Fraction`` is built
+per output term.
+
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
 the full Chevalley-Eilenberg differential, exactly the terms that raise the
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import eliminate, kernel, sparse_rows
 from .model import LieModel, Part
@@ -187,8 +193,7 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
         """(d, [(mask, numerator)]), or with ``left`` [(mask, parity, numerator)]."""
         key = (id(f), left)
         if key not in cache:
-            d = lcm(*(c.denominator for c in f.terms.values()))
-            nums = [(m, c.numerator * (d // c.denominator)) for m, c in f.terms.items()]
+            d, nums = _numerators(f)
             cache[key] = (d, [(m, parity_above(m), n) for m, n in nums] if left else nums)
         return cache[key]
 
@@ -214,8 +219,19 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
                         acc[mask] = acc.get(mask, 0) - n1 * n2
                     else:
                         acc[mask] = acc.get(mask, 0) + n1 * n2
-        out.append(_form({m: Fraction(n, d) for m, n in acc.items() if n}, taus.pop()))
+        out.append(_over(acc, d, taus.pop()))
     return out
+
+
+def _numerators(f: Form) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(mask, numerator)]): f's coefficients over the LCM d of their denominators."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in f.terms.items()]
+
+
+def _over(acc: dict[int, int], d: int, tau: int) -> Form:
+    """The form tau**tau * sum_mask (acc[mask] / d) mask: one Fraction per term."""
+    return _form({m: Fraction(n, d) for m, n in acc.items() if n}, tau)
 
 
 def mask_key(mask: int) -> tuple[int, ...]:
@@ -272,28 +288,28 @@ def ce_differential(m: LieModel, form: Form) -> Form:
     """Chevalley-Eilenberg differential, extended to monomials as an odd derivation.
 
     On dual generators d xi^a = -1/2 sum c^a_bc xi^b xi^c, which over ordered
-    pairs b < c is -sum c^a_bc xi^b ^ xi^c.
+    pairs b < c is -sum c^a_bc xi^b ^ xi^c.  Runs on integer numerators: the
+    form's over its own LCM d, the table's over the model's ``dual_d`` den.
     """
-    table = m.dual_d()
-    out: dict[int, Fraction] = {}
-    for mask, coeff in form.terms.items():
-        bits = mask_bits(mask)
-        for t, a in enumerate(bits):
+    den, table = m.dual_d()
+    d, nums = _numerators(form)
+    acc: dict[int, int] = {}
+    for mask, n in nums:
+        above = parity_above(mask)
+        for t, a in enumerate(mask_bits(mask)):
             rest = mask ^ (1 << a)
-            # past the t bits below a, then the pair sorts into rest
-            odd = parity_above(rest)
+            # past the t bits below a, then the pair sorts into rest, whose
+            # parity_above is above with the bits below a flipped
+            odd = above ^ ((1 << a) - 1)
             for pair_mask, c in table[a]:
                 if pair_mask & rest:
                     continue
                 new_mask = rest | pair_mask
-                term = -coeff * c if ((odd & pair_mask).bit_count() + t) & 1 else coeff * c
-                s = out.get(new_mask)
-                s = term if s is None else s + term
-                if s:
-                    out[new_mask] = s
+                if ((odd & pair_mask).bit_count() + t) & 1:
+                    acc[new_mask] = acc.get(new_mask, 0) - n * c
                 else:
-                    del out[new_mask]
-    return _form(out, form.tau)
+                    acc[new_mask] = acc.get(new_mask, 0) + n * c
+    return _over(acc, d * den, form.tau)
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:
@@ -321,52 +337,59 @@ def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
 
 class CoadjointOperator:
     """Degree-0 derivation of the exterior algebra induced by a generator u:
-    on dual generators (u . xi)(y) = -xi([u, y])."""
+    on dual generators (u . xi)(y) = -xi([u, y]).  ``table[a]`` maps y to the
+    numerator, over ``den``, of the coefficient of xi^y in u . xi^a, and
+    ``moved`` has bit a set when u . xi^a is nonzero."""
 
-    __slots__ = ("model", "u", "table")
+    __slots__ = ("model", "u", "den", "table", "moved")
 
     def __init__(self, model: LieModel, u: int):
         self.model = model
         self.u = u
-        self.table = model.coadjoint_dual_table(u)
+        table = model.coadjoint_dual_table(u)
+        self.den = lcm(*(c.denominator for row in table for c in row.values()))
+        self.table = [{y: c.numerator * (self.den // c.denominator) for y, c in row.items()}
+                      for row in table]
+        self.moved = sum(1 << a for a, row in enumerate(table) if row)
 
     def is_diagonal(self) -> bool:
         return all(set(row) <= {a} for a, row in enumerate(self.table))
 
     def weight(self, a: int) -> Fraction:
-        return self.table[a].get(a, Fraction(0))
+        return Fraction(self.table[a].get(a, 0), self.den)
 
     def on_mask(self, mask: int) -> dict[int, Fraction]:
         """Image of a unit monomial, as mask -> rational coefficient."""
-        out: dict[int, Fraction] = {}
-        for a in mask_bits(mask):
+        return {k: Fraction(n, self.den) for k, n in self.image(mask).items()}
+
+    def image(self, mask: int) -> dict[int, int]:
+        """Image of a unit monomial, as mask -> nonzero numerator over ``den``."""
+        out: dict[int, int] = {}
+        above = parity_above(mask)
+        for a in mask_bits(mask & self.moved):
             rest = mask ^ (1 << a)
-            # y takes the place of a: the sign counts the bits of rest
-            # between them, cross(rest, y) + |bits of rest above a|
-            odd = parity_above(rest) ^ -((rest >> a).bit_count() & 1)
+            # y takes the place of a: the sign is the parity of the bits of
+            # rest between them, (bits above y) + (bits above a); rest's
+            # parity_above is above with the bits below a flipped
+            odd = above ^ ((1 << a) - 1) ^ -((above >> a) & 1)
             for y, c in self.table[a].items():
                 if y == a:
-                    out[mask] = out.get(mask, Fraction(0)) + c
+                    out[mask] = out.get(mask, 0) + c
                     continue
                 ybit = 1 << y
                 if rest & ybit:
                     continue
                 new_mask = rest | ybit
-                out[new_mask] = out.get(new_mask, Fraction(0)) + (-c if (odd >> y) & 1 else c)
+                out[new_mask] = out.get(new_mask, 0) + (-c if (odd >> y) & 1 else c)
         return {k: v for k, v in out.items() if v}
 
     def __call__(self, form: Form) -> Form:
-        out: dict[int, Fraction] = {}
-        for mask, coeff in form.terms.items():
-            for new_mask, c in self.on_mask(mask).items():
-                term = coeff * c
-                s = out.get(new_mask)
-                s = term if s is None else s + term
-                if s:
-                    out[new_mask] = s
-                else:
-                    del out[new_mask]
-        return _form(out, form.tau)
+        d, nums = _numerators(form)
+        acc: dict[int, int] = {}
+        for mask, n in nums:
+            for new_mask, c in self.image(mask).items():
+                acc[new_mask] = acc.get(new_mask, 0) + n * c
+        return _over(acc, d * self.den, form.tau)
 
 
 def coadjoint_action(m: LieModel, u: int) -> CoadjointOperator:
@@ -377,17 +400,14 @@ def coadjoint_action(m: LieModel, u: int) -> CoadjointOperator:
 
 
 def _packed_weights(m: LieModel, torus: list[CoadjointOperator], degree: int) -> list[int]:
-    """Each dual generator's weights under the diagonal operators, each scaled
-    to integers by its LCM of denominators, packed as sum_i v_i * base**i.
-    Packing is linear and, as base > 2 * degree * max|v_i|, a sum of up to
-    ``degree`` weights packs to 0 exactly when it is zero."""
-    cols = []
-    for op in torus:
-        if not op.is_diagonal():
-            raise ValueError("torus operators must act diagonally")
-        ws = [op.weight(a) for a in range(m.total)]
-        scale = lcm(*(w.denominator for w in ws))
-        cols.append([int(w * scale) for w in ws])
+    """Each dual generator's weights under the diagonal operators, as the
+    integer numerators of each operator's table (over its LCM ``den``),
+    packed as sum_i v_i * base**i.  Packing is linear and, as
+    base > 2 * degree * max|v_i|, a sum of up to ``degree`` weights packs to
+    0 exactly when it is zero."""
+    if not all(op.is_diagonal() for op in torus):
+        raise ValueError("torus operators must act diagonally")
+    cols = [[op.table[a].get(a, 0) for a in range(m.total)] for op in torus]
     base = 2 * degree * max((abs(w) for col in cols for w in col), default=0) + 1
     return [sum(col[g] * base ** i for i, col in enumerate(cols)) for g in range(m.total)]
 
@@ -426,30 +446,43 @@ def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
 
 def _joint_kernel(masks: list[int],
                   operators: list[CoadjointOperator]) -> list[dict[int, Fraction]]:
-    """Vectors (as mask->coeff dicts) annihilated by every operator."""
-    basis: list[dict[int, Fraction]] = [{mask: Fraction(1)} for mask in masks]
+    """Vectors (as mask->coeff dicts) annihilated by every operator.
+
+    Basis vectors are kept as primitive integer dicts.  Each operator's image
+    of a mask is built once, in numerators over its ``den`` (a common factor
+    the kernel does not see), and each kernel combination is scaled to
+    integers before the basis vectors are recombined.
+    """
+    basis: list[dict[int, int]] = [{mask: 1} for mask in masks]
     for op in operators:
         if not basis:
             return []
+        memo: dict[int, dict[int, int]] = {}
         images = []
         for v in basis:
-            img: dict[int, Fraction] = {}
+            img: dict[int, int] = {}
             for mask, c in v.items():
-                for new_mask, c2 in op.on_mask(mask).items():
-                    img[new_mask] = img.get(new_mask, Fraction(0)) + c * c2
-            images.append(img)
+                im = memo.get(mask)
+                if im is None:
+                    im = memo[mask] = op.image(mask)
+                for new_mask, c2 in im.items():
+                    img[new_mask] = img.get(new_mask, 0) + c * c2
+            # eliminate divides by its pivots, so it takes Fractions
+            images.append({k: Fraction(c) for k, c in img.items() if c})
         combos = kernel(eliminate(sparse_rows(images).values()), len(basis))
         new_basis = []
         for combo in combos:
-            v: dict[int, Fraction] = {}
-            for j, coeff in combo.items():
+            scale = lcm(*(q.denominator for q in combo.values()))
+            v: dict[int, int] = {}
+            for j, q in combo.items():
+                k = q.numerator * (scale // q.denominator)
                 for mask, c in basis[j].items():
-                    v[mask] = v.get(mask, Fraction(0)) + coeff * c
-            v = {k: c for k, c in v.items() if c}
-            if v:
-                new_basis.append(v)
+                    v[mask] = v.get(mask, 0) + k * c
+            g = gcd(*v.values())
+            if g:
+                new_basis.append({mask: c // g for mask, c in v.items() if c})
         basis = new_basis
-    return basis
+    return [{mask: Fraction(c) for mask, c in v.items()} for v in basis]
 
 
 def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> list[Form]:

@@ -257,6 +257,6 @@ def parse_poly(text: str) -> InvPoly:
         raise PolyParseError(str(e))
     if parser.peek() is not None:
         raise PolyParseError(f"trailing input at token {parser.peek()!r}")
-    if poly.degree == 0 and not poly.is_zero():
+    if poly.degree == 0:
         raise PolyParseError("polynomial must have positive Chern degree")
     return poly

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
+from math import lcm
 
 from .linalg import QMatrix
 
@@ -135,7 +136,7 @@ class LieModel:
         self.minus_mask = ((1 << dims[0]) - 1)
         self.zero_mask = ((1 << dims[1]) - 1) << dims[0]
         self.plus_mask = ((1 << dims[2]) - 1) << (dims[0] + dims[1])
-        self._dual_d: list[list[tuple[int, Fraction]]] | None = None
+        self._dual_d: tuple[int, list[list[tuple[int, int]]]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -190,15 +191,17 @@ class LieModel:
 
     # -- dual differential table -------------------------------------------
 
-    def dual_d(self) -> list[list[tuple[int, Fraction]]]:
-        """For each generator a, the terms of d(xi^a) = -sum c^a_bc xi^b xi^c (b<c)."""
+    def dual_d(self) -> tuple[int, list[list[tuple[int, int]]]]:
+        """(den, table): for each generator a, the terms of
+        d(xi^a) = -sum c^a_bc xi^b xi^c (b<c) as (mask of b and c, numerator),
+        the numerators over den, the LCM of the structure constants' denominators."""
         if self._dual_d is None:
-            table: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.total)]
+            den = lcm(*(c.denominator for comp in self.brackets.values() for c in comp.values()))
+            table: list[list[tuple[int, int]]] = [[] for _ in range(self.total)]
             for (i, j), comp in self.brackets.items():
-                mask = (1 << i) | (1 << j)
                 for k, c in comp.items():
-                    table[k].append((mask, -c))
-            self._dual_d = table
+                    table[k].append(((1 << i) | (1 << j), -c.numerator * (den // c.denominator)))
+            self._dual_d = (den, table)
         return self._dual_d
 
     # -- coadjoint action ----------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
@@ -85,21 +85,13 @@ class Relation:
 
 
 def _normalize(vec: list[Fraction]) -> tuple[int, ...]:
-    denom = 1
-    for c in vec:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g:
-        ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(ints)
+    """The coprime integer multiple of vec whose first nonzero entry is positive."""
+    d = lcm(*(c.denominator for c in vec))
+    ints = [c.numerator * (d // c.denominator) for c in vec]
+    g = gcd(*ints) or 1
+    if next((c for c in ints if c), 0) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 def find_relations(m: LieModel, rep: Rep, degree: int,
@@ -153,15 +145,9 @@ def conformal_coefficients(n: int) -> list[int]:
     if n < 1:
         raise ValueError("n >= 1")
     poly = [0] * (n + 1)
-    binom = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        binom[i][0] = 1
-        for j in range(1, i + 1):
-            binom[i][j] = binom[i - 1][j - 1] + binom[i - 1][j]
     for q in range(n // 2 + 1):
         for t in range(n - 2 * q + 1):
-            if 2 * q + t <= n:
-                poly[2 * q + t] += binom[n - 2 * q][t]
+            poly[2 * q + t] += comb(n - 2 * q, t)
     return poly[1:]
 
 

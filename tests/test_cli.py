@@ -203,6 +203,13 @@ def test_cli_usage_errors_exit_two():
     ["audit", "projective", "--n", "2", "--rep", "tangent"],
     ["audit", "projective", "--n", "2", "--rep", "module", "--max", "0"],
     ["chern", os.path.dirname(__file__), "--rep", "tangent"],  # a directory
+    ["cs", "projective", "--n", "2", "--rep", "tangent", "--poly", "c1-c1"],
+    ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "c1-c1"],
+    ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "0"],
+    ["chern", "projective", "--n", "2", "--o-weights", "a,b", "--rep", "tangent"],
+    ["chern", "projective", "--n", "2", "--o-weights", "1,,2", "--rep", "tangent"],
+    ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "c2",
+     "--min-minus", "-1"],
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
     code, out, err = cli(*argv)

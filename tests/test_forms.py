@@ -9,9 +9,10 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                coadjoint_action, foliated_projective,
                                invariant_basis, is_at_grade, monomial_masks,
                                plus_component, projective, quotient_d, wedge)
-from cartan_invariants.forms import (CoadjointOperator, Form, _joint_kernel,
-                                     mask_bits, mask_key, parity_above)
-from cartan_invariants.linalg import QMatrix, eliminate, nullspace, row_space_rref
+from cartan_invariants.forms import (CoadjointOperator, Form, mask_bits, mask_key,
+                                     parity_above)
+from cartan_invariants.linalg import (QMatrix, eliminate, kernel, nullspace, row_space_rref,
+                                      sparse_rows)
 from cartan_invariants.model import LieModel
 
 ALL_MODELS = None
@@ -178,6 +179,82 @@ def test_wedge_matches_fraction_reference():
         assert all(type(c) is F for c in got.terms.values())
         if got.terms:
             assert got.tau == a.tau + b.tau
+
+
+# -- the derivations on integer numerators against Fraction references --------
+
+
+def _placed(seq):
+    """(mask, sign) of the wedge of the dual generators in ``seq``, in that
+    order, or None when one repeats; the sign counts the inversions."""
+    if len(set(seq)) < len(seq):
+        return None
+    inversions = sum(1 for i, x in enumerate(seq) for y in seq[i + 1:] if x > y)
+    return sum(1 << g for g in seq), (-1) ** inversions
+
+
+def _accumulate(out, placed, c):
+    if placed:
+        mask, sign = placed
+        out[mask] = out.get(mask, F(0)) + sign * c
+
+
+def _reference_differential(m, terms):
+    """The CE differential Fraction by Fraction: d xi^a = -sum c^a_bc xi^b xi^c
+    over b < c put in place of factor t, with sign (-1)^t."""
+    out = {}
+    for mask, coeff in terms.items():
+        bits = mask_bits(mask)
+        for t, a in enumerate(bits):
+            for (i, j), comp in m.brackets.items():
+                if a in comp:
+                    _accumulate(out, _placed(bits[:t] + [i, j] + bits[t + 1:]),
+                                (-1) ** t * -comp[a] * coeff)
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_action(table, terms):
+    """The coadjoint derivation of a ``coadjoint_dual_table`` Fraction by
+    Fraction: u . xi^a = sum_y table[a][y] xi^y put in place of each factor."""
+    out = {}
+    for mask, coeff in terms.items():
+        bits = mask_bits(mask)
+        for t, a in enumerate(bits):
+            for y, c in table[a].items():
+                _accumulate(out, _placed(bits[:t] + [y] + bits[t + 1:]), c * coeff)
+    return {k: v for k, v in out.items() if v}
+
+
+def test_derivations_match_fraction_references():
+    import cartan_invariants as ci
+    fractional = _rescaled_zero_block(ci.projective(2))
+    models = [ci.projective(2), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
+              ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
+              ci.g2_flag(), fractional, _coprime_weight_model()]
+    assert len({m.meta.get("family") for m in models[:-2]}) == len(ci.FAMILIES)
+    # fractional structure constants: the tables need their LCMs
+    assert fractional.dual_d()[0] > 1
+    assert any(CoadjointOperator(fractional, u).den > 1 for u in range(fractional.total))
+    rng = random.Random(23)
+    checked = 0
+    for m in models:
+        us = list(m.part_range(Part.ZERO)) + [0, m.total - 1]
+        ops = [(CoadjointOperator(m, u), m.coadjoint_dual_table(u)) for u in us]
+        for _ in range(40):
+            f = _random_rational_form(rng, m.total, rng.randint(0, 3))
+            d = ce_differential(m, f)
+            assert d.terms == _reference_differential(m, f.terms)
+            assert d.tau == f.tau and _fractions_only(d)
+            for op, table in ops:
+                g = op(f)
+                assert g.terms == _reference_action(table, f.terms)
+                assert g.tau == f.tau and _fractions_only(g)
+                for mask in f.terms:
+                    image = op.on_mask(mask)
+                    assert image == _reference_action(table, {mask: F(1)})
+                    assert all(type(c) is F and c for c in image.values())
+            checked += 1
+    assert checked >= 300
 
 
 def test_ce_differential_sl2_examples(sl2):
@@ -371,14 +448,45 @@ def _plain_masks(m, degree, plus, min_minus):
     return sorted(masks, key=mask_key)
 
 
+def _fraction_joint_kernel(masks, tables):
+    """The joint kernel as it was, all in Fractions: vectors (mask -> coeff
+    dicts) annihilated by the coadjoint operator of every table, each image
+    taken from the reference action."""
+    basis = [{mask: F(1)} for mask in masks]
+    for table in tables:
+        if not basis:
+            return []
+        images = []
+        for v in basis:
+            img = {}
+            for mask, c in v.items():
+                for new_mask, c2 in _reference_action(table, {mask: F(1)}).items():
+                    img[new_mask] = img.get(new_mask, F(0)) + c * c2
+            images.append(img)
+        combos = kernel(eliminate(sparse_rows(images).values()), len(basis))
+        new_basis = []
+        for combo in combos:
+            v = {}
+            for j, coeff in combo.items():
+                for mask, c in basis[j].items():
+                    v[mask] = v.get(mask, F(0)) + coeff * c
+            v = {k: c for k, c in v.items() if c}
+            if v:
+                new_basis.append(v)
+        basis = new_basis
+    return basis
+
+
 def _oracle_basis(m, degree, plus, min_minus):
     """invariant_basis as it was: plain masks, a Fraction weight filter per
-    diagonal operator, the kernel of the others, then the canonical rref."""
-    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
+    diagonal operator, the Fraction kernel of the others, then the canonical
+    rref."""
+    tables = [m.coadjoint_dual_table(u) for u in m.part_range(Part.ZERO)]
+    diagonal = [t for t in tables if all(set(row) <= {a} for a, row in enumerate(t))]
     masks = [mask for mask in _plain_masks(m, degree, plus, min_minus)
-             if all(sum((op.weight(a) for a in mask_bits(mask)), F(0)) == 0
-                    for op in ops if op.is_diagonal())]
-    vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
+             if all(sum((t[a].get(a, F(0)) for a in mask_bits(mask)), F(0)) == 0
+                    for t in diagonal)]
+    vecs = _fraction_joint_kernel(masks, [t for t in tables if t not in diagonal])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
     return [{masks[i]: c for i, c in canon[p].items()} for p in sorted(canon)]
@@ -401,6 +509,17 @@ def _rescaled_zero_block(m):
     return LieModel(m.dims, m.names, brackets)
 
 
+def _coprime_weight_model():
+    """g- = {x1, x2}, g0 = {h}, g+ = {y1, y2} with [h, x_i] = w_i x_i and
+    [h, y_i] = -w_i y_i for w = (1/2, 1/3), all other brackets zero: one
+    diagonal operator whose weights have coprime denominators, so only their
+    LCM scales them to integers."""
+    w = (F(1, 2), F(1, 3))
+    return LieModel((2, 1, 2), ["x1", "x2", "h", "y1", "y2"],
+                    {(0, 2): {0: -w[0]}, (1, 2): {1: -w[1]},
+                     (2, 3): {3: -w[0]}, (2, 4): {4: -w[1]}})
+
+
 def test_invariant_basis_matches_plain_enumeration():
     import cartan_invariants as ci
     models = [ci.projective(2), ci.projective(3), ci.grassmannian(2, 2),
@@ -410,7 +529,10 @@ def test_invariant_basis_matches_plain_enumeration():
     rotation, fractional = _rotation_model(), _rescaled_zero_block(ci.projective(2))
     assert any(CoadjointOperator(fractional, u).weight(0).denominator > 1
                for u in fractional.part_range(Part.ZERO))
-    models += [rotation, fractional]
+    coprime = _coprime_weight_model()
+    (h,) = (CoadjointOperator(coprime, u) for u in coprime.part_range(Part.ZERO))
+    assert h.is_diagonal() and {h.weight(0).denominator, h.weight(1).denominator} == {2, 3}
+    models += [rotation, fractional, coprime]
     cases = 0
     for m in models:
         diagonal = [op for op in (CoadjointOperator(m, u) for u in m.part_range(Part.ZERO))

@@ -234,6 +234,9 @@ def test_parse_poly_grammar():
         parse_poly("c1 *")
     with pytest.raises(ci.PolyParseError):
         parse_poly("7")  # degree zero
+    for zero in ("0", "c1-c1", "0*c2"):
+        with pytest.raises(ci.PolyParseError):
+            parse_poly(zero)  # cancels to the zero polynomial
     assert parse_poly("c16").degree == parse_poly("c1^16").degree == 16  # at the cap
 
 
