@@ -8,12 +8,12 @@ transgression primitives in the trigraded quotient complex.
 """
 
 from .scalars import parse_rational
-from .linalg import QMatrix, nullspace, rank, rref, solve
+from .linalg import nullspace, rank, rref, solve
 from .model import (Generator, LieModel, Part, Rep, ValidationReport,
                     validate_model, validate_rep)
 from .forms import (CoadjointOperator, Form, Grade, GradeError, ce_differential,
-                    coadjoint_action, invariant_basis, is_at_grade,
-                    monomial_masks, plus_component, quotient_d, wedge)
+                    invariant_basis, is_at_grade, monomial_masks, plus_component,
+                    quotient_d)
 from .invariants import InvPoly, PolyParseError, parse_poly
 from .charforms import (MatrixForm, atiyah_form, chern_character, chern_form_of,
                         chern_forms, chern_simons_form, cs_class, cs_coefficients,
@@ -32,12 +32,12 @@ from .cli import run, structure_report
 
 __all__ = [
     "parse_rational",
-    "QMatrix", "nullspace", "rank", "rref", "solve",
+    "nullspace", "rank", "rref", "solve",
     "Generator", "LieModel", "Part", "Rep", "ValidationReport",
     "validate_model", "validate_rep",
     "CoadjointOperator", "Form", "Grade", "GradeError", "ce_differential",
-    "coadjoint_action", "invariant_basis", "is_at_grade", "monomial_masks",
-    "plus_component", "quotient_d", "wedge",
+    "invariant_basis", "is_at_grade", "monomial_masks", "plus_component",
+    "quotient_d",
     "InvPoly", "PolyParseError", "parse_poly",
     "MatrixForm", "atiyah_form", "chern_character", "chern_form_of",
     "chern_forms", "chern_simons_form", "cs_class", "cs_coefficients",

@@ -21,8 +21,7 @@ from typing import Iterator
 
 from .forms import Form, Grade, _wedge_sums, ce_differential, plus_component
 from .invariants import InvPoly
-from .linalg import QMatrix
-from .model import LieModel, Part, Rep
+from .model import LieModel, Part, Rep, diagonal_block
 
 
 class MatrixForm:
@@ -95,18 +94,12 @@ def atiyah_form(m: LieModel, rep: Rep) -> MatrixForm:
     grid = [[dict() for _ in range(n)] for _ in range(n)]
     for x in m.part_range(Part.PLUS):
         for y in m.part_range(Part.MINUS):
-            comp = m.bracket_basis(x, y)
-            coeffs = m.zero_coefficients(comp)
-            if not any(coeffs):
-                continue
-            rho = rep.act(coeffs).data  # rho(proj0[x,y])
+            rho = rep.act(m.zero_coefficients(m.bracket_basis(x, y)))  # rho(proj0[x,y])
             mask = (1 << y) | (1 << x)
             # a(x,y) = -rho, and x*^y* = -(y*^x*) in canonical (y-first)
             # order, so the stored coefficient on the mask is +rho.
-            for i in range(n):
-                for j in range(n):
-                    if rho[i][j]:
-                        grid[i][j][mask] = rho[i][j]
+            for (i, j), c in rho.items():
+                grid[i][j][mask] = c
     return MatrixForm([[Form(grid[i][j]) for j in range(n)] for i in range(n)])
 
 
@@ -121,48 +114,34 @@ def tangent_atiyah_form(m: LieModel, rep: Rep | None = None):
         raise ValueError("tangent Atiyah tensor needs the g- action")
     minus = list(m.part_range(Part.MINUS))
     out: dict[int, dict[int, dict[int, list[Fraction]]]] = {}
-    amap: dict[tuple[int, int], list[list[Fraction]]] = {}
-    for x in m.part_range(Part.PLUS):
-        for y in minus:
-            coeffs = m.zero_coefficients(m.bracket_basis(x, y))
-            amap[(x, y)] = [[-v for v in row] for row in rep.act(coeffs).data]
+    rho = {(x, y): rep.act(m.zero_coefficients(m.bracket_basis(x, y)))
+           for x in m.part_range(Part.PLUS) for y in minus}
     for x in m.part_range(Part.PLUS):
         out[x] = {}
-        for yi, y in enumerate(minus):
+        for y in minus:
             out[x][y] = {}
-            for zi, z in enumerate(minus):
-                col_yz = [amap[(x, y)][i][zi] for i in range(len(minus))]
-                col_zy = [amap[(x, z)][i][yi] for i in range(len(minus))]
-                out[x][y][z] = [Fraction(a + b, 2) for a, b in zip(col_yz, col_zy)]
+            for z in minus:
+                # a(x,y) = -rho(proj0[x,y]); minus gids are the g- row indices
+                out[x][y][z] = [-Fraction(rho[(x, y)].get((i, z), 0)
+                                          + rho[(x, z)].get((i, y), 0), 2) for i in minus]
     return out
 
 
 def tangent_rep(m: LieModel, label: str = "tangent") -> Rep:
     """g0 acting on g- through the bracket (the model-level tangent module)."""
-    minus = list(m.part_range(Part.MINUS))
-    pos = {g: i for i, g in enumerate(minus)}
-    mats = []
-    for u in m.part_range(Part.ZERO):
-        data = [[Fraction(0)] * len(minus) for _ in minus]
-        for j, y in enumerate(minus):
-            for k, c in m.bracket_basis(u, y).items():
-                if k in pos:
-                    data[pos[k]][j] = c
-        mats.append(QMatrix(data))
-    return Rep(label, mats, dim=m.dims[0])
+    n = m.dims[0]  # minus gids 0..n-1 index the rows and columns
+    mats = [{(k, y): c for y in range(n) for k, c in m.bracket_basis(u, y).items() if k < n}
+            for u in m.part_range(Part.ZERO)]
+    return Rep(label, mats, n)
 
 
 def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
     """The 1-form matrix sum_b rho(e_b) eta^b over the g0 basis."""
     n = rep.dim
     grid = [[dict() for _ in range(n)] for _ in range(n)]
-    for pos, b in enumerate(m.part_range(Part.ZERO)):
-        mat = rep.matrices[pos].data
-        mask = 1 << b
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    grid[i][j][mask] = mat[i][j]
+    for mat, b in zip(rep.matrices, m.part_range(Part.ZERO)):
+        for (i, j), c in mat.items():
+            grid[i][j][1 << b] = c
     return MatrixForm([[Form(grid[i][j]) for j in range(n)] for i in range(n)])
 
 
@@ -421,20 +400,12 @@ def verify_multiplicativity(m: LieModel, sub: Rep, total: Rep, quot: Rep,
     if total.dim != ds + dq:
         raise ValueError("dimension mismatch in exact sequence")
     for pos, mat in enumerate(total.matrices):
-        for i in range(ds, ds + dq):
-            for j in range(ds):
-                if mat.data[i][j]:
-                    raise ValueError(
-                        f"total rep is not block-triangular at g0 generator {pos}"
-                    )
-        for i in range(ds):
-            for j in range(ds):
-                if mat.data[i][j] != sub.matrices[pos].data[i][j]:
-                    raise ValueError("sub block mismatch")
-        for i in range(dq):
-            for j in range(dq):
-                if mat.data[ds + i][ds + j] != quot.matrices[pos].data[i][j]:
-                    raise ValueError("quot block mismatch")
+        if any(i >= ds > j for i, j in mat):
+            raise ValueError(f"total rep is not block-triangular at g0 generator {pos}")
+        if diagonal_block(mat, 0, ds) != sub.matrices[pos]:
+            raise ValueError("sub block mismatch")
+        if diagonal_block(mat, ds, ds + dq) != quot.matrices[pos]:
+            raise ValueError("quot block mismatch")
     c_sub = [Form.unit()] + chern_forms(m, sub, min(k_max, ds))
     c_quot = [Form.unit()] + chern_forms(m, quot, min(k_max, dq))
     c_tot = [Form.unit()] + chern_forms(m, total, min(k_max, ds + dq))

@@ -102,8 +102,11 @@ def cmd_model(args) -> int:
         m = _load_model(args)
         text = emit_model_json(m)
         if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise SystemExit2(f"cannot write {args.output!r}: {e.strerror or e}")
         else:
             sys.stdout.write(text)
         return 0
@@ -234,8 +237,13 @@ def cmd_audit(args) -> int:
     return 0
 
 
+# On a 2-vCPU Xeon under Python 3.11, n = 1000 takes about 4.5 s and n = 2000
+# about 50 s: the cost grows faster than n^2.
+CONFORMAL_N_MAX = 1000
+
+
 def cmd_conformal_coeffs(args) -> int:
-    _require(args.n >= 1, "--n must be >= 1")
+    _require(1 <= args.n <= CONFORMAL_N_MAX, f"--n must be in 1..{CONFORMAL_N_MAX}")
     coeffs = conformal_coefficients(args.n)
     obj = {"n": args.n, "coefficients": [str(c) for c in coeffs]}
     _emit(args, obj, [" ".join(str(c) for c in coeffs)])

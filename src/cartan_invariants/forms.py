@@ -280,10 +280,6 @@ class GradeError(ValueError):
     pass
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
 def ce_differential(m: LieModel, form: Form) -> Form:
     """Chevalley-Eilenberg differential, extended to monomials as an odd derivation.
 
@@ -390,10 +386,6 @@ class CoadjointOperator:
             for new_mask, c in self.image(mask).items():
                 acc[new_mask] = acc.get(new_mask, 0) + n * c
         return _over(acc, d * self.den, form.tau)
-
-
-def coadjoint_action(m: LieModel, u: int) -> CoadjointOperator:
-    return CoadjointOperator(m, u)
 
 
 # -- invariant subspaces -------------------------------------------------------

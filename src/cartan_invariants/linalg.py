@@ -4,9 +4,10 @@ All of it runs on one sparse Gauss-Jordan elimination, ``eliminate``.  A row
 is a dict from column key to nonzero ``Fraction``; the systems of this
 project (Chevalley-Eilenberg differentials on monomial bases) are well under
 1% nonzero, so only nonzero entries are ever stored or touched.
-``sparse_rows`` assembles such rows from sparse columns, and the dense
-``QMatrix`` functions ``rref``, ``rank``, ``nullspace``, ``solve`` and
-``row_space_rref`` convert to and from sparse rows around the same core.
+``sparse_rows`` assembles such rows from sparse columns.  The dense front
+ends ``rref``, ``rank``, ``nullspace``, ``solve`` and ``row_space_rref``
+convert to and from sparse rows around the same core; ``QMatrix`` is only
+their input type, and no other module uses it.
 """
 
 from __future__ import annotations

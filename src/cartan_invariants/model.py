@@ -16,8 +16,6 @@ from enum import IntEnum
 from fractions import Fraction
 from math import lcm
 
-from .linalg import QMatrix
-
 
 class Part(IntEnum):
     MINUS = 0
@@ -36,57 +34,23 @@ class Generator:
     gid: int  # position in the global (part, index) order
 
 
-class Rep:
-    """g0-representation by exact rational matrices, one per g0 generator.
-
-    ``ghost`` marks modules with no group-level associated bundle; that is
-    metadata only, every formula treats ghosts like ordinary modules.
-    ``g_module`` marks restrictions of representations of the whole algebra,
-    which is what the exactness audit keys on.  ``dim`` defaults to the size
-    of the matrices, and must be given when there are none (no g0).
-    """
-
-    __slots__ = ("label", "dim", "matrices", "ghost", "g_module")
-
-    def __init__(self, label: str, matrices: list[QMatrix], ghost: bool = False,
-                 g_module: bool = False, dim: int | None = None):
-        if dim is None and not matrices:
-            raise ValueError("a rep without matrices needs its dim")
-        self.label = label
-        self.matrices = matrices
-        self.dim = matrices[0].rows if dim is None else dim
-        for m in matrices:
-            if m.rows != self.dim or m.cols != self.dim:
-                raise ValueError("rep matrices must be square of equal size")
-        self.ghost = ghost
-        self.g_module = g_module
-
-    def act(self, coeffs: dict[int, Fraction] | list[Fraction]) -> QMatrix:
-        """Matrix of a g0 element given by coefficients over the g0 basis."""
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for b, c in items:
-            if not c:
-                continue
-            mat = self.matrices[b].data
-            for i in range(self.dim):
-                row = mat[i]
-                orow = out[i]
-                for j in range(self.dim):
-                    if row[j]:
-                        orow[j] += c * row[j]
-        return QMatrix(out)
-
-
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 SparseMatrix = dict[tuple[int, int], Fraction]
 
 
-def sparse_entries(mat: QMatrix) -> SparseMatrix:
-    return {(i, j): x for i, row in enumerate(mat.data) for j, x in enumerate(row) if x}
+def sparse_sum(*terms: tuple[Fraction, SparseMatrix]) -> SparseMatrix:
+    """sum c * mat over the (c, mat) pairs, without zero entries."""
+    out: SparseMatrix = {}
+    for c, mat in terms:
+        if c:
+            for key, x in mat.items():
+                out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
+
+
+def diagonal_block(mat: SparseMatrix, lo: int, hi: int) -> SparseMatrix:
+    """The [lo, hi) x [lo, hi) block, shifted to start at (0, 0)."""
+    return {(i - lo, j - lo): x for (i, j), x in mat.items() if lo <= i < hi and lo <= j < hi}
 
 
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -102,10 +66,47 @@ def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return {key: v for key, v in out.items() if v}
 
 
+class Rep:
+    """g0-representation by exact rational matrices, one per g0 generator.
+
+    Each matrix is a ``SparseMatrix``: the nonzero entries of a ``dim`` x
+    ``dim`` matrix as a ``{(row, col): Fraction}`` map, so ``{}`` is the zero
+    matrix.  ``ghost`` marks modules with no group-level associated bundle;
+    that is metadata only, every formula treats ghosts like ordinary modules.
+    ``g_module`` marks restrictions of representations of the whole algebra,
+    which is what the exactness audit keys on.
+    """
+
+    __slots__ = ("label", "dim", "matrices", "ghost", "g_module")
+
+    def __init__(self, label: str, matrices: list[SparseMatrix], dim: int,
+                 ghost: bool = False, g_module: bool = False):
+        self.label = label
+        self.dim = dim
+        self.matrices = [{key: Fraction(x) for key, x in mat.items() if x} for mat in matrices]
+        for mat in self.matrices:
+            for i, j in mat:
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise ValueError(f"rep {label!r}: entry ({i},{j}) outside {dim}x{dim}")
+        self.ghost = ghost
+        self.g_module = g_module
+
+    def act(self, coeffs: list[Fraction]) -> SparseMatrix:
+        """Matrix of a g0 element given by coefficients over the g0 basis."""
+        return sparse_sum(*zip(coeffs, self.matrices, strict=True))
+
+
 class LieModel:
+    """Bracket table of g over the global generator order, with its g0-reps.
+
+    ``realization``, when the model comes from matrices, holds one
+    ``SparseMatrix`` per generator in global order: the matrix whose
+    commutators the bracket table records.
+    """
+
     def __init__(self, dims: tuple[int, int, int], names: list[str],
                  brackets: BracketTable, reps: dict[str, Rep] | None = None,
-                 meta: dict | None = None, realization: list[QMatrix] | None = None):
+                 meta: dict | None = None, realization: list[SparseMatrix] | None = None):
         self.dims = tuple(dims)
         self.total = sum(dims)
         if len(names) != self.total:
@@ -183,11 +184,9 @@ class LieModel:
             out[gid] = Fraction(v[gid])
         return out
 
-    def zero_coefficients(self, v: list[Fraction] | dict[int, Fraction]) -> list[Fraction]:
-        """Coordinates of the g0-part of a coefficient vector over the g0 basis."""
-        if isinstance(v, dict):
-            return [v.get(g, Fraction(0)) for g in self.part_range(Part.ZERO)]
-        return [v[g] for g in self.part_range(Part.ZERO)]
+    def zero_coefficients(self, v: dict[int, Fraction]) -> list[Fraction]:
+        """Coordinates of the g0-part of a sparse coefficient dict over the g0 basis."""
+        return [v.get(g, Fraction(0)) for g in self.part_range(Part.ZERO)]
 
     # -- dual differential table -------------------------------------------
 
@@ -292,12 +291,12 @@ def validate_rep(m: LieModel, rep: Rep) -> ValidationReport:
     """Check rho([u,v]) = rho(u)rho(v) - rho(v)rho(u) over the g0 basis."""
     report = ValidationReport(ok=True)
     zero_range = list(m.part_range(Part.ZERO))
-    sparse = [sparse_entries(mat) for mat in rep.matrices]
+    mats = rep.matrices
     for a_pos, u in enumerate(zero_range):
         for b_pos in range(a_pos + 1, len(zero_range)):
             v = zero_range[b_pos]
-            expected = sparse_entries(rep.act(m.zero_coefficients(m.bracket_basis(u, v))))
-            if sparse_commutator(sparse[a_pos], sparse[b_pos]) != expected:
+            expected = rep.act(m.zero_coefficients(m.bracket_basis(u, v)))
+            if sparse_commutator(mats[a_pos], mats[b_pos]) != expected:
                 report.add(
                     "rep",
                     f"{rep.label}: commutator mismatch on ({m.names[u]},{m.names[v]})",

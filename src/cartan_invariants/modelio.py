@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .linalg import QMatrix
 from .model import LieModel, Rep
 from .scalars import parse_rational
 
@@ -58,7 +57,8 @@ def model_to_obj(m: LieModel) -> dict:
         rep = m.reps[label]
         reps[label] = {
             "dim": rep.dim,
-            "matrices": [[[str(c) for c in row] for row in mat.data] for mat in rep.matrices],
+            "matrices": [[[str(mat.get((i, j), 0)) for j in range(rep.dim)]
+                          for i in range(rep.dim)] for mat in rep.matrices],
         }
     obj = {
         "dims": list(m.dims),
@@ -153,10 +153,11 @@ def model_from_obj(obj: dict) -> LieModel:
             if (not isinstance(mat, list) or len(mat) != dim
                     or any(not isinstance(row, list) or len(row) != dim for row in mat)):
                 raise ModelSchemaError(f"{where} matrices must be {dim}x{dim}")
-            parsed_mats.append(QMatrix([[_rational(c, where) for c in row] for row in mat]))
+            parsed_mats.append({(i, j): x for i, row in enumerate(mat)
+                                for j, c in enumerate(row) if (x := _rational(c, where))})
         f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
-        reps[label] = Rep(label, parsed_mats, ghost=bool(f.get("ghost")),
-                          g_module=bool(f.get("g_module")), dim=dim)
+        reps[label] = Rep(label, parsed_mats, dim, ghost=bool(f.get("ghost")),
+                          g_module=bool(f.get("g_module")))
     try:
         return LieModel(tuple(dims), names, brackets, reps=reps, meta=meta)
     except ValueError as e:

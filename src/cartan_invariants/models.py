@@ -15,28 +15,16 @@ from fractions import Fraction
 
 from .charforms import tangent_rep
 from .chevalley import ChevalleyBasis, g2_root_system
-from .linalg import QMatrix, eliminate
-from .model import BracketTable, LieModel, Part, Rep, sparse_commutator, sparse_entries
+from .linalg import eliminate
+from .model import (BracketTable, LieModel, Part, Rep, SparseMatrix, diagonal_block,
+                    sparse_commutator, sparse_sum)
 
 
-def _E(n: int, i: int, j: int) -> QMatrix:
-    data = [[Fraction(0)] * n for _ in range(n)]
-    data[i][j] = Fraction(1)
-    return QMatrix(data)
+def _E(i: int, j: int) -> SparseMatrix:
+    return {(i, j): Fraction(1)}
 
 
-def _madd(*terms: tuple[Fraction, QMatrix]) -> QMatrix:
-    n = terms[0][1].rows
-    data = [[Fraction(0)] * n for _ in range(n)]
-    for c, m in terms:
-        for i in range(n):
-            for j in range(n):
-                if m.data[i][j]:
-                    data[i][j] += c * m.data[i][j]
-    return QMatrix(data)
-
-
-def _model_from_matrices(dims, matrices: list[QMatrix], names: list[str],
+def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
                          meta: dict) -> LieModel:
     """Structure constants of a matrix-realized algebra.
 
@@ -45,11 +33,10 @@ def _model_from_matrices(dims, matrices: list[QMatrix], names: list[str],
     then one per commutator.  A commutator outside the span is a hard error.
     """
     total = len(matrices)
-    sparse = [sparse_entries(mat) for mat in matrices]
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col, entries in enumerate(sparse + [sparse_commutator(sparse[i], sparse[j])
-                                            for i, j in pairs]):
+    for col, entries in enumerate(matrices + [sparse_commutator(matrices[i], matrices[j])
+                                              for i, j in pairs]):
         for cell, x in entries.items():
             rows.setdefault(cell, {})[col] = x
     reduced = eliminate(rows.values())
@@ -75,18 +62,17 @@ def _names(dims) -> list[str]:
 
 def _sub_block_rep(m: LieModel, label: str, lo: int, hi: int) -> Rep:
     """g0-action on the minus sub-block [lo, hi); the block must be invariant."""
-    size = hi - lo
     mats = []
     for u in m.part_range(Part.ZERO):
-        data = [[Fraction(0)] * size for _ in range(size)]
+        mat = {}
         for j in range(lo, hi):
             for k, c in m.bracket_basis(u, j).items():
                 if lo <= k < hi:
-                    data[k - lo][j - lo] = c
-                elif c and k < m.dims[0]:
+                    mat[(k - lo, j - lo)] = c
+                elif k < m.dims[0]:
                     raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
-        mats.append(QMatrix(data))
-    return Rep(label, mats, dim=size)
+        mats.append(mat)
+    return Rep(label, mats, hi - lo)
 
 
 # -- projective space --------------------------------------------------------
@@ -102,35 +88,29 @@ def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
     if n < 1:
         raise ValueError("n >= 1")
     N = n + 1
-    minus = [_E(N, i, 0) for i in range(1, N)]
+    minus = [_E(i, 0) for i in range(1, N)]
     zero = []
     for i in range(1, N):
         for j in range(1, N):
-            zij = _E(N, i, j)
+            zij = _E(i, j)
             if i == j:
-                zij = _madd((Fraction(1), zij), (Fraction(-1), _E(N, 0, 0)))
+                zij = sparse_sum((1, zij), (-1, _E(0, 0)))
             zero.append(zij)
-    plus = [_E(N, 0, j) for j in range(1, N)]
+    plus = [_E(0, j) for j in range(1, N)]
     dims = (n, n * n, n)
     meta = {"family": "projective", "params": {"n": n, "o_weights": list(o_weights)}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
 
     m.reps["tangent"] = tangent_rep(m)
-    module_mats = [zero[t] for t in range(n * n)]
-    m.reps["module"] = Rep("module", module_mats, g_module=True)
-    ident = QMatrix.identity(N)
-    euler_mats = []
-    for t, (i, j) in enumerate((i, j) for i in range(1, N) for j in range(1, N)):
-        tr = Fraction(1) if i == j else Fraction(0)
-        euler_mats.append(_madd((Fraction(1), zero[t]), (tr, ident)))
-    m.reps["euler"] = Rep("euler", euler_mats)
-    m.reps["trivial"] = Rep("trivial", [QMatrix([[Fraction(0)]]) for _ in range(n * n)])
+    m.reps["module"] = Rep("module", zero, N, g_module=True)
+    ident = {(i, i): Fraction(1) for i in range(N)}
+    diagonal = [int(i == j) for i in range(1, N) for j in range(1, N)]
+    m.reps["euler"] = Rep("euler", [sparse_sum((1, z), (d, ident))
+                                    for z, d in zip(zero, diagonal)], N)
+    m.reps["trivial"] = Rep("trivial", [{} for _ in zero], 1)
     for d in o_weights:
-        mats = []
-        for (i, j) in ((i, j) for i in range(1, N) for j in range(1, N)):
-            w = Fraction(d) if i == j else Fraction(0)
-            mats.append(QMatrix([[w]]))
-        m.reps[f"O({d})"] = Rep(f"O({d})", mats, ghost=(d % (n + 1) != 0))
+        m.reps[f"O({d})"] = Rep(f"O({d})", [{(0, 0): d * t} for t in diagonal], 1,
+                                ghost=(d % (n + 1) != 0))
     return m
 
 
@@ -149,36 +129,30 @@ def grassmannian(p: int, q: int) -> LieModel:
     N = p + q
     u_range = range(0, p)
     q_range = range(p, N)
-    minus = [_E(N, I, j) for I in q_range for j in u_range]
+    minus = [_E(I, j) for I in q_range for j in u_range]
     zero = []
     inv_p = Fraction(1, p)
     for I in q_range:
         for J in q_range:
-            mat = _E(N, I, J)
+            mat = _E(I, J)
             if I == J:
-                mat = _madd((Fraction(1), mat),
-                            *[(-inv_p, _E(N, u, u)) for u in u_range])
+                mat = sparse_sum((1, mat), *[(-inv_p, _E(u, u)) for u in u_range])
             zero.append(mat)
     for i in u_range:
         for j in u_range:
             if i != j:
-                zero.append(_E(N, i, j))
+                zero.append(_E(i, j))
     for i in range(p - 1):
-        zero.append(_madd((Fraction(1), _E(N, i, i)), (Fraction(-1), _E(N, i + 1, i + 1))))
-    plus = [_E(N, i, J) for i in u_range for J in q_range]
+        zero.append(sparse_sum((1, _E(i, i)), (-1, _E(i + 1, i + 1))))
+    plus = [_E(i, J) for i in u_range for J in q_range]
     dims = (p * q, p * p + q * q - 1, p * q)
     meta = {"family": "grassmannian", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
 
     m.reps["tangent"] = tangent_rep(m)
-    zero_mats = m.realization[m.offsets[1]:m.offsets[2]]
-    m.reps["module"] = Rep("module", zero_mats, g_module=True)
-    m.reps["U"] = Rep(
-        "U", [QMatrix([[mat.data[i][j] for j in u_range] for i in u_range])
-              for mat in zero_mats], ghost=True)
-    m.reps["Q"] = Rep(
-        "Q", [QMatrix([[mat.data[I][J] for J in q_range] for I in q_range])
-              for mat in zero_mats], ghost=True)
+    m.reps["module"] = Rep("module", zero, N, g_module=True)
+    m.reps["U"] = Rep("U", [diagonal_block(mat, 0, p) for mat in zero], p, ghost=True)
+    m.reps["Q"] = Rep("Q", [diagonal_block(mat, p, N) for mat in zero], q, ghost=True)
     return m
 
 
@@ -196,15 +170,12 @@ def lagrangian_grassmannian(n: int) -> LieModel:
     plus = []
     for a, b in sym_pairs():
         if a == b:
-            minus.append(_E(N, n + a, a))
-            plus.append(_E(N, a, n + a))
+            minus.append(_E(n + a, a))
+            plus.append(_E(a, n + a))
         else:
-            minus.append(_madd((Fraction(1), _E(N, n + a, b)), (Fraction(1), _E(N, n + b, a))))
-            plus.append(_madd((Fraction(1), _E(N, a, n + b)), (Fraction(1), _E(N, b, n + a))))
-    zero = [
-        _madd((Fraction(1), _E(N, a, b)), (Fraction(-1), _E(N, n + b, n + a)))
-        for a in range(n) for b in range(n)
-    ]
+            minus.append(sparse_sum((1, _E(n + a, b)), (1, _E(n + b, a))))
+            plus.append(sparse_sum((1, _E(a, n + b)), (1, _E(b, n + a))))
+    zero = [sparse_sum((1, _E(a, b)), (-1, _E(n + b, n + a))) for a in range(n) for b in range(n)]
     k = n * (n + 1) // 2
     dims = (k, n * n, k)
     meta = {"family": "lagrangian_grassmannian", "params": {"n": n}}
@@ -231,19 +202,16 @@ def conformal(n: int) -> LieModel:
     mid = list(range(1, N - 1))
     mirror = {k: N - 1 - k for k in mid}
 
-    minus = [_madd((Fraction(1), _E(N, k, 0)), (Fraction(-1), _E(N, N - 1, mirror[k])))
-             for k in mid]
-    plus = [_madd((Fraction(1), _E(N, 0, k)), (Fraction(-1), _E(N, mirror[k], N - 1)))
-            for k in mid]
-    zero = [_madd((Fraction(1), _E(N, 0, 0)), (Fraction(-1), _E(N, N - 1, N - 1)))]
+    minus = [sparse_sum((1, _E(k, 0)), (-1, _E(N - 1, mirror[k]))) for k in mid]
+    plus = [sparse_sum((1, _E(0, k)), (-1, _E(mirror[k], N - 1))) for k in mid]
+    zero = [sparse_sum((1, _E(0, 0)), (-1, _E(N - 1, N - 1)))]
     for a in mid:
         for b in mid:
             if a == mirror[b]:
                 continue  # E(a,b) pairs with itself and cancels
             partner = (mirror[b], mirror[a])
             if (a, b) < partner:
-                zero.append(_madd((Fraction(1), _E(N, a, b)),
-                                  (Fraction(-1), _E(N, mirror[b], mirror[a]))))
+                zero.append(sparse_sum((1, _E(a, b)), (-1, _E(mirror[b], mirror[a]))))
     dims = (n, n * (n - 1) // 2 + 1, n)
     pairing = [[Fraction(int(mirror[a] == b)) for b in mid] for a in mid]
     transport = [[Fraction(0)] * n for _ in range(n)]
@@ -257,8 +225,8 @@ def conformal(n: int) -> LieModel:
     }
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
     m.reps["tangent"] = tangent_rep(m)
-    scaling = [QMatrix([[-mat.data[0][0]]]) for mat in m.realization[m.offsets[1]:m.offsets[2]]]
-    m.reps["O(1)"] = Rep("O(1)", scaling, ghost=True)
+    m.reps["O(1)"] = Rep("O(1)", [{(0, 0): -mat.get((0, 0), 0)} for mat in zero], 1,
+                         ghost=True)
     return m
 
 
@@ -276,21 +244,21 @@ def foliated_projective(p: int, q: int) -> LieModel:
     N = p + q + 1
     leaf = range(1, p + 1)
     nor = range(p + 1, N)
-    minus = [_E(N, i, 0) for i in leaf] + [_E(N, I, 0) for I in nor]
+    minus = [_E(i, 0) for i in leaf] + [_E(I, 0) for I in nor]
     zero = []
     for i in leaf:
         for j in leaf:
             if i != j:
-                zero.append(_E(N, i, j))
+                zero.append(_E(i, j))
     for I in nor:
         for J in nor:
             if I != J:
-                zero.append(_E(N, I, J))
+                zero.append(_E(I, J))
     for i in leaf:
-        zero.append(_madd((Fraction(1), _E(N, i, i)), (Fraction(-1), _E(N, 0, 0))))
+        zero.append(sparse_sum((1, _E(i, i)), (-1, _E(0, 0))))
     for I in nor:
-        zero.append(_madd((Fraction(1), _E(N, I, I)), (Fraction(-1), _E(N, 0, 0))))
-    plus = [_E(N, 0, J) for J in nor] + [_E(N, i, J) for i in leaf for J in nor]
+        zero.append(sparse_sum((1, _E(I, I)), (-1, _E(0, 0))))
+    plus = [_E(0, J) for J in nor] + [_E(i, J) for i in leaf for J in nor]
     dims = (p + q, p * p + q * q, q + p * q)
     meta = {"family": "foliated_projective", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
@@ -308,9 +276,9 @@ def split_projective(p: int, q: int) -> LieModel:
     N = p + q + 1
     first = range(1, p + 1)
     second = range(p + 1, N)
-    minus = [_E(N, i, 0) for i in first] + [_E(N, I, 0) for I in second]
-    zero = [_E(N, i, j) for i in first for j in first]
-    zero += [_E(N, I, J) for I in second for J in second]
+    minus = [_E(i, 0) for i in first] + [_E(I, 0) for I in second]
+    zero = [_E(i, j) for i in first for j in first]
+    zero += [_E(I, J) for I in second for J in second]
     dims = (p + q, p * p + q * q, 0)
     meta = {"family": "split_projective", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero, _names(dims), meta)

@@ -217,7 +217,8 @@ def _tensor_matches(m, rep, expect):
         x = m.gid(Part.PLUS, xi)
         for y1 in range(n_minus):
             coeffs = m.zero_coefficients(m.bracket_basis(x, m.gid(Part.MINUS, y1)))
-            amat = [[-v for v in row] for row in rep.act(coeffs).data]
+            rho = rep.act(coeffs)
+            amat = [[-rho.get((i, j), 0) for j in range(rep.dim)] for i in range(rep.dim)]
             for y2 in range(n_minus):
                 got = [amat[i][y2] for i in range(n_minus)]
                 if got != expect(xi, y1, y2):

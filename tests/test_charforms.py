@@ -70,7 +70,8 @@ def test_tangent_atiyah_tensor_projective_already_symmetric():
         for b in range(2):
             y = m.gid(Part.MINUS, b)
             coeffs = m.zero_coefficients(m.bracket_basis(x, y))
-            amat = [[-v for v in row] for row in rep.act(coeffs).data]
+            rho = rep.act(coeffs)
+            amat = [[-rho.get((i, j), 0) for j in range(rep.dim)] for i in range(rep.dim)]
             for c in range(2):
                 z = m.gid(Part.MINUS, c)
                 assert tensor[x][y][z] == [amat[i][c] for i in range(2)]
@@ -265,13 +266,23 @@ def test_multiplicativity_euler_sequence():
 
 
 def test_multiplicativity_trivial_sum():
-    from cartan_invariants.linalg import QMatrix
     from cartan_invariants.model import Rep
     m = ci.projective(1)
-    triv1 = Rep("t1", [QMatrix([[0]])])
-    triv2 = Rep("t2", [QMatrix([[0, 0], [0, 0]])])
+    triv1 = Rep("t1", [{}], 1)
+    triv2 = Rep("t2", [{}], 2)
     report = ci.verify_multiplicativity(m, triv1, triv2, triv1, 2)
     assert report["ok"]
+
+
+def test_multiplicativity_needs_the_sub_block_invariant():
+    from cartan_invariants.model import Rep
+    m = ci.projective(1)
+    line = Rep("t1", [{}], 1)
+    upper = Rep("upper", [{(0, 1): 1}], 2)  # an extension of line by line
+    assert ci.verify_multiplicativity(m, line, upper, line, 2)["ok"]
+    lower = Rep("lower", [{(1, 0): 1}], 2)
+    with pytest.raises(ValueError, match="not block-triangular"):
+        ci.verify_multiplicativity(m, line, lower, line, 2)
 
 
 def test_multiplicativity_rejects_bad_blocks():

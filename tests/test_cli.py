@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,35 @@ def test_model_without_g0_keeps_rep_dim(tmp_path):
     m = parse_model_file(str(again))
     assert m.reps["V"].dim == 2
     assert emit_model_json(m) == emit_model_json(parse_model_file(str(path)))
+
+
+def test_model_build_to_an_unwritable_path_exits_two(tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = cli("model", "build", "projective", "--n", "2", "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not path.exists()
+
+
+def _pinned_models():
+    with open(os.path.join(os.path.dirname(__file__), "data", "model_json.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _build_id(entry):
+    return "-".join([entry["family"]] + [f"{k}{v}".replace(" ", "")
+                                          for k, v in entry["params"].items()])
+
+
+@pytest.mark.parametrize("entry", _pinned_models(), ids=_build_id)
+def test_model_json_pinned(entry):
+    """sha256 of ``emit_model_json`` for every family, recorded while rep and
+    realization matrices were still dense: the serialized rep matrices must
+    not change with their storage."""
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in entry["params"].items()}
+    text = emit_model_json(ci.build_model(entry["family"], **params))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == entry["sha256"]
 
 
 def test_cli_relations_g2_golden():
@@ -210,6 +240,7 @@ def test_cli_usage_errors_exit_two():
     ["chern", "projective", "--n", "2", "--o-weights", "1,,2", "--rep", "tangent"],
     ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "c2",
      "--min-minus", "-1"],
+    ["conformal-coeffs", "--n", "1001"],
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
     code, out, err = cli(*argv)

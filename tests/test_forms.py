@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cartan_invariants import (Grade, GradeError, Part, ce_differential,
-                               coadjoint_action, foliated_projective,
-                               invariant_basis, is_at_grade, monomial_masks,
-                               plus_component, projective, quotient_d, wedge)
+                               foliated_projective, invariant_basis, is_at_grade,
+                               monomial_masks, plus_component, projective, quotient_d)
 from cartan_invariants.forms import (CoadjointOperator, Form, mask_bits, mask_key,
                                      parity_above)
 from cartan_invariants.linalg import (QMatrix, eliminate, kernel, nullspace, row_space_rref,
@@ -348,7 +347,7 @@ def test_quotient_d_squared_zero_random_grades():
 def test_quotient_d_equivariant():
     m = projective(2)
     rng = random.Random(7)
-    ops = [coadjoint_action(m, u) for u in m.part_range(Part.ZERO)]
+    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
     for _ in range(20):
         masks = monomial_masks(m, 2, 1, 0)
         xi = Form.monomial(rng.choice(masks), rng.randint(1, 3))
@@ -379,7 +378,7 @@ def test_closedness_criterion_at_plus_zero_matches_gplus_invariance():
                 continue
             dcols = [plus_component(m, ce_differential(m, Form.monomial(mask)), 1)
                      for mask in masks]
-            ops = [coadjoint_action(m, u) for u in m.part_range(Part.PLUS)]
+            ops = [CoadjointOperator(m, u) for u in m.part_range(Part.PLUS)]
             ocols = [[op(Form.monomial(mask)) for op in ops] for mask in masks]
 
             def kernel(column_forms):

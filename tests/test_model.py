@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from cartan_invariants import (Part, coadjoint_action, projective, validate_model,
+from cartan_invariants import (CoadjointOperator, Part, projective, validate_model,
                                validate_rep)
-from cartan_invariants.forms import Form, ce_differential, wedge
-from cartan_invariants.linalg import QMatrix
-from cartan_invariants.model import Rep, sparse_commutator, sparse_entries
+from cartan_invariants.forms import Form, ce_differential
+from cartan_invariants.model import Rep, sparse_commutator
 from conftest import sl2_corrupted
 
 
@@ -64,7 +63,7 @@ def test_proj_parts_sum_to_identity(sl2):
 
 
 def test_coadjoint_on_duals(sl2):
-    h_action = coadjoint_action(sl2, 1)
+    h_action = CoadjointOperator(sl2, 1)
     eta = Form.dual(1)
     chi = Form.dual(2)
     omega = Form.dual(0)
@@ -75,20 +74,20 @@ def test_coadjoint_on_duals(sl2):
 
 def test_coadjoint_is_derivation(sl2):
     rng = random.Random(5)
-    op = coadjoint_action(sl2, 1)
+    op = CoadjointOperator(sl2, 1)
     gens = [Form.dual(i) for i in range(3)]
     for _ in range(20):
         xi = gens[rng.randrange(3)].scale(F(rng.randint(-3, 3)))
         zeta = gens[rng.randrange(3)].scale(F(rng.randint(-3, 3)))
-        lhs = op(wedge(xi, zeta))
-        rhs = wedge(op(xi), zeta) + wedge(xi, op(zeta))
+        lhs = op(xi.wedge(zeta))
+        rhs = op(xi).wedge(zeta) + xi.wedge(op(zeta))
         assert lhs == rhs
 
 
 def test_coadjoint_commutes_with_ce_differential():
     m = projective(2)
     for u in m.part_range(Part.ZERO):
-        op = coadjoint_action(m, u)
+        op = CoadjointOperator(m, u)
         for g in range(m.total):
             xi = Form.dual(g)
             assert op(ce_differential(m, xi)) == ce_differential(m, op(xi))
@@ -103,11 +102,16 @@ def test_rep_consistency_all_builtin():
 def test_validate_rep_reports_a_corrupted_entry():
     m = projective(2)
     good = m.reps["tangent"]
-    mats = [QMatrix(mat.data) for mat in good.matrices]
-    mats[1].data[0][1] += 1
-    report = validate_rep(m, Rep("bent", mats))
+    mats = [dict(mat) for mat in good.matrices]
+    mats[1][(0, 1)] = mats[1].get((0, 1), 0) + 1
+    report = validate_rep(m, Rep("bent", mats, good.dim))
     assert not report.ok
     assert all(f["check"] == "rep" for f in report.failures)
+
+
+def _entries(rows):
+    """The nonzero entries of a dense matrix as a {(i, j): x} map."""
+    return {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
 
 
 def test_sparse_commutator_matches_dense():
@@ -118,17 +122,39 @@ def test_sparse_commutator_matches_dense():
                  for _ in range(n)] for _ in range(2))
         dense = [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), F(0))
                   for j in range(n)] for i in range(n)]
-        assert sparse_commutator(sparse_entries(QMatrix(a)),
-                                 sparse_entries(QMatrix(b))) == sparse_entries(QMatrix(dense))
+        assert sparse_commutator(_entries(a), _entries(b)) == _entries(dense)
 
 
 def test_rep_dim_is_explicit_without_matrices():
-    assert Rep("V", [], dim=2).dim == 2
-    assert Rep("V", [QMatrix([[1, 0], [0, 1]])]).dim == 2
+    assert Rep("V", [], 2).dim == 2
+    assert Rep("V", [{(0, 0): 1, (1, 1): 1}], 2).dim == 2
+    with pytest.raises(TypeError):
+        Rep("V", [])  # dim is a required argument
     with pytest.raises(ValueError):
-        Rep("V", [])
-    with pytest.raises(ValueError):
-        Rep("V", [QMatrix([[1, 0], [0, 1]])], dim=3)
+        Rep("V", [{(0, 0): 1, (1, 1): 1}], 1)
+
+
+def test_rep_rejects_an_entry_outside_dim():
+    for key in ((2, 0), (0, 2), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="outside 2x2"):
+            Rep("V", [{(0, 0): 1}, {key: 1}], 2)
+
+
+def test_rep_drops_zero_entries():
+    rep = Rep("V", [{(0, 0): 0, (0, 1): F(0), (1, 0): 3}, {(1, 1): F(0)}], 2)
+    assert rep.matrices == [{(1, 0): F(3)}, {}]
+    assert type(rep.matrices[0][(1, 0)]) is F
+
+
+def test_rep_act_is_the_entrywise_sum_over_the_g0_basis():
+    rng = random.Random(31)
+    m = projective(2, o_weights=(1, -2))
+    for rep in m.reps.values():
+        for _ in range(10):
+            coeffs = [F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3)) for _ in rep.matrices]
+            dense = [[sum((c * mat.get((i, j), 0) for c, mat in zip(coeffs, rep.matrices)), F(0))
+                      for j in range(rep.dim)] for i in range(rep.dim)]
+            assert rep.act(coeffs) == _entries(dense), rep.label
 
 
 def test_projective_bracket_plus_minus_lands_in_h_complement():

@@ -169,7 +169,7 @@ def test_exactness_audit_requires_flag():
 def test_exactness_audit_split_trivially_exact():
     m = ci.split_projective(2, 2)
     from cartan_invariants.model import Rep
-    rep = Rep("tangent-flagged", m.reps["tangent"].matrices, g_module=True)
+    rep = Rep("tangent-flagged", m.reps["tangent"].matrices, m.dims[0], g_module=True)
     report = ci.exactness_audit(m, rep, k_max=3)
     assert all(row["exact"] for row in report["degrees"])
 
