@@ -18,7 +18,7 @@ from .invariants import InvPoly, PolyParseError, parse_poly
 from .charforms import (MatrixForm, atiyah_form, chern_character, chern_form_of,
                         chern_forms, chern_simons_form, cs_class, cs_coefficients,
                         invariant_poly_eval, omega0_matrix, tangent_atiyah_form,
-                        tangent_rep, todd_forms, transgression_checks,
+                        tangent_rep, todd_forms, transgression, transgression_checks,
                         verify_multiplicativity)
 from .relations import (PrimitiveResult, Relation, conformal_coefficients,
                         exactness_audit, find_primitive, find_relations,
@@ -42,7 +42,7 @@ __all__ = [
     "MatrixForm", "atiyah_form", "chern_character", "chern_form_of",
     "chern_forms", "chern_simons_form", "cs_class", "cs_coefficients",
     "invariant_poly_eval", "omega0_matrix", "tangent_atiyah_form", "tangent_rep",
-    "todd_forms", "transgression_checks", "verify_multiplicativity",
+    "todd_forms", "transgression", "transgression_checks", "verify_multiplicativity",
     "PrimitiveResult", "Relation", "conformal_coefficients", "exactness_audit",
     "find_primitive", "find_relations", "invariant_cocycles", "is_closed",
     "partitions_of",

@@ -265,13 +265,33 @@ def _sequence_weights(ids: list[int], degrees: list[int]) -> dict[tuple[int, ...
     return weights
 
 
-def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None) -> Form:
+def _word(cache: dict, word: tuple[MatrixForm, ...], traced: bool, keep: bool = True):
+    """The product of a word of argument matrices, or with ``traced`` its trace, from
+    ``cache``, keyed by the matrices' identities (each entry holds its word, so none
+    is reused).  Without ``keep`` a trace and the product under it are not stored:
+    a polarization traces each full-length word once, and its products are largest."""
+    key = (traced, *map(id, word))
+    if key in cache:
+        return cache[key][1]
+    if len(word) == 1:
+        out = word[0].trace() if traced else word[0]
+    else:
+        prefix = _word(cache, word[:-1], False, keep or not traced)
+        out = prefix.trace_wedge(word[-1]) if traced else prefix.matwedge(word[-1])
+    if keep:
+        cache[key] = (word, out)
+    return out
+
+
+def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None,
+               words: dict | None = None) -> Form:
     """Unnormalized graded symmetrization sum_{sigma in S_k} of the trace words.
 
     Arguments with the same identity are collapsed first, so each distinct
     argument sequence is evaluated once with its summed Koszul weight.  A
     trace word ends in ``trace_wedge``: a full matrix product is formed only
-    as the prefix of a longer word.
+    as the prefix of a longer word.  Products and traces come from the
+    ``_word`` cache ``words``, which callers share across polarizations.
     """
     k = len(args)
     if f.degree != k:
@@ -279,34 +299,18 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     if k == 0:
         return Form.zero()
     degrees = degrees or _infer_degrees(args)
-    ids = []
+    words = {} if words is None else words
     seen: dict[int, int] = {}
-    for a in args:
-        seen.setdefault(id(a), len(seen))
-        ids.append(seen[id(a)])
+    ids = [seen.setdefault(id(a), len(seen)) for a in args]
     uniq = {i: a for a, i in zip(args, ids)}
     result = Form.zero()
-    prod_cache: dict[tuple[int, ...], MatrixForm] = {}
-    trace_cache: dict[tuple[int, ...], Form] = {}
-
-    def product(seq: tuple[int, ...]) -> MatrixForm:
-        if seq not in prod_cache:
-            prod_cache[seq] = (uniq[seq[0]] if len(seq) == 1
-                               else product(seq[:-1]).matwedge(uniq[seq[-1]]))
-        return prod_cache[seq]
-
-    def trace(seq: tuple[int, ...]) -> Form:
-        if seq not in trace_cache:
-            trace_cache[seq] = (uniq[seq[0]].trace() if len(seq) == 1
-                                else product(seq[:-1]).trace_wedge(uniq[seq[-1]]))
-        return trace_cache[seq]
-
     for seq, weight in _sequence_weights(ids, degrees).items():
+        mats = tuple(uniq[i] for i in seq)
         for word, coeff in f.terms.items():
             pos = 0
             acc = None
             for part in word:
-                t = trace(seq[pos:pos + part])
+                t = _word(words, mats[pos:pos + part], True, part < k)
                 pos += part
                 acc = t if acc is None else acc.wedge(t)
                 if acc.is_zero:
@@ -336,37 +340,42 @@ def cs_coefficients(k: int, halved: bool = False) -> list[Fraction]:
     return out
 
 
-def chern_simons_form(m: LieModel, rep: Rep, f: InvPoly) -> Form:
-    """Transgression CS_f = tau^k sum_j a_j f~(u, v^j, a^(k-1-j)) with
-    u the g0 1-form matrix, v its matrix square, a the Atiyah matrix and
-    f~ the unnormalized polarization.  d(CS_f) recovers the Chern form of f
-    on models with [g-, g-]_0 = 0 (all built-in families)."""
+def _transgression_terms(m: LieModel, rep: Rep, f: InvPoly, count: int) -> list[Form]:
+    """a_j f~(u, v^j, a^(k-1-j)) for j < count, without tau, from one ``_word`` cache."""
     k = f.degree
     if k < 1:
         raise ValueError("need a positive-degree invariant")
-    u = omega0_matrix(m, rep)
-    a = atiyah_form(m, rep)
-    v = u.matwedge(u)
-    coeffs = cs_coefficients(k)
-    acc = Form.zero()
-    for j in range(k):
-        args = [u] + [v] * j + [a] * (k - 1 - j)
-        degrees = [1] + [2] * (k - 1)
-        acc = acc + _polarized(f, args, degrees).scale(coeffs[j])
-    return acc.tau_shift(k)
+    u, a = omega0_matrix(m, rep), atiyah_form(m, rep)
+    v = u.matwedge(u) if count > 1 else None
+    words: dict = {}
+    degrees = [1] + [2] * (k - 1)
+    return [_polarized(f, [u] + [v] * j + [a] * (k - 1 - j), degrees, words).scale(c)
+            for j, c in enumerate(cs_coefficients(k)[:count])]
+
+
+def transgression(m: LieModel, rep: Rep, f: InvPoly) -> tuple[Form, Grade, Form]:
+    """(cs_class, its grade, chern_simons_form) from one evaluation of CS_f:
+    the class is its j = 0 term."""
+    k = f.degree
+    terms = _transgression_terms(m, rep, f, k)
+    return terms[0].tau_shift(k), Grade(k - 1, 1, k - 1), sum(terms, Form.zero()).tau_shift(k)
+
+
+def chern_simons_form(m: LieModel, rep: Rep, f: InvPoly) -> Form:
+    """Transgression CS_f = tau^k sum_j a_j f~(u, v^j, a^(k-1-j)) with
+    u the g0 1-form matrix, v its matrix square, a the Atiyah matrix and
+    f~ the unnormalized polarization, its k terms sharing one ``_word`` cache.
+    d(CS_f) recovers the Chern form of f on models with [g-, g-]_0 = 0 (all
+    built-in families).  ``transgression`` returns it with ``cs_class``."""
+    return transgression(m, rep, f)[2]
 
 
 def cs_class(m: LieModel, rep: Rep, f: InvPoly) -> tuple[Form, Grade]:
     """The surviving quotient term of CS_f: tau^k a_0 f~(u, a^(k-1)), at grade
-    (k-1, 1, k-1).  Equals the plus-count-(k-1) component of the full form."""
-    k = f.degree
-    if k < 1:
-        raise ValueError("need a positive-degree invariant")
-    u = omega0_matrix(m, rep)
-    a = atiyah_form(m, rep)
-    args = [u] + [a] * (k - 1)
-    form = _polarized(f, args, [1] + [2] * (k - 1)).scale(cs_coefficients(k)[0]).tau_shift(k)
-    return form, Grade(k - 1, 1, k - 1)
+    (k-1, 1, k-1): the j = 0 term of ``transgression``, evaluated alone.
+    Equals the plus-count-(k-1) component of the full form."""
+    form = _transgression_terms(m, rep, f, 1)[0].tau_shift(f.degree)
+    return form, Grade(f.degree - 1, 1, f.degree - 1)
 
 
 def chern_form_of(m: LieModel, rep: Rep, f: InvPoly) -> Form:
@@ -378,9 +387,8 @@ def chern_form_of(m: LieModel, rep: Rep, f: InvPoly) -> Form:
 def transgression_checks(m: LieModel, rep: Rep, f: InvPoly) -> dict:
     """Convenience bundle: d CS_f vs the Chern form, and the quotient identity
     quotient_d(cs_class) = Chern form."""
-    cs = chern_simons_form(m, rep, f)
+    t_form, _, cs = transgression(m, rep, f)
     target = chern_form_of(m, rep, f)
-    t_form, grade = cs_class(m, rep, f)
     return {
         "d_cs_equals_chern": ce_differential(m, cs) == target,
         "class_is_projection": plus_component(m, cs, f.degree - 1) == t_form,

@@ -6,10 +6,12 @@ is homogeneous in tau: one tau exponent, and a map from monomial masks to
 nonzero ``Fraction`` coefficients.
 
 The wedge, the CE differential and the coadjoint action run on integer
-numerators: each input form is brought once to numerators over the LCM of
-its denominators, the structure tables are held as numerators over their
-own LCM, sums accumulate as ``{mask: int}`` and one ``Fraction`` is built
-per output term.
+numerators: each input form is brought to numerators over the LCM of its
+denominators, the structure tables are held as numerators over their own
+LCM, sums accumulate as ``{mask: int}`` and one ``Fraction`` is built per
+output term.  A Form keeps the integer views the wedge kernel reads from it,
+built on first use: forms are never mutated, so an operand reused across
+products (an entry of a matrix power, say) is converted once, not per product.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -63,11 +65,12 @@ class Form:
     neutral under ``+`` whatever its exponent.
     """
 
-    __slots__ = ("terms", "tau")
+    __slots__ = ("terms", "tau", "_right", "_left")
 
     def __init__(self, terms: dict[int, Fraction] | None = None, tau: int = 0):
         self.terms = {mask: Fraction(c) for mask, c in terms.items() if c} if terms else {}
         self.tau = tau
+        self._right = self._left = None
 
     @classmethod
     def zero(cls) -> "Form":
@@ -126,6 +129,19 @@ class Form:
     def wedge(self, other: "Form") -> "Form":
         return _wedge_sums([[(self, other)]])[0]
 
+    def right_view(self) -> tuple[int, list[tuple[int, int]]]:
+        """(d, [(mask, numerator)]) over the LCM d of the denominators, kept."""
+        if self._right is None:
+            self._right = _numerators(self)
+        return self._right
+
+    def left_view(self) -> tuple[int, list[tuple[int, int, int]]]:
+        """(d, [(mask, parity_above(mask), numerator)]), kept without a right view."""
+        if self._left is None:
+            d, nums = self._right or _numerators(self)
+            self._left = (d, [(m, parity_above(m), n) for m, n in nums])
+        return self._left
+
     def wedge_power(self, k: int) -> "Form":
         out = Form.unit()
         for _ in range(k):
@@ -175,28 +191,18 @@ def _form(terms: dict[int, Fraction], tau: int) -> Form:
     res = Form.__new__(Form)
     res.terms = terms
     res.tau = tau
+    res._right = res._left = None
     return res
 
 
 def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
     """For each list of pairs (a, b), the form sum of a ^ b, in integers.
 
-    Each distinct operand is brought once to integer numerators over the LCM
-    of its denominators, with the ``parity_above`` of each mask; a sum
-    accumulates ``{mask: int}`` over the LCM of its pairs' denominator
-    products and builds one ``Fraction`` per output term.  Pairs with a zero
-    operand are skipped; the others must agree in tau.
+    Operands are read through the integer views their forms keep (``left_view``
+    and ``right_view``); a sum accumulates ``{mask: int}`` over the LCM of its
+    pairs' denominator products and builds one ``Fraction`` per output term.
+    Pairs with a zero operand are skipped; the others must agree in tau.
     """
-    cache: dict[tuple[int, bool], tuple[int, list]] = {}
-
-    def integral(f: Form, left: bool) -> tuple[int, list]:
-        """(d, [(mask, numerator)]), or with ``left`` [(mask, parity, numerator)]."""
-        key = (id(f), left)
-        if key not in cache:
-            d, nums = _numerators(f)
-            cache[key] = (d, [(m, parity_above(m), n) for m, n in nums] if left else nums)
-        return cache[key]
-
     out = []
     for pairs in sums:
         live = [(a, b) for a, b in pairs if a.terms and b.terms]
@@ -204,7 +210,7 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
         taus = {a.tau + b.tau for a, b in live} or {sum(f.tau for f in pairs[0]) if pairs else 0}
         if len(taus) > 1:
             raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
-        ops = [(integral(a, True), integral(b, False)) for a, b in live]
+        ops = [(a.left_view(), b.right_view()) for a, b in live]
         d = lcm(*(da * db for (da, _), (db, _) in ops))
         acc: dict[int, int] = {}
         for (da, left), (db, right) in ops:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
@@ -141,13 +141,17 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
 
 
 def conformal_coefficients(n: int) -> list[int]:
-    """Coefficients a_1..a_n of sum_{q=0}^{m} (1+h)^{n-2q} h^{2q}, n = 2m or 2m+1."""
+    """Coefficients a_1..a_n of sum_{q=0}^{m} (1+h)^{n-2q} h^{2q}, n = 2m or 2m+1.
+
+    The sum is geometric in h^2/(1+h)^2: ((1+h)^(n+2) - h^(2m+2) (1+h)^(n-2m))
+    / (1+2h).  Its second term starts above degree n, so dividing (1+h)^(n+2)
+    from the low degree up gives a_i = C(n+2, i) - 2 a_(i-1), exact over Z."""
     if n < 1:
         raise ValueError("n >= 1")
-    poly = [0] * (n + 1)
-    for q in range(n // 2 + 1):
-        for t in range(n - 2 * q + 1):
-            poly[2 * q + t] += comb(n - 2 * q, t)
+    poly, binom = [1], 1
+    for i in range(1, n + 1):
+        binom = binom * (n + 3 - i) // i  # C(n+2, i)
+        poly.append(binom - 2 * poly[-1])
     return poly[1:]
 
 

@@ -1,8 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from cartan_invariants.model import LieModel
+
+# Every run draws the same examples, so a failure found once is found again.
+settings.register_profile("replayable", derandomize=True)
+settings.load_profile("replayable")
 
 
 def sl2_model() -> LieModel:

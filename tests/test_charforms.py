@@ -11,7 +11,7 @@ from cartan_invariants.charforms import (MatrixForm, _koszul_sign, _polarized,
                                          _sequence_weights)
 from cartan_invariants.forms import (Form, Grade, ce_differential, is_at_grade,
                                      minus_count, plus_count)
-from cartan_invariants.invariants import InvPoly
+from cartan_invariants.invariants import InvPoly, parse_poly
 
 
 def test_atiyah_projective_line():
@@ -423,3 +423,80 @@ def test_polarized_matches_permutation_walk():
                               ([a, a, a], [2, 2, 2]), ([u, u, a], [1, 1, 2])):
             args, degrees = args[:f.degree], degrees[:f.degree]
             assert _polarized(f, args, degrees) == _walk_polarized(f, args, degrees)
+
+
+def _per_call_polarized(f, args, degrees):
+    """The polarization with its own product and trace caches, keyed by the
+    argument positions of this one call."""
+    seen = {}
+    ids = [seen.setdefault(id(a), len(seen)) for a in args]
+    uniq = {i: a for a, i in zip(args, ids)}
+    prod_cache, trace_cache = {}, {}
+
+    def product(seq):
+        if seq not in prod_cache:
+            prod_cache[seq] = (uniq[seq[0]] if len(seq) == 1
+                               else product(seq[:-1]).matwedge(uniq[seq[-1]]))
+        return prod_cache[seq]
+
+    def trace(seq):
+        if seq not in trace_cache:
+            trace_cache[seq] = (uniq[seq[0]].trace() if len(seq) == 1
+                                else product(seq[:-1]).trace_wedge(uniq[seq[-1]]))
+        return trace_cache[seq]
+
+    result = Form.zero()
+    for seq, weight in _sequence_weights(ids, degrees).items():
+        for word, coeff in f.terms.items():
+            pos, acc = 0, None
+            for part in word:
+                t = trace(seq[pos:pos + part])
+                pos += part
+                acc = t if acc is None else acc.wedge(t)
+            result = result + acc.scale(coeff * weight)
+    return result
+
+
+def _separate_cs_class(m, rep, f):
+    """The j = 0 term alone, with its own u and a."""
+    k = f.degree
+    args = [ci.omega0_matrix(m, rep)] + [ci.atiyah_form(m, rep)] * (k - 1)
+    form = _per_call_polarized(f, args, [1] + [2] * (k - 1)).scale(ci.cs_coefficients(k)[0])
+    return form.tau_shift(k), Grade(k - 1, 1, k - 1)
+
+
+def _separate_cs_form(m, rep, f):
+    """Every term j polarized on its own, each with its own caches."""
+    k = f.degree
+    u, a = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
+    v = u.matwedge(u)
+    acc = Form.zero()
+    for j, c in enumerate(ci.cs_coefficients(k)):
+        args = [u] + [v] * j + [a] * (k - 1 - j)
+        acc = acc + _per_call_polarized(f, args, [1] + [2] * (k - 1)).scale(c)
+    return acc.tau_shift(k)
+
+
+def test_transgression_matches_separate_evaluations():
+    """One shared evaluation gives the class and the full form that the
+    per-call polarizations give, on every family."""
+    cases = [(ci.projective(3), "tangent"), (ci.grassmannian(2, 2), "tangent"),
+             (ci.lagrangian_grassmannian(2), "tangent"), (ci.conformal(4), "tangent"),
+             (ci.foliated_projective(1, 2), "normal"), (ci.split_projective(1, 2), "tangent"),
+             (ci.g2_flag(), "graded-tangent")]
+    polys = [InvPoly.chern(1), InvPoly.chern(2), InvPoly.chern(3),
+             InvPoly.chern_character(2), InvPoly.chern_character(3),
+             InvPoly.chern(1) ** 2, InvPoly.chern(1) ** 3]
+    nonzero_tails = 0
+    for m, name in cases:
+        rep = m.reps[name]
+        extra = [parse_poly("5^5*c5-3*c1^5")] if name == "graded-tangent" else []
+        for f in polys + extra:
+            t_form, grade, full = ci.transgression(m, rep, f)
+            ref_class, ref_full = _separate_cs_class(m, rep, f), _separate_cs_form(m, rep, f)
+            assert (t_form, grade) == ref_class, (m.meta, f.terms)
+            assert full == ref_full, (m.meta, f.terms)
+            assert ci.cs_class(m, rep, f) == ref_class
+            assert ci.chern_simons_form(m, rep, f) == ref_full
+            nonzero_tails += not (full - t_form).is_zero
+    assert nonzero_tails >= 10  # the j >= 1 terms are exercised

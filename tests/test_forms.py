@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                foliated_projective, invariant_basis, is_at_grade,
                                monomial_masks, plus_component, projective, quotient_d)
-from cartan_invariants.forms import (CoadjointOperator, Form, mask_bits, mask_key,
+from cartan_invariants.charforms import MatrixForm
+from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits, mask_key,
                                      parity_above)
 from cartan_invariants.linalg import (QMatrix, eliminate, kernel, nullspace, row_space_rref,
                                       sparse_rows)
@@ -178,6 +180,47 @@ def test_wedge_matches_fraction_reference():
         assert all(type(c) is F for c in got.terms.values())
         if got.terms:
             assert got.tau == a.tau + b.tau
+
+
+def _reference_sum(pairs):
+    out = {}
+    for a, b in pairs:
+        for mask, c in _reference_wedge(a, b).items():
+            out[mask] = out.get(mask, F(0)) + c
+    return {mask: c for mask, c in out.items() if c}
+
+
+def test_kept_views_serve_reused_operands():
+    """Forms reused many times as left and right operands of the wedge kernel,
+    through ``_wedge_sums``, ``matwedge`` and ``trace_wedge``, against the
+    Fraction reference; some share one terms dict through ``tau_shift``."""
+    rng = random.Random(29)
+    for _ in range(25):
+        width = rng.choice((6, 12, 70))
+        base = [_random_rational_form(rng, width, 0) for _ in range(5)]
+        shifted = [f.tau_shift(1) for f in base[:3]]
+        for _ in range(12):
+            a, b = rng.choice(base), rng.choice(base + shifted)
+            assert a.wedge(b).terms == _reference_wedge(a, b)
+            assert b.wedge(a).terms == _reference_wedge(b, a)
+            pairs = [(rng.choice(base), rng.choice(shifted)) for _ in range(3)]
+            sums = [pairs, [(a, a), (b, a), (a, b)] if b.tau == 0 else [(b, b)]]
+            got = _wedge_sums(sums)
+            assert [f.terms for f in got] == [_reference_sum(p) for p in sums]
+            right = rng.choice((base, shifted))
+            x = [[rng.choice(base) for _ in range(3)] for _ in range(2)]
+            y = [[rng.choice(right) for _ in range(2)] for _ in range(3)]
+            prod = MatrixForm(x).matwedge(MatrixForm(y))
+            assert [[f.terms for f in row] for row in prod.grid] == [
+                [_reference_sum([(x[i][k], y[k][j]) for k in range(3)]) for j in range(2)]
+                for i in range(2)]
+            assert MatrixForm(x).trace_wedge(MatrixForm(y)).terms == _reference_sum(
+                [(x[i][k], y[k][i]) for i in range(2) for k in range(3)])
+        for f in base + shifted:
+            d = math.lcm(*(c.denominator for c in f.terms.values()))
+            nums = [(mask, int(c * d)) for mask, c in f.terms.items()]
+            assert f.right_view() == (d, nums) and f.right_view() is f.right_view()
+            assert f.left_view() == (d, [(mask, parity_above(mask), n) for mask, n in nums])
 
 
 # -- the derivations on integer numerators against Fraction references --------

@@ -26,6 +26,20 @@ def test_conformal_coefficients():
         ci.conformal_coefficients(0)
 
 
+def _conformal_double_sum(n):
+    """The generating function summed term by term: (1+h)^(n-2q) h^(2q)."""
+    poly = [0] * (n + 1)
+    for q in range(n // 2 + 1):
+        for t in range(n - 2 * q + 1):
+            poly[2 * q + t] += math.comb(n - 2 * q, t)
+    return poly[1:]
+
+
+def test_conformal_coefficients_match_the_double_sum():
+    for n in range(1, 201):
+        assert ci.conformal_coefficients(n) == _conformal_double_sum(n), n
+
+
 def test_find_relations_projective2():
     m = ci.projective(2)
     rels = ci.find_relations(m, m.reps["tangent"], 2)
