@@ -38,10 +38,6 @@ class MatrixForm:
                 raise ValueError("ragged MatrixForm")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatrixForm":
-        return cls([[Form.zero() for _ in range(cols)] for _ in range(rows)])
-
-    @classmethod
     def identity(cls, n: int) -> "MatrixForm":
         return cls([[Form.unit() if i == j else Form.zero() for j in range(n)] for i in range(n)])
 

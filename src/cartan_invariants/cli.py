@@ -10,6 +10,7 @@ stderr.  Exit codes: 0 success, 1 mathematical not-exact under
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -56,16 +57,18 @@ def _model_args(sub: argparse.ArgumentParser):
 def _load_model(args) -> LieModel:
     token = args.model
     if token in FAMILIES:
+        # the builder's signature says which of --n, --p/--q, --o-weights apply
+        takes = inspect.signature(FAMILIES[token]).parameters
         params = {}
-        if token in ("projective", "conformal", "lagrangian"):
+        if "n" in takes:
             if args.n is None:
                 raise SystemExit2(f"family {token!r} needs --n")
             params["n"] = args.n
-        if token in ("grassmannian", "foliated", "split"):
+        if "p" in takes:
             if args.p is None or args.q is None:
                 raise SystemExit2(f"family {token!r} needs --p and --q")
             params["p"], params["q"] = args.p, args.q
-        if token == "projective" and args.o_weights:
+        if "o_weights" in takes and args.o_weights:
             try:
                 params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
             except ValueError:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .linalg import eliminate, kernel, sparse_rows
+from .linalg import nullspace, row_space_rref
 from .model import LieModel, Part
 
 
@@ -465,9 +465,9 @@ def _joint_kernel(masks: list[int],
                     im = memo[mask] = op.image(mask)
                 for new_mask, c2 in im.items():
                     img[new_mask] = img.get(new_mask, 0) + c * c2
-            # eliminate divides by its pivots, so it takes Fractions
+            # nullspace divides by its pivots, so it takes Fractions
             images.append({k: Fraction(c) for k, c in img.items() if c})
-        combos = kernel(eliminate(sparse_rows(images).values()), len(basis))
+        combos = nullspace(images)
         new_basis = []
         for combo in combos:
             scale = lcm(*(q.denominator for q in combo.values()))
@@ -490,8 +490,8 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     The diagonal (Cartan) operators act by enumeration: only monomials of
     weight zero under them are built; the others by a joint kernel.
 
-    The result is canonical: coefficient rows are brought to reduced row
-    echelon form over the monomial list.
+    The result is canonical: ``row_space_rref`` brings the coefficient rows
+    to reduced row echelon form over the monomial list.
     """
     ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
     masks = monomial_masks(m, degree, plus, min_minus, [op for op in ops if op.is_diagonal()])
@@ -499,6 +499,5 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
         return []
     vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
     index = {mask: i for i, mask in enumerate(masks)}
-    canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
-    return [Form({masks[i]: c for i, c in sorted(canon[p].items())})
-            for p in sorted(canon)]
+    canon = row_space_rref({index[mask]: c for mask, c in v.items()} for v in vecs)
+    return [Form({masks[i]: c for i, c in sorted(row.items())}) for row in canon]

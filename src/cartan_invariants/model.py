@@ -166,24 +166,6 @@ class LieModel:
         comp = self.brackets.get((j, i), {})
         return {k: -c for k, c in comp.items()}
 
-    def bracket(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        """Bilinear extension of the structure constants to coefficient vectors."""
-        if len(x) != self.total or len(y) != self.total:
-            raise ValueError("coefficient vectors must have length = total dim")
-        out = [Fraction(0)] * self.total
-        for (i, j), comp in self.brackets.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, c in comp.items():
-                    out[k] += f * c
-        return out
-
-    def proj(self, part: Part, v: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.total
-        for gid in self.part_range(part):
-            out[gid] = Fraction(v[gid])
-        return out
-
     def zero_coefficients(self, v: dict[int, Fraction]) -> list[Fraction]:
         """Coordinates of the g0-part of a sparse coefficient dict over the g0 basis."""
         return [v.get(g, Fraction(0)) for g in self.part_range(Part.ZERO)]

@@ -169,6 +169,8 @@ def parse_model_json(text: str) -> LieModel:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelSchemaError(f"invalid JSON: {e}")
+    except RecursionError:
+        raise ModelSchemaError("invalid JSON: nested too deeply")
     return model_from_obj(obj)
 
 

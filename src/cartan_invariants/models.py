@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .charforms import tangent_rep
 from .chevalley import ChevalleyBasis, g2_root_system
-from .linalg import eliminate
+from .linalg import rref
 from .model import (BracketTable, LieModel, Part, Rep, SparseMatrix, diagonal_block,
                     sparse_commutator, sparse_sum)
 
@@ -34,12 +34,7 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
     """
     total = len(matrices)
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for col, entries in enumerate(matrices + [sparse_commutator(matrices[i], matrices[j])
-                                              for i, j in pairs]):
-        for cell, x in entries.items():
-            rows.setdefault(cell, {})[col] = x
-    reduced = eliminate(rows.values())
+    reduced = rref(matrices + [sparse_commutator(matrices[i], matrices[j]) for i, j in pairs])
     pivots = sorted(reduced)
     if pivots and pivots[-1] >= total:
         raise ValueError("commutator not in the span of the basis")

@@ -21,8 +21,8 @@ from math import gcd, lcm
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
                     monomial_masks, plus_component, quotient_d)
-from .linalg import (Row, eliminate, fredholm_witness, is_fredholm_witness, kernel,
-                     sparse_rows)
+from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
+                     solve)
 from .model import LieModel, Rep
 
 Partition = tuple[int, ...]
@@ -118,12 +118,10 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
         sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree)
         columns += [plus_component(m, ce_differential(m, b), degree).coefficients()
                     for b in sources]
-    null = kernel(eliminate(sparse_rows(columns).values()), len(columns))
-    canon = eliminate({j: c for j, c in v.items() if j < len(parts)} for v in null)
-    vecs = [[canon[p].get(j, Fraction(0)) for j in range(len(parts))] for p in sorted(canon)]
+    null = nullspace(columns)
     out = []
-    for vec in vecs:
-        coeffs = _normalize(vec)
+    for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
+        coeffs = _normalize([row.get(j, Fraction(0)) for j in range(len(parts))])
         relation = Relation(degree, tuple(parts), coeffs)
         residual = Form.zero()
         for p, c in relation.nonzero():
@@ -167,7 +165,7 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
     cols = [quotient_d(m, b, grade).coefficients() for b in basis]
     out = []
-    for combo in kernel(eliminate(sparse_rows(cols).values()), len(basis)):
+    for combo in nullspace(cols):
         f = Form.zero()
         for j, c in sorted(combo.items()):
             f = f + basis[j].scale(c)
@@ -205,9 +203,9 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     The search space is restricted to the g0-invariant subspace by default;
     the induced differential commutes with the reductive g0-action, so an
     invariant primitive exists whenever any primitive does, provided xi is
-    itself invariant.  The search is one elimination of the augmented system
-    [A | b], with b the tau^e coefficients of xi as column n and e its tau
-    exponent; a ``not_exact`` result costs one more, for its witness.
+    itself invariant.  The search is one ``solve`` of [A | b], with b the
+    tau^e coefficients of xi and e its tau exponent, which also gives the
+    certificate ranks; a ``not_exact`` result costs one more, for its witness.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
@@ -221,27 +219,25 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     columns = [plus_component(m, ce_differential(m, b), grade.r).coefficients() for b in basis]
     n = len(basis)
     b = xi.coefficients(xi.tau)
-    reduced = eliminate(sparse_rows(columns + [b]).values())
-    if n in reduced:
+    x, rank = solve(columns, b)
+    if x is None:
         y = fredholm_witness(columns, b)
         if not is_fredholm_witness(columns, b, y):
             raise AssertionError("not-exact witness failed re-verification")
         return PrimitiveResult(
             "not_exact", None, grade, n,
-            {"matrix_rank": len(reduced) - 1, "augmented_rank": len(reduced),
+            {"matrix_rank": rank, "augmented_rank": rank + 1,
              "columns": n, "tau_exponent": xi.tau},
             y,
         )
     psi = Form.zero()
-    for p in sorted(reduced):
-        c = reduced[p].get(n)
-        if c:
-            psi = psi + basis[p].scale(c)
+    for p, c in x.items():
+        psi = psi + basis[p].scale(c)
     psi = psi.tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")
-    return PrimitiveResult("exact", psi, grade, n, {"matrix_rank": len(reduced), "columns": n})
+    return PrimitiveResult("exact", psi, grade, n, {"matrix_rank": rank, "columns": n})
 
 
 def exactness_audit(m: LieModel, rep: Rep, k_max: int | None = None) -> dict:

@@ -14,4 +14,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r} (expected a string)")
     if not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")

@@ -20,8 +20,8 @@ from cartan_invariants.forms import (
     Form, Grade, ce_differential, is_at_grade, minus_count, monomial_masks,
     plus_component, quotient_d)
 from cartan_invariants.invariants import InvPoly, parse_poly
-from cartan_invariants.linalg import in_span, same_span
 from cartan_invariants.relations import partitions_of
+from dense_oracle import in_span, same_span
 
 
 def _report(number: int, name: str, checks: list[tuple[bool, str]]):

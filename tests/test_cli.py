@@ -309,12 +309,15 @@ def _set(path, value):
     pytest.param(_set(["meta"], []), id="meta-not-object"),
     pytest.param(_set(["meta", "flags", "module"], True), id="flags-not-object"),
     pytest.param(_set(["names", 0], 1), id="name-not-string"),
-    pytest.param(None, id="not-utf8"),
+    pytest.param(_set(["brackets", 0, 2, 0, 1], "1/0"), id="zero-denominator"),
+    pytest.param(b'{"dims": [1, 1, 1], "names": ["w\xff"]}', id="not-utf8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
 ])
 def test_bad_model_file_exits_two_with_one_line(tmp_path, edit):
+    """``edit`` changes a valid model object, or is the file's raw bytes."""
     path = tmp_path / "bad.json"
-    if edit is None:
-        path.write_bytes(b'{"dims": [1, 1, 1], "names": ["w\xff"]}')
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
     else:
         obj = json.loads(emit_model_json(ci.projective(1)))
         edit(obj)

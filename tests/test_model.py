@@ -31,35 +31,14 @@ def test_langlands_condition_failure_reported():
 
 
 def test_bracket_examples(sl2):
-    e = [F(0), F(0), F(1)]
-    f = [F(1), F(0), F(0)]
-    assert sl2.bracket(e, f) == [F(0), F(1), F(0)]  # [e,f] = h
-    x = [F(2), F(-1), F(3)]
-    assert sl2.bracket(x, x) == [F(0)] * 3
-
-
-def test_bracket_dimension_mismatch(sl2):
-    with pytest.raises(ValueError):
-        sl2.bracket([F(1)], [F(0), F(0), F(0)])
-
-
-def test_proj_examples(sl2):
-    h = [F(0), F(1), F(0)]
-    assert sl2.proj(Part.ZERO, h) == h
-    e = [F(0), F(0), F(1)]
-    assert sl2.proj(Part.MINUS, e) == [F(0)] * 3
-    ef = sl2.bracket(e, [F(1), F(0), F(0)])
-    assert sl2.proj(Part.ZERO, ef) == [F(0), F(1), F(0)]
-
-
-def test_proj_parts_sum_to_identity(sl2):
-    v = [F(3), F(-2), F(5)]
-    total = [F(0)] * 3
-    for part in Part:
-        p = sl2.proj(part, v)
-        total = [a + b for a, b in zip(total, p)]
-        assert sl2.proj(part, p) == p  # idempotent
-    assert total == v
+    f, h, e = 0, 1, 2
+    assert sl2.bracket_basis(e, f) == {h: F(1)}  # [e,f] = h
+    assert sl2.bracket_basis(h, e) == {e: F(2)}  # [h,e] = 2e
+    assert sl2.bracket_basis(h, f) == {f: F(-2)}  # [h,f] = -2f
+    for i in range(3):
+        assert sl2.bracket_basis(i, i) == {}
+        for j in range(3):
+            assert sl2.bracket_basis(j, i) == {k: -c for k, c in sl2.bracket_basis(i, j).items()}
 
 
 def test_coadjoint_on_duals(sl2):

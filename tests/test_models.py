@@ -5,8 +5,8 @@ import pytest
 import cartan_invariants as ci
 from cartan_invariants import Part, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, quotient_d, mask_bits
-from cartan_invariants.linalg import QMatrix, rref
 from cartan_invariants.models import _model_from_matrices
+from dense_oracle import rref_rows
 
 BUILTIN = [
     ("projective", dict(n=1)), ("projective", dict(n=2)), ("projective", dict(n=3)),
@@ -282,28 +282,28 @@ def test_builder_params_validated():
 
 
 def _dense(mats):
-    """The sparse matrices as dense QMatrix values of one common size."""
+    """The sparse matrices as dense lists of rows of one common size."""
     n = 1 + max(max(key) for mat in mats for key in mat)
-    return [QMatrix([[mat.get((i, j), 0) for j in range(n)] for i in range(n)]) for mat in mats]
+    return [[[F(mat.get((i, j), 0)) for j in range(n)] for i in range(n)] for mat in mats]
 
 
 def _dense_commutator(a, b):
-    n = a.rows
-    return QMatrix([[sum((a.data[i][k] * b.data[k][j] - b.data[i][k] * a.data[k][j]
-                          for k in range(n)), F(0)) for j in range(n)] for i in range(n)])
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)), F(0))
+             for j in range(n)] for i in range(n)]
 
 
 def _dense_brackets(matrices):
     """Every commutator against the basis by one dense rref over all cells."""
-    total, n = len(matrices), matrices[0].rows
+    total, n = len(matrices), len(matrices[0])
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
     comms = [_dense_commutator(matrices[i], matrices[j]) for i, j in pairs]
-    red, pivots = rref(QMatrix([[m.data[r][c] for m in matrices + comms]
-                                for r in range(n) for c in range(n)]))
+    red, pivots = rref_rows([[m[r][c] for m in matrices + comms]
+                             for r in range(n) for c in range(n)], total + len(pairs))
     assert pivots == list(range(total))
     brackets = {}
     for col, pair in enumerate(pairs, start=total):
-        comp = {p: red.data[row][col] for row, p in enumerate(pivots) if red.data[row][col]}
+        comp = {p: red[row][col] for row, p in enumerate(pivots) if red[row][col]}
         if comp:
             brackets[pair] = comp
     return brackets

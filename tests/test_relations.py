@@ -306,7 +306,7 @@ def test_exact_result_has_no_witness():
 
 
 def test_find_primitive_eliminates_once_per_tau_exponent(monkeypatch):
-    from cartan_invariants import linalg, relations
+    from cartan_invariants import linalg
     m3 = ci.projective(3)
     xi, grade = ci.cs_class(m3, m3.reps["tangent"], parse_poly("c3"))
     m1 = ci.projective(1)
@@ -320,7 +320,6 @@ def test_find_primitive_eliminates_once_per_tau_exponent(monkeypatch):
         calls.append(1)
         return real(rows)
 
-    monkeypatch.setattr(relations, "eliminate", counting)
     monkeypatch.setattr(linalg, "eliminate", counting)
     res = ci.find_primitive(m3, xi, grade, invariant_only=False)
     assert not res.exact and len(calls) == 2  # the search, then the witness

@@ -8,7 +8,7 @@ from cartan_invariants.scalars import parse_rational
 def test_parse_rational():
     assert parse_rational("-3/4") == F(-3, 4)
     assert parse_rational("17") == F(17)
-    for bad in ("1.5", "1e3", "a/b", "3/"):
+    for bad in ("1.5", "1e3", "a/b", "3/", "1/0", "-0/00"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
