@@ -54,11 +54,18 @@ def _model_args(sub: argparse.ArgumentParser):
                      help="comma-separated line-module weights (projective only)")
 
 
+def _reject_flags(what: str, names: list[str]):
+    _require(not names, f"{what} takes no "
+             + ", ".join("--" + name.replace("_", "-") for name in names))
+
+
 def _load_model(args) -> LieModel:
     token = args.model
+    given = [name for name in ("n", "p", "q", "o_weights") if getattr(args, name) is not None]
     if token in FAMILIES:
         # the builder's signature says which of --n, --p/--q, --o-weights apply
         takes = inspect.signature(FAMILIES[token]).parameters
+        _reject_flags(f"family {token!r}", [name for name in given if name not in takes])
         params = {}
         if "n" in takes:
             if args.n is None:
@@ -79,6 +86,7 @@ def _load_model(args) -> LieModel:
         except ValueError as e:
             raise SystemExit2(f"family {token!r}: {e}")
     if os.path.isfile(token):
+        _reject_flags("a model file", given)
         return parse_model_file(token)
     raise SystemExit2(f"unknown model family or missing file: {token!r}")
 

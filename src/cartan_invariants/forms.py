@@ -442,14 +442,14 @@ def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
     return masks
 
 
-def _joint_kernel(masks: list[int],
-                  operators: list[CoadjointOperator]) -> list[dict[int, Fraction]]:
-    """Vectors (as mask->coeff dicts) annihilated by every operator.
+def _joint_kernel(masks: list[int], operators: list[CoadjointOperator]) -> list[dict[int, int]]:
+    """A basis of the vectors annihilated by every operator, as primitive
+    integer dicts mask -> coefficient.
 
-    Basis vectors are kept as primitive integer dicts.  Each operator's image
-    of a mask is built once, in numerators over its ``den`` (a common factor
-    the kernel does not see), and each kernel combination is scaled to
-    integers before the basis vectors are recombined.
+    Each operator's image of a mask is built once, in numerators over its
+    ``den`` (a common factor the kernel does not see), and each kernel
+    combination is scaled to integers before the basis vectors are
+    recombined.
     """
     basis: list[dict[int, int]] = [{mask: 1} for mask in masks]
     for op in operators:
@@ -465,8 +465,7 @@ def _joint_kernel(masks: list[int],
                     im = memo[mask] = op.image(mask)
                 for new_mask, c2 in im.items():
                     img[new_mask] = img.get(new_mask, 0) + c * c2
-            # nullspace divides by its pivots, so it takes Fractions
-            images.append({k: Fraction(c) for k, c in img.items() if c})
+            images.append(img)
         combos = nullspace(images)
         new_basis = []
         for combo in combos:
@@ -480,7 +479,7 @@ def _joint_kernel(masks: list[int],
             if g:
                 new_basis.append({mask: c // g for mask, c in v.items() if c})
         basis = new_basis
-    return [{mask: Fraction(c) for mask, c in v.items()} for v in basis]
+    return basis
 
 
 def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> list[Form]:
@@ -500,4 +499,4 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = row_space_rref({index[mask]: c for mask, c in v.items()} for v in vecs)
-    return [Form({masks[i]: c for i, c in sorted(row.items())}) for row in canon]
+    return [Form({masks[i]: c for i, c in row.items()}) for row in canon]

@@ -1,23 +1,29 @@
 """Exact linear algebra over the rationals.
 
-All of it runs on one sparse Gauss-Jordan elimination, ``eliminate``.  A row
-is a dict from column index to nonzero ``Fraction``; the systems of this
-project (Chevalley-Eilenberg differentials on monomial bases) are well under
-1% nonzero, so only nonzero entries are ever stored or touched.
+All of it runs on one sparse elimination, ``eliminate``.  An input row is a
+dict from column index to nonzero entry, ``Fraction`` or ``int``; the systems
+of this project (Chevalley-Eilenberg differentials on monomial bases) are
+well under 1% nonzero, so only nonzero entries are ever stored or touched.
+The elimination itself is fraction-free: each row is scaled to integers and
+reduced on integer rows, and a ``Fraction`` is built only for each entry of
+the returned rref.
 
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
 ``nullspace`` and ``solve`` take such columns and ``row_space_rref`` takes
-sparse rows; these five are what the solvers call.
+sparse rows; these five are what the solvers call.  Every result holds
+``Fraction`` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 Row = dict[int, Fraction]
-Column = Mapping[Hashable, Fraction]
+Scalar = Fraction | int
+Column = Mapping[Hashable, Scalar]
 
 
 def sparse_rows(columns: Iterable[Column]) -> dict[Hashable, Row]:
@@ -31,47 +37,87 @@ def sparse_rows(columns: Iterable[Column]) -> dict[Hashable, Row]:
     return rows
 
 
-def _add_multiple(target: Row, f: Fraction, row: Row) -> None:
-    """target += f * row, in place, dropping entries that cancel."""
-    for j, v in row.items():
-        x = target.get(j)
-        if x is None:
-            target[j] = f * v
+def _clear(r: dict[int, int], c: int, pivot_row: dict[int, int]) -> None:
+    """r <- (p/g) r - (a/g) R in place, with R = pivot_row, p = R[c] > 0,
+    a = r[c] and g = gcd(p, a): column c of r becomes zero."""
+    a = r[c]
+    p = pivot_row[c]
+    g = gcd(p, a)
+    if g != 1:
+        p //= g
+        a //= g
+    if p != 1:
+        for j in r:
+            r[j] *= p
+    for j, v in pivot_row.items():
+        x = r.get(j, 0) - a * v
+        if x:
+            r[j] = x
         else:
-            x += f * v
-            if x:
-                target[j] = x
-            else:
-                del target[j]
+            del r[j]
 
 
-def eliminate(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, Row]:
-    """Gauss-Jordan elimination of sparse rows with ``Fraction`` entries.
+def _primitive(r: dict[int, int], pivot: int) -> dict[int, int]:
+    """r divided by its content, signed so that its pivot entry is positive."""
+    g = gcd(*r.values())
+    if r[pivot] < 0:
+        g = -g
+    return r if g == 1 else {j: v // g for j, v in r.items()}
 
-    Returns the nonzero rows of the reduced row echelon form keyed by pivot
-    column: each row has entry 1 at its pivot, which is its smallest column,
-    and no other row has an entry in that column.  Since the rref is unique,
-    so are the pivots and rows, whatever the order of the input rows.  The
-    input rows are not modified.
+
+def _echelon(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, int]]:
+    """Forward elimination on integer rows: an echelon form of the rows,
+    keyed by pivot (each row's smallest column), each row primitive with a
+    positive pivot entry.
+
+    Each row is scaled to integers by the LCM of its denominators and cleared
+    of the pivot columns already found, smallest first.
     """
-    reduced: dict[int, Row] = {}
+    echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = {j: v for j, v in row.items() if v}
-        # The pivot rows are zero in each other's pivot columns, so one pass
-        # over the pivot columns present in r clears them all.
-        for c in [c for c in r if c in reduced]:
-            _add_multiple(r, -r[c], reduced[c])
-        if not r:
-            continue
-        p = min(r)
+        d = lcm(*(v.denominator for v in row.values()))
+        r = {j: v.numerator * (d // v.denominator) for j, v in row.items() if v}
+        while r:
+            p = min(r)
+            pivot_row = echelon.get(p)
+            if pivot_row is None:
+                echelon[p] = _primitive(r, p)
+                break
+            _clear(r, p, pivot_row)
+    return echelon
+
+
+def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, Row]:
+    """Reduced row echelon form of sparse rows with ``Fraction`` or ``int``
+    entries, computed fraction-free.
+
+    Returns the nonzero rows of the rref keyed by pivot column, in increasing
+    order of pivot, each row in increasing order of column with ``Fraction``
+    entries: entry 1 at its pivot, which is its smallest column, and no other
+    row has an entry in that column.  Since the rref is unique, so is the
+    result, whatever the order of the input rows.  The input rows are not
+    modified.
+
+    After ``_echelon``, one back-substitution from the largest pivot down
+    clears the other pivot columns of each integer row, and each row becomes
+    ``Fraction`` entries over its pivot as it is taken from the echelon form.
+    """
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    # The rows of larger pivot are already clear of every other pivot
+    # column, so clearing one of them from r brings no other back.
+    for p in reversed(pivots):
+        r = echelon[p]
+        hits = [c for c in r if c != p and c in echelon]
+        if hits:
+            for c in hits:
+                _clear(r, c, echelon[c])
+            echelon[p] = _primitive(r, p)
+    reduced: dict[int, Row] = {}
+    for p in pivots:
+        r = echelon.pop(p)
         pv = r[p]
-        if pv != 1:
-            r = {j: v / pv for j, v in r.items()}
-        for other in reduced.values():
-            f = other.get(p)
-            if f:
-                _add_multiple(other, -f, r)
-        reduced[p] = r
+        reduced[p] = {j: Fraction(v, pv) for j, v in sorted(r.items())}
     return reduced
 
 
@@ -114,16 +160,15 @@ def solve(columns: Sequence[Column], b: Column) -> tuple[Row | None, int]:
     reduced = rref([*columns, b])
     if n in reduced:
         return None, len(reduced) - 1
-    return {p: reduced[p][n] for p in sorted(reduced) if n in reduced[p]}, len(reduced)
+    return {p: row[n] for p, row in reduced.items() if n in row}, len(reduced)
 
 
-def row_space_rref(rows: Iterable[Mapping[int, Fraction]]) -> list[Row]:
+def row_space_rref(rows: Iterable[Mapping[int, Scalar]]) -> list[Row]:
     """The rref basis of the span of the given sparse rows, in pivot order."""
-    reduced = eliminate(rows)
-    return [reduced[p] for p in sorted(reduced)]
+    return list(eliminate(rows).values())
 
 
-def fredholm_witness(columns: Sequence[Mapping[int, Fraction]], b: Mapping[int, Fraction]) -> Row:
+def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Scalar]) -> Row:
     """A left vector y (row key -> entry) with y.a = 0 for every column a and
     y.b = 1, proving that ``A x = b`` has no solution.
 

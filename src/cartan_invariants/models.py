@@ -35,7 +35,7 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
     total = len(matrices)
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)]
     reduced = rref(matrices + [sparse_commutator(matrices[i], matrices[j]) for i, j in pairs])
-    pivots = sorted(reduced)
+    pivots = list(reduced)
     if pivots and pivots[-1] >= total:
         raise ValueError("commutator not in the span of the basis")
     if pivots != list(range(total)):

@@ -1,8 +1,9 @@
-"""Dense Gauss-Jordan over ``Fraction``: the reference the sparse linear
-algebra of ``cartan_invariants.linalg`` and its callers are checked against.
+"""Gauss-Jordan over ``Fraction``: the reference the integer linear algebra
+of ``cartan_invariants.linalg`` and its callers are checked against.
 
 Nothing here calls the package, so a test that compares with it does not
-run the code it tests.  A matrix is a list of dense rows.
+run the code it tests.  A matrix is a list of dense rows, except for
+``fraction_eliminate``, which takes sparse rows as ``linalg.eliminate`` does.
 """
 
 from fractions import Fraction as F
@@ -45,6 +46,45 @@ def rref_rows(data: list[list[F]], cols: int) -> tuple[list[list[F]], list[int]]
         if r0 == rows:
             break
     return data, pivots
+
+
+def _add_multiple(target: dict, f: F, row: dict) -> None:
+    """target += f * row, in place, dropping entries that cancel."""
+    for j, v in row.items():
+        x = target.get(j)
+        if x is None:
+            target[j] = f * v
+        else:
+            x += f * v
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+
+
+def fraction_eliminate(rows) -> dict[int, dict[int, F]]:
+    """Sparse Gauss-Jordan of rows ``{column: entry}`` in ``Fraction``
+    arithmetic: the nonzero rref rows keyed by pivot column, each with entry
+    1 at its pivot.  The input rows are not modified."""
+    reduced: dict[int, dict[int, F]] = {}
+    for row in rows:
+        r = {j: F(v) for j, v in row.items() if v}
+        # The pivot rows are zero in each other's pivot columns, so one pass
+        # over the pivot columns present in r clears them all.
+        for c in [c for c in r if c in reduced]:
+            _add_multiple(r, -r[c], reduced[c])
+        if not r:
+            continue
+        p = min(r)
+        pv = r[p]
+        if pv != 1:
+            r = {j: v / pv for j, v in r.items()}
+        for other in reduced.values():
+            f = other.get(p)
+            if f:
+                _add_multiple(other, -f, r)
+        reduced[p] = r
+    return reduced
 
 
 def oracle_nullspace(data, cols) -> list[tuple[F, ...]]:

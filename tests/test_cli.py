@@ -241,6 +241,12 @@ def test_cli_usage_errors_exit_two():
     ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "c2",
      "--min-minus", "-1"],
     ["conformal-coeffs", "--n", "1001"],
+    # family flags the model does not take
+    ["report", "conformal", "--n", "3", "--o-weights", "2"],
+    ["chern", "grassmannian", "--p", "2", "--q", "2", "--n", "5", "--rep", "tangent"],
+    ["chern", "projective", "--n", "2", "--p", "3", "--rep", "tangent"],
+    ["chern", "g2", "--q", "1", "--rep", "graded-tangent"],
+    ["report", os.path.join(os.path.dirname(__file__), "data", "projective1.json"), "--n", "2"],
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
     code, out, err = cli(*argv)

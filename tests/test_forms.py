@@ -12,9 +12,8 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
 from cartan_invariants.charforms import MatrixForm
 from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits, mask_key,
                                      parity_above)
-from cartan_invariants.linalg import eliminate, kernel, sparse_rows
 from cartan_invariants.model import LieModel
-from dense_oracle import oracle_nullspace, span_rref
+from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
 
 ALL_MODELS = None
 
@@ -504,7 +503,20 @@ def _fraction_joint_kernel(masks, tables):
                 for new_mask, c2 in _reference_action(table, {mask: F(1)}).items():
                     img[new_mask] = img.get(new_mask, F(0)) + c * c2
             images.append(img)
-        combos = kernel(eliminate(sparse_rows(images).values()), len(basis))
+        rows = {}
+        for j, img in enumerate(images):
+            for key, c in img.items():
+                if c:
+                    rows.setdefault(key, {})[j] = c
+        reduced = fraction_eliminate(rows.values())
+        combos = []
+        for f in range(len(basis)):
+            if f not in reduced:
+                combo = {f: F(1)}
+                for p, row in reduced.items():
+                    if f in row:
+                        combo[p] = -row[f]
+                combos.append(combo)
         new_basis = []
         for combo in combos:
             v = {}
@@ -529,7 +541,7 @@ def _oracle_basis(m, degree, plus, min_minus):
                     for t in diagonal)]
     vecs = _fraction_joint_kernel(masks, [t for t in tables if t not in diagonal])
     index = {mask: i for i, mask in enumerate(masks)}
-    canon = eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
+    canon = fraction_eliminate({index[mask]: c for mask, c in v.items()} for v in vecs)
     return [{masks[i]: c for i, c in canon[p].items()} for p in sorted(canon)]
 
 

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from cartan_invariants.linalg import (eliminate, fredholm_witness, is_fredholm_witness, kernel,
-                                      nullspace, rank, rref, row_space_rref, solve, sparse_rows)
-from dense_oracle import (in_span, oracle_nullspace, oracle_solve, rref_rows, same_span,
-                          span_rref)
+from cartan_invariants import linalg
+from cartan_invariants.linalg import (_echelon, eliminate, fredholm_witness, is_fredholm_witness,
+                                      kernel, nullspace, rank, rref, row_space_rref, solve,
+                                      sparse_rows)
+from dense_oracle import (fraction_eliminate, in_span, oracle_nullspace, oracle_solve, rref_rows,
+                          same_span, span_rref)
 
 
 def _columns(data):
@@ -152,6 +155,88 @@ def test_eliminate_is_order_free_and_leaves_input():
     for p, row in red.items():
         assert min(row) == p and row[p] == 1
         assert all(q == p or q not in row for q in red)
+
+
+def _wide_entry(rng):
+    """A nonzero int or Fraction, numerator up to 2**64, denominator up to 2**20."""
+    num = rng.choice([rng.randint(1, 5), rng.randint(1, 2**64)]) * rng.choice([-1, 1])
+    if rng.random() < 0.4:
+        return num
+    return F(num, rng.choice([1, rng.randint(1, 7), rng.randint(1, 2**20)]))
+
+
+def _wide_rows(rng, rows, cols):
+    """Sparse rows, keys in random order, with wide mixed entries, some
+    negative leading entries, duplicate and scaled rows, and zero rows."""
+    density = rng.choice([0.15, 0.4, 0.8])
+    out = []
+    for _ in range(rows):
+        keys = [j for j in range(cols) if rng.random() < density]
+        rng.shuffle(keys)
+        row = {j: _wide_entry(rng) for j in keys}
+        if row and rng.random() < 0.3:
+            row[min(row)] = -abs(row[min(row)])
+        out.append(row)
+    for row in rng.sample(out, rng.randint(0, len(out))):
+        out.append(dict(row) if rng.random() < 0.5 else {j: -3 * v for j, v in row.items()})
+    out += [{}, {rng.randrange(cols): 0}, {rng.randrange(cols): F(0)}][:rng.randint(0, 3)]
+    rng.shuffle(out)
+    return out
+
+
+def _layout(reduced):
+    """The rref with its key order, pivots and columns both."""
+    return [(p, list(row.items())) for p, row in reduced.items()]
+
+
+def test_integer_core_matches_fraction_oracles():
+    rng = random.Random(20261019)
+    for trial in range(300):
+        cols = rng.randint(1, 12)
+        rows = _wide_rows(rng, rng.randint(1, 10), cols)
+        before = [list(r.items()) for r in rows]
+        got = eliminate(rows)
+        assert [list(r.items()) for r in rows] == before, trial
+        # both Fraction references: sparse Gauss-Jordan and dense rref rows
+        assert got == fraction_eliminate(rows), trial
+        red, pivots = rref_rows([[F(r.get(j, 0)) for j in range(cols)] for r in rows], cols)
+        assert got == {p: {j: v for j, v in enumerate(red[i]) if v}
+                       for i, p in enumerate(pivots)}, trial
+        # the output contract: increasing pivots and columns, Fraction
+        # entries, and an exact Fraction(1) at each pivot
+        assert list(got) == sorted(got)
+        for p, row in got.items():
+            assert list(row) == sorted(row) and min(row) == p
+            assert all(type(v) is F and v for v in row.values())
+            assert (row[p].numerator, row[p].denominator) == (1, 1)
+        # the forward pass: primitive integer rows with positive pivots
+        echelon = _echelon(rows)
+        assert sorted(echelon) == list(got)
+        for p, row in echelon.items():
+            assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+            assert all(type(v) is int for v in row.values())
+        for _ in range(2):
+            shuffled = [dict(rng.sample(list(r.items()), len(r))) for r in rows]
+            rng.shuffle(shuffled)
+            assert _layout(eliminate(shuffled)) == _layout(got), trial
+
+
+def test_forward_pass_divides_out_common_factors(monkeypatch):
+    """Clearing a column divides both multipliers by their gcd, so a row
+    cleared of eight pivot columns whose entries share the factor 2**20
+    keeps entries of that size instead of growing by it at every step."""
+    n, k = 2**20, 8
+    rows = [{i: n, k: 1} for i in range(k)] + [{**{i: n for i in range(k)}, k + 1: 1}]
+    sizes = []
+    real = linalg._clear
+
+    def clear(r, c, pivot_row):
+        real(r, c, pivot_row)
+        sizes.append(max(abs(v) for v in r.values()))
+
+    monkeypatch.setattr(linalg, "_clear", clear)
+    assert _echelon(rows)[k] == {k: k, k + 1: -1}
+    assert len(sizes) == k and max(sizes) <= n
 
 
 def test_sparse_rows_transposes_columns():
