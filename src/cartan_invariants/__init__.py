@@ -28,7 +28,6 @@ from .models import (FAMILIES, build_model, conformal, foliated_projective,
                      split_projective)
 from .modelio import (ModelSchemaError, emit_model_json, model_from_obj,
                       model_to_obj, parse_model_file, parse_model_json)
-from .cli import run, structure_report
 
 __all__ = [
     "parse_rational",
@@ -50,5 +49,4 @@ __all__ = [
     "grassmannian", "lagrangian_grassmannian", "projective", "split_projective",
     "ModelSchemaError", "emit_model_json", "model_from_obj", "model_to_obj",
     "parse_model_file", "parse_model_json",
-    "run", "structure_report",
 ]

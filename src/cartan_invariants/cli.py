@@ -10,7 +10,6 @@ stderr.  Exit codes: 0 success, 1 mathematical not-exact under
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -63,8 +62,13 @@ def _load_model(args) -> LieModel:
     token = args.model
     given = [name for name in ("n", "p", "q", "o_weights") if getattr(args, name) is not None]
     if token in FAMILIES:
-        # the builder's signature says which of --n, --p/--q, --o-weights apply
-        takes = inspect.signature(FAMILIES[token]).parameters
+        # the builder's parameters say which of --n, --p/--q, --o-weights
+        # apply; a functools.wraps wrapper hides them behind __wrapped__
+        builder = FAMILIES[token]
+        while hasattr(builder, "__wrapped__"):
+            builder = builder.__wrapped__
+        code = builder.__code__
+        takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         _reject_flags(f"family {token!r}", [name for name in given if name not in takes])
         params = {}
         if "n" in takes:

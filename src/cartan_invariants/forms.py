@@ -21,13 +21,12 @@ plus count by one; see ``quotient_d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
 from .linalg import nullspace, row_space_rref
-from .model import LieModel, Part
+from .model import FrozenRecord, LieModel, Part
 
 
 def parity_above(mask: int) -> int:
@@ -244,11 +243,11 @@ def mask_key(mask: int) -> tuple[int, ...]:
     return tuple(mask_bits(mask))
 
 
-@dataclass(frozen=True)
-class Grade:
-    p: int
-    q: int
-    r: int
+class Grade(FrozenRecord):
+    __slots__ = ("p", "q", "r")
+
+    def __init__(self, p: int, q: int, r: int):
+        self._init(p, q, r)
 
     def degree(self) -> int:
         return self.p + self.q + self.r

@@ -11,7 +11,6 @@ global order (part, index); antisymmetry is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import IntEnum
 from fractions import Fraction
 from math import lcm
@@ -26,12 +25,58 @@ class Part(IntEnum):
 PART_NAMES = {Part.MINUS: "minus", Part.ZERO: "zero", Part.PLUS: "plus"}
 
 
-@dataclass(frozen=True)
-class Generator:
-    part: Part
-    index: int
-    name: str
-    gid: int  # position in the global (part, index) order
+class Record:
+    """Base of the package's small value classes, in place of dataclasses,
+    whose import would cost every CLI process about 12 ms.  The fields are
+    the subclass's ``__slots__``; equality and repr go by them.  A record is
+    mutable and unhashable."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__))
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable record: ``__init__`` sets the fields once,
+    through ``_init``."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: their default sets each slot,
+        # which __setattr__ refuses
+        return type(self), self._fields()
+
+
+class Generator(FrozenRecord):
+    __slots__ = ("part", "index", "name", "gid")
+
+    def __init__(self, part: Part, index: int, name: str, gid: int):
+        # gid: the position in the global (part, index) order
+        self._init(part, index, name, gid)
 
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -203,10 +248,12 @@ class LieModel:
         return table
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list[dict] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: list[dict] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
     def add(self, check: str, detail: str):
         self.ok = False

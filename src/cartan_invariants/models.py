@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charforms import tangent_rep
-from .chevalley import ChevalleyBasis, g2_root_system
 from .linalg import rref
 from .model import (BracketTable, LieModel, Part, Rep, SparseMatrix, diagonal_block,
                     sparse_commutator, sparse_sum)
@@ -46,6 +45,21 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
         if comp:
             brackets[(i, j)] = comp
     return LieModel(dims, names, brackets, reps={}, meta=meta, realization=matrices)
+
+
+# The largest algebra a family builds.  Build time grows with about the cube of
+# the generator count; 300 generators take 1-1.5 s on a 2-vCPU Xeon VM
+# (projective(16), grassmannian(8, 9), lagrangian(12), conformal(23)).
+MAX_GENERATORS = 300
+
+
+def _dims(minus: int, zero: int, plus: int) -> tuple[int, int, int]:
+    """A family's block sizes, refused before anything is built when their
+    total passes MAX_GENERATORS."""
+    total = minus + zero + plus
+    if total > MAX_GENERATORS:
+        raise ValueError(f"{total} generators, more than the {MAX_GENERATORS} a family builds")
+    return (minus, zero, plus)
 
 
 def _names(dims) -> list[str]:
@@ -82,6 +96,7 @@ def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
     """
     if n < 1:
         raise ValueError("n >= 1")
+    dims = _dims(n, n * n, n)
     N = n + 1
     minus = [_E(i, 0) for i in range(1, N)]
     zero = []
@@ -92,7 +107,6 @@ def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
                 zij = sparse_sum((1, zij), (-1, _E(0, 0)))
             zero.append(zij)
     plus = [_E(0, j) for j in range(1, N)]
-    dims = (n, n * n, n)
     meta = {"family": "projective", "params": {"n": n, "o_weights": list(o_weights)}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
 
@@ -121,6 +135,7 @@ def grassmannian(p: int, q: int) -> LieModel:
     """
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1")
+    dims = _dims(p * q, p * p + q * q - 1, p * q)
     N = p + q
     u_range = range(0, p)
     q_range = range(p, N)
@@ -140,7 +155,6 @@ def grassmannian(p: int, q: int) -> LieModel:
     for i in range(p - 1):
         zero.append(sparse_sum((1, _E(i, i)), (-1, _E(i + 1, i + 1))))
     plus = [_E(i, J) for i in u_range for J in q_range]
-    dims = (p * q, p * p + q * q - 1, p * q)
     meta = {"family": "grassmannian", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
 
@@ -156,7 +170,8 @@ def lagrangian_grassmannian(n: int) -> LieModel:
     off-diagonal blocks and g0 = gl(n)."""
     if n < 1:
         raise ValueError("n >= 1")
-    N = 2 * n
+    k = n * (n + 1) // 2
+    dims = _dims(k, n * n, k)
 
     def sym_pairs():
         return [(a, b) for a in range(n) for b in range(a, n)]
@@ -171,8 +186,6 @@ def lagrangian_grassmannian(n: int) -> LieModel:
             minus.append(sparse_sum((1, _E(n + a, b)), (1, _E(n + b, a))))
             plus.append(sparse_sum((1, _E(a, n + b)), (1, _E(b, n + a))))
     zero = [sparse_sum((1, _E(a, b)), (-1, _E(n + b, n + a))) for a in range(n) for b in range(n)]
-    k = n * (n + 1) // 2
-    dims = (k, n * n, k)
     meta = {"family": "lagrangian_grassmannian", "params": {"n": n}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
     m.reps["tangent"] = tangent_rep(m)
@@ -193,6 +206,7 @@ def conformal(n: int) -> LieModel:
     """
     if n < 3:
         raise ValueError("n >= 3")
+    dims = _dims(n, n * (n - 1) // 2 + 1, n)
     N = n + 2
     mid = list(range(1, N - 1))
     mirror = {k: N - 1 - k for k in mid}
@@ -207,7 +221,6 @@ def conformal(n: int) -> LieModel:
             partner = (mirror[b], mirror[a])
             if (a, b) < partner:
                 zero.append(sparse_sum((1, _E(a, b)), (-1, _E(mirror[b], mirror[a]))))
-    dims = (n, n * (n - 1) // 2 + 1, n)
     pairing = [[Fraction(int(mirror[a] == b)) for b in mid] for a in mid]
     transport = [[Fraction(0)] * n for _ in range(n)]
     for ai, a in enumerate(mid):
@@ -236,6 +249,7 @@ def foliated_projective(p: int, q: int) -> LieModel:
     """
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1")
+    dims = _dims(p + q, p * p + q * q, q + p * q)
     N = p + q + 1
     leaf = range(1, p + 1)
     nor = range(p + 1, N)
@@ -254,7 +268,6 @@ def foliated_projective(p: int, q: int) -> LieModel:
     for I in nor:
         zero.append(sparse_sum((1, _E(I, I)), (-1, _E(0, 0))))
     plus = [_E(0, J) for J in nor] + [_E(i, J) for i in leaf for J in nor]
-    dims = (p + q, p * p + q * q, q + p * q)
     meta = {"family": "foliated_projective", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
     m.reps["tangent"] = tangent_rep(m)
@@ -268,13 +281,13 @@ def split_projective(p: int, q: int) -> LieModel:
     split tangent bundle: g = (gl(p) + C^p) x (gl(q) + C^q), no g+ part."""
     if p < 1 or q < 1:
         raise ValueError("p, q >= 1")
+    dims = _dims(p + q, p * p + q * q, 0)
     N = p + q + 1
     first = range(1, p + 1)
     second = range(p + 1, N)
     minus = [_E(i, 0) for i in first] + [_E(I, 0) for I in second]
     zero = [_E(i, j) for i in first for j in first]
     zero += [_E(I, J) for I in second for J in second]
-    dims = (p + q, p * p + q * q, 0)
     meta = {"family": "split_projective", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero, _names(dims), meta)
     m.reps["tangent"] = tangent_rep(m)
@@ -294,6 +307,8 @@ def g2_flag() -> LieModel:
     long-root vectors; the plus part mirrors the minus order.  The graded
     tangent module is the block-diagonal g0-action on g-.
     """
+    from .chevalley import ChevalleyBasis, g2_root_system  # compiled only for g2
+
     rs = g2_root_system()
     cb = ChevalleyBasis(rs)
 

@@ -14,7 +14,6 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,7 +22,7 @@ from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
                     monomial_masks, plus_component, quotient_d)
 from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
-from .model import LieModel, Rep
+from .model import LieModel, Record, Rep
 
 Partition = tuple[int, ...]
 
@@ -67,11 +66,14 @@ def evaluate_partition(cforms: list[Form], p: Partition) -> Form:
     return acc
 
 
-@dataclass
-class Relation:
-    degree: int
-    partitions: tuple[Partition, ...]
-    coefficients: tuple[int, ...]  # aligned with ``partitions``, coprime, leading > 0
+class Relation(Record):
+    __slots__ = ("degree", "partitions", "coefficients")
+
+    def __init__(self, degree: int, partitions: tuple[Partition, ...],
+                 coefficients: tuple[int, ...]):
+        self.degree = degree
+        self.partitions = partitions
+        self.coefficients = coefficients  # aligned with ``partitions``, coprime, leading > 0
 
     def nonzero(self) -> list[tuple[Partition, int]]:
         return [(p, c) for p, c in zip(self.partitions, self.coefficients) if c]
@@ -173,8 +175,7 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     return out
 
 
-@dataclass
-class PrimitiveResult:
+class PrimitiveResult(Record):
     """Outcome of a primitive search.
 
     A ``not_exact`` result carries ``witness``: a left vector y (monomial mask
@@ -184,12 +185,16 @@ class PrimitiveResult:
     alternative it proves that no primitive exists in the searched space.
     """
 
-    status: str  # "exact" | "not_exact"
-    psi: Form | None
-    grade: Grade
-    searched_dimension: int
-    certificate: dict
-    witness: Row | None = None
+    __slots__ = ("status", "psi", "grade", "searched_dimension", "certificate", "witness")
+
+    def __init__(self, status: str, psi: Form | None, grade: Grade, searched_dimension: int,
+                 certificate: dict, witness: Row | None = None):
+        self.status = status  # "exact" | "not_exact"
+        self.psi = psi
+        self.grade = grade
+        self.searched_dimension = searched_dimension
+        self.certificate = certificate
+        self.witness = witness
 
     @property
     def exact(self) -> bool:

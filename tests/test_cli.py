@@ -1,8 +1,10 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,6 +14,16 @@ import cartan_invariants as ci
 from cartan_invariants.cli import run, structure_report
 from cartan_invariants.modelio import (ModelSchemaError, emit_model_json,
                                        parse_model_file, parse_model_json)
+from cartan_invariants.models import FAMILIES
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def child_env():
+    """The environment of a child interpreter that imports ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def cli(*argv):
@@ -279,14 +291,81 @@ def test_console_entry_point_subprocess():
 
 
 def test_python_dash_m_entry_point():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "cartan_invariants", "--help"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=child_env())
     assert out.returncode == 0
     assert out.stderr == ""
     assert "conformal-coeffs" in out.stdout
+
+
+def _loaded_modules(statement):
+    """The modules a fresh interpreter has loaded after ``statement``."""
+    out = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys; print('\\n'.join(sys.modules))"],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_start_up_imports():
+    """Every module a process loads costs it the module's import, and, with
+    no bytecode cache, the compile of its source.  The CLI leaves out
+    dataclasses, inspect and chevalley (only g2 needs it); the package
+    import leaves out argparse and the CLI, yet still loads every module
+    that perfbench/layers.py patches through sys.modules."""
+    start = _loaded_modules("pass")
+    cli_path = _loaded_modules("from cartan_invariants.cli import main") - start
+    assert not cli_path & {"dataclasses", "inspect", "cartan_invariants.chevalley"}
+    package = _loaded_modules("import cartan_invariants") - start
+    assert not package & {"argparse", "cartan_invariants.cli"}
+    assert {f"cartan_invariants.{name}" for name in (
+        "charforms", "forms", "invariants", "linalg", "model", "modelio", "models",
+        "relations")} <= package
+
+
+def test_wrapped_family_builder_keeps_its_parameters(monkeypatch):
+    """A ``functools.wraps`` wrapper, as a tracer installs, takes
+    ``*args, **kwargs``; the CLI reads the parameters of the builder it
+    wraps."""
+    builder = FAMILIES["grassmannian"]
+
+    @functools.wraps(builder)
+    def wrapper(*args, **kwargs):
+        return builder(*args, **kwargs)
+
+    monkeypatch.setitem(FAMILIES, "grassmannian", wrapper)
+    argv = ["chern", "grassmannian", "--p", "2", "--q", "2", "--rep", "tangent", "--max", "1"]
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "") and out.startswith("c1 = ")
+    code, out, err = cli(*argv, "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("params", [
+    ["projective", "--n", "100000"],
+    ["grassmannian", "--p", "1", "--q", "100000"],
+    ["lagrangian", "--n", "100000"],
+    ["conformal", "--n", "100000"],
+    ["foliated", "--p", "100000", "--q", "1"],
+    ["split", "--p", "1", "--q", "100000"],
+])
+def test_family_size_cap_exits_two(params):
+    """An oversized family is refused before anything is built.  The query
+    runs in a child with a timeout and a memory limit, so that a missing cap
+    fails this test instead of filling memory."""
+    out = subprocess.run(
+        [sys.executable, "-m", "cartan_invariants", "chern", *params, "--rep", "tangent",
+         "--max", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+        preexec_fn=_limit_memory)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith(f"error: family {params[0]!r}: "), out.stderr
+    assert out.stderr.count("\n") == 1, out.stderr
 
 
 def _set(path, value):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -5,8 +7,9 @@ import pytest
 
 from cartan_invariants import (CoadjointOperator, Part, projective, validate_model,
                                validate_rep)
-from cartan_invariants.forms import Form, ce_differential
-from cartan_invariants.model import Rep, sparse_commutator
+from cartan_invariants.forms import Form, Grade, ce_differential
+from cartan_invariants.model import Generator, Rep, ValidationReport, sparse_commutator
+from cartan_invariants.relations import PrimitiveResult, Relation
 from conftest import sl2_corrupted
 
 
@@ -142,3 +145,51 @@ def test_projective_bracket_plus_minus_lands_in_h_complement():
         for y in m.part_range(Part.MINUS):
             comp = m.bracket_basis(x, y)
             assert all(m.part_of(k) != Part.PLUS for k in comp), (x, y)
+
+
+def test_frozen_value_classes():
+    """Grade and Generator compare and hash by their fields, refuse
+    assignment, and are not plain tuples."""
+    for cls, fields, other in ((Grade, (1, 0, 2), (1, 0, 3)),
+                               (Generator, (Part.MINUS, 0, "w1", 0), (Part.MINUS, 0, "w1", 1))):
+        value = cls(*fields)
+        assert value == cls(*fields) and hash(value) == hash(cls(*fields))
+        assert value != cls(*other) and value != fields and fields != value
+        assert {value: 1}[cls(*fields)] == 1
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+        with pytest.raises(AttributeError):
+            value.name = "x"
+        with pytest.raises(AttributeError):
+            del value.name
+    grade = Grade(p=1, q=0, r=2)
+    with pytest.raises(AttributeError):
+        grade.r = 3
+    assert grade.as_tuple() == (1, 0, 2) and grade.raised() == Grade(1, 0, 3)
+    assert repr(grade) == "Grade(p=1, q=0, r=2)"
+    assert repr(Generator(Part.PLUS, 2, "u3", 9)) == \
+        "Generator(part=<Part.PLUS: 2>, index=2, name='u3', gid=9)"
+
+
+def test_mutable_value_classes():
+    """ValidationReport, Relation and PrimitiveResult compare by their
+    fields and are unhashable; each report gets its own failures list."""
+    first, second = ValidationReport(ok=True), ValidationReport(ok=True)
+    assert first == second
+    first.add("jacobi", "detail")
+    assert (second.ok, second.failures) == (True, [])
+    assert (first.ok, first.failures) == (False, [{"check": "jacobi", "detail": "detail"}])
+    assert first != second
+    assert repr(second) == "ValidationReport(ok=True, failures=[])"
+    relation = Relation(2, ((2,), (1, 1)), (1, -3))
+    assert relation == Relation(2, ((2,), (1, 1)), (1, -3)) != Relation(2, ((2,),), (1,))
+    assert relation.nonzero() == [((2,), 1), ((1, 1), -3)]
+    grade = Grade(1, 0, 1)
+    exact = PrimitiveResult("exact", Form.zero(), grade, 3, {"columns": 3})
+    assert exact.witness is None and exact.exact
+    witness = {5: F(1, 2)}
+    not_exact = PrimitiveResult("not_exact", None, grade, 3, {}, witness=witness)
+    assert not_exact.witness == witness and not not_exact.exact
+    assert not_exact == PrimitiveResult("not_exact", None, grade, 3, {}, witness)
+    for value in (first, relation, exact):
+        with pytest.raises(TypeError):
+            hash(value)

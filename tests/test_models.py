@@ -276,6 +276,12 @@ def test_builder_params_validated():
         ci.conformal(2)
     with pytest.raises(ValueError):
         ci.build_model("nonsense")
+    # one generator over the cap of 300 or more, refused before anything is built
+    for build in (lambda: ci.projective(17), lambda: ci.grassmannian(8, 10),
+                  lambda: ci.lagrangian_grassmannian(13), lambda: ci.conformal(24),
+                  lambda: ci.foliated_projective(1, 17), lambda: ci.split_projective(12, 12)):
+        with pytest.raises(ValueError, match="generators, more than the 300"):
+            build()
 
 
 # -- oracle: the sparse structure-constant solve against the dense one ---------
