@@ -123,12 +123,22 @@ def tangent_atiyah_form(m: LieModel, rep: Rep | None = None):
     return out
 
 
-def tangent_rep(m: LieModel, label: str = "tangent") -> Rep:
-    """g0 acting on g- through the bracket (the model-level tangent module)."""
-    n = m.dims[0]  # minus gids 0..n-1 index the rows and columns
-    mats = [{(k, y): c for y in range(n) for k, c in m.bracket_basis(u, y).items() if k < n}
-            for u in m.part_range(Part.ZERO)]
-    return Rep(label, mats, n)
+def tangent_rep(m: LieModel, label: str = "tangent", lo: int = 0,
+                hi: int | None = None) -> Rep:
+    """g0 acting through the bracket on the minus gids [lo, hi), all of g- by
+    default (the model-level tangent module); the block must be g0-invariant."""
+    hi = m.dims[0] if hi is None else hi
+    mats = []
+    for u in m.part_range(Part.ZERO):
+        mat = {}
+        for j in range(lo, hi):
+            for k, c in m.bracket_basis(u, j).items():
+                if lo <= k < hi:
+                    mat[(k - lo, j - lo)] = c
+                elif k < m.dims[0]:
+                    raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
+        mats.append(mat)
+    return Rep(label, mats, hi - lo)
 
 
 def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
@@ -322,18 +332,15 @@ def invariant_poly_eval(f: InvPoly, args: list[MatrixForm],
     return _polarized(f, args, degrees).scale(Fraction(1, factorial(len(args))))
 
 
-def cs_coefficients(k: int, halved: bool = False) -> list[Fraction]:
+def cs_coefficients(k: int) -> list[Fraction]:
     """Transgression coefficients a_j = (-1)^j (k-1)! / ((k+j)! (k-1-j)!).
 
-    ``halved`` returns the classical A_j = a_j / 2^j; the resulting form is
-    the same either way because that normalization pairs with the doubled
-    commutator argument.
+    The classical A_j are a_j / 2^j; the resulting form is the same either
+    way because that normalization pairs with the doubled commutator
+    argument.
     """
-    out = []
-    for j in range(k):
-        a = Fraction((-1) ** j * factorial(k - 1), factorial(k + j) * factorial(k - 1 - j))
-        out.append(a / 2 ** j if halved else a)
-    return out
+    return [Fraction((-1) ** j * factorial(k - 1), factorial(k + j) * factorial(k - 1 - j))
+            for j in range(k)]
 
 
 def _transgression_terms(m: LieModel, rep: Rep, f: InvPoly, count: int) -> list[Form]:

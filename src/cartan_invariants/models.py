@@ -2,11 +2,12 @@
 Grassmannian, conformal, foliated projective, split-tangent, and the g2 flag
 variety.
 
-Matrix families are realized through explicit block conventions so the index
-formulas of the classical structure equations hold literally; g2 is assembled
-from a Chevalley basis graded by the coefficient of the crossed (short)
-simple root.  Generator names are w* (minus), z* (zero), u* (plus) in the
-global (part, index) order.
+Every family is realized by matrices, and ``_model_from_matrices`` turns them
+into structure constants.  The classical families use explicit block
+conventions so the index formulas of the classical structure equations hold
+literally; g2 acts on its 7-dimensional module, graded by the coefficient of
+the crossed (short) simple root.  Generator names are w* (minus), z* (zero),
+u* (plus) in the global (part, index) order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .charforms import tangent_rep
 from .linalg import rref
-from .model import (BracketTable, LieModel, Part, Rep, SparseMatrix, diagonal_block,
+from .model import (BracketTable, LieModel, Rep, SparseMatrix, diagonal_block,
                     sparse_commutator, sparse_sum)
 
 
@@ -67,21 +68,6 @@ def _names(dims) -> list[str]:
     for prefix, count in zip(("w", "z", "u"), dims):
         out.extend(f"{prefix}{i + 1}" for i in range(count))
     return out
-
-
-def _sub_block_rep(m: LieModel, label: str, lo: int, hi: int) -> Rep:
-    """g0-action on the minus sub-block [lo, hi); the block must be invariant."""
-    mats = []
-    for u in m.part_range(Part.ZERO):
-        mat = {}
-        for j in range(lo, hi):
-            for k, c in m.bracket_basis(u, j).items():
-                if lo <= k < hi:
-                    mat[(k - lo, j - lo)] = c
-                elif k < m.dims[0]:
-                    raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
-        mats.append(mat)
-    return Rep(label, mats, hi - lo)
 
 
 # -- projective space --------------------------------------------------------
@@ -271,8 +257,8 @@ def foliated_projective(p: int, q: int) -> LieModel:
     meta = {"family": "foliated_projective", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
     m.reps["tangent"] = tangent_rep(m)
-    m.reps["TF"] = _sub_block_rep(m, "TF", 0, p)
-    m.reps["normal"] = _sub_block_rep(m, "normal", p, p + q)
+    m.reps["TF"] = tangent_rep(m, "TF", 0, p)
+    m.reps["normal"] = tangent_rep(m, "normal", p, p + q)
     return m
 
 
@@ -300,84 +286,48 @@ def split_projective(p: int, q: int) -> LieModel:
 def g2_flag() -> LieModel:
     """The five-dimensional g2 flag model (crossed short root).
 
-    Grading by the coefficient of the short simple root alpha: the minus part
-    collects the roots with negative alpha-coefficient in the block order
+    Grading by the coefficient of the short simple root a: the minus part
+    collects the roots with negative a-coefficient in the block order
     (-3a-b, -3a-2b | -2a-b | -a, -a-b); the zero part is spanned by two
     Cartan combinations dual to the weights of the grade -1 pair plus the
-    long-root vectors; the plus part mirrors the minus order.  The graded
-    tangent module is the block-diagonal g0-action on g-.
+    long-root vectors e_b, e_-b; the plus part mirrors the minus order.  The
+    graded tangent module is the block-diagonal g0-action on g-.
+
+    g2 acts on its 7-dimensional module (Fulton-Harris, Representation
+    Theory, Lecture 22) with rows and columns of weights 2a+b, a+b, a, 0, -a,
+    -a-b, -2a-b.  The simple root vectors move one weight step each; every
+    other root vector comes from its extraspecial pair (alpha, beta) with
+    N = p + 1, p the length of the alpha-string down from beta (Carter,
+    Simple Groups of Lie Type, section 4.2): e_g = [e_alpha, e_beta]/N and
+    e_-g = -[e_-alpha, e_-beta]/N.
     """
-    from .chevalley import ChevalleyBasis, g2_root_system  # compiled only for g2
+    # root vectors keyed by the root's (a, b) coefficients; entry (i, j)
+    # carries weight j to weight i
+    e = {root: {key: Fraction(c) for key, c in entries.items()} for root, entries in (
+        ((1, 0), {(0, 1): 1, (2, 3): 1, (3, 4): 1, (5, 6): 1}),
+        ((-1, 0), {(1, 0): 1, (3, 2): 2, (4, 3): 2, (6, 5): 1}),
+        ((0, 1), {(1, 2): 1, (4, 5): 1}),
+        ((0, -1), {(2, 1): 1, (5, 4): 1}))}
 
-    rs = g2_root_system()
-    cb = ChevalleyBasis(rs)
+    def neg(root):
+        return (-root[0], -root[1])
 
-    minus_roots = [(-3, -1), (-3, -2), (-2, -1), (-1, 0), (-1, -1)]
-    plus_roots = [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
-    # h1, h2 are the Cartan elements dual to the roots of the grade -1
-    # generators (-a and -a-b): coroot coordinates (-1,-1) and (-1,-2).
-    h_combos = [(Fraction(-1), Fraction(-1)), (Fraction(-1), Fraction(-2))]
-    zero_root_vectors = [(0, 1), (0, -1)]
-
-    gens: list[tuple[str, object]] = []
-    for r in minus_roots:
-        gens.append(("root", r))
-    for h in h_combos:
-        gens.append(("cartan", h))
-    for r in zero_root_vectors:
-        gens.append(("root", r))
-    for r in plus_roots:
-        gens.append(("root", r))
-
-    root_pos = {payload: i for i, (kind, payload) in enumerate(gens) if kind == "root"}
-    # express a coroot-coordinate vector over (h1, h2); the basis matrix
-    # [[-1,-1],[-1,-2]] has inverse [[-2,1],[1,-1]].
-    def h_coords(coroot: list[Fraction]) -> dict[int, Fraction]:
-        c1, c2 = coroot
-        a = -2 * c1 + c2
-        b = c1 - c2
-        out = {}
-        if a:
-            out[5] = a  # gid of h1
-        if b:
-            out[6] = b  # gid of h2
-        return out
-
-    def pairing_with_combo(r, combo) -> Fraction:
-        return combo[0] * cb.cartan_pairing(r, 0) + combo[1] * cb.cartan_pairing(r, 1)
-
-    total = len(gens)
-    brackets: BracketTable = {}
-    for i in range(total):
-        for j in range(i + 1, total):
-            ki, pi = gens[i]
-            kj, pj = gens[j]
-            comp: dict[int, Fraction] = {}
-            if ki == "cartan" and kj == "cartan":
-                pass
-            elif ki == "cartan":
-                c = pairing_with_combo(pj, pi)
-                if c:
-                    comp[j] = c
-            elif kj == "cartan":
-                c = -pairing_with_combo(pi, pj)
-                if c:
-                    comp[i] = c
-            else:
-                total_root = rs.add(pi, pj)
-                if all(x == 0 for x in total_root):
-                    comp = h_coords(cb.coroot(pi))
-                elif total_root in rs.all_roots:
-                    nval = cb.n(pi, pj)
-                    if nval:
-                        comp[root_pos[total_root]] = nval
-            comp = {k: c for k, c in comp.items() if c}
-            if comp:
-                brackets[(i, j)] = comp
-
+    for alpha, beta, n in (((0, 1), (1, 0), 1), ((1, 0), (1, 1), 2),
+                           ((1, 0), (2, 1), 3), ((0, 1), (3, 1), 1)):
+        gamma = (alpha[0] + beta[0], alpha[1] + beta[1])
+        e[gamma] = sparse_sum((Fraction(1, n), sparse_commutator(e[alpha], e[beta])))
+        e[neg(gamma)] = sparse_sum((Fraction(-1, n),
+                                    sparse_commutator(e[neg(alpha)], e[neg(beta)])))
+    # h1, h2 are dual to the weights of the grade -1 generators (-a and -a-b)
+    h_a = sparse_commutator(e[(1, 0)], e[(-1, 0)])
+    h_b = sparse_commutator(e[(0, 1)], e[(0, -1)])
+    zero = [sparse_sum((-1, h_a), (-1, h_b)), sparse_sum((-1, h_a), (-2, h_b)),
+            e[(0, 1)], e[(0, -1)]]
+    minus = [e[r] for r in ((-3, -1), (-3, -2), (-2, -1), (-1, 0), (-1, -1))]
+    plus = [e[r] for r in ((1, 0), (1, 1), (2, 1), (3, 1), (3, 2))]
     dims = (5, 4, 5)
     meta = {"family": "g2_flag", "params": {}}
-    m = LieModel(dims, _names(dims), brackets, reps={}, meta=meta)
+    m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
     m.reps["graded-tangent"] = tangent_rep(m, "graded-tangent")
     return m
 

@@ -1,4 +1,6 @@
-"""Chevalley basis of a simple Lie algebra from its Cartan data.
+"""Chevalley basis of a simple Lie algebra from its Cartan data, and the g2
+flag model assembled from it: an oracle for ``models.g2_flag``, which builds
+the same model from matrices on the 7-dimensional module.
 
 Roots are integer coordinate vectors over the simple roots, generated by the
 string-closure algorithm.  Structure constants N_{a,b} have |N| = p+1 with
@@ -18,6 +20,11 @@ model validation re-checks Jacobi exhaustively, and the propagation asserts
 from __future__ import annotations
 
 from fractions import Fraction
+
+from cartan_invariants.charforms import tangent_rep
+from cartan_invariants.model import BracketTable, LieModel
+from cartan_invariants.models import _names
+
 Root = tuple[int, ...]
 
 
@@ -205,3 +212,86 @@ class ChevalleyBasis:
 def g2_root_system() -> RootSystem:
     """G2 with alpha_1 short ((a1,a1) = 2) and alpha_2 long ((a2,a2) = 6)."""
     return RootSystem([[2, -3], [-1, 2]], [Fraction(2), Fraction(6)])
+
+
+def g2_chevalley_flag() -> LieModel:
+    """The five-dimensional g2 flag model (crossed short root).
+
+    Grading by the coefficient of the short simple root alpha: the minus part
+    collects the roots with negative alpha-coefficient in the block order
+    (-3a-b, -3a-2b | -2a-b | -a, -a-b); the zero part is spanned by two
+    Cartan combinations dual to the weights of the grade -1 pair plus the
+    long-root vectors; the plus part mirrors the minus order.  The graded
+    tangent module is the block-diagonal g0-action on g-.
+    """
+    rs = g2_root_system()
+    cb = ChevalleyBasis(rs)
+
+    minus_roots = [(-3, -1), (-3, -2), (-2, -1), (-1, 0), (-1, -1)]
+    plus_roots = [(1, 0), (1, 1), (2, 1), (3, 1), (3, 2)]
+    # h1, h2 are the Cartan elements dual to the roots of the grade -1
+    # generators (-a and -a-b): coroot coordinates (-1,-1) and (-1,-2).
+    h_combos = [(Fraction(-1), Fraction(-1)), (Fraction(-1), Fraction(-2))]
+    zero_root_vectors = [(0, 1), (0, -1)]
+
+    gens: list[tuple[str, object]] = []
+    for r in minus_roots:
+        gens.append(("root", r))
+    for h in h_combos:
+        gens.append(("cartan", h))
+    for r in zero_root_vectors:
+        gens.append(("root", r))
+    for r in plus_roots:
+        gens.append(("root", r))
+
+    root_pos = {payload: i for i, (kind, payload) in enumerate(gens) if kind == "root"}
+    # express a coroot-coordinate vector over (h1, h2); the basis matrix
+    # [[-1,-1],[-1,-2]] has inverse [[-2,1],[1,-1]].
+    def h_coords(coroot: list[Fraction]) -> dict[int, Fraction]:
+        c1, c2 = coroot
+        a = -2 * c1 + c2
+        b = c1 - c2
+        out = {}
+        if a:
+            out[5] = a  # gid of h1
+        if b:
+            out[6] = b  # gid of h2
+        return out
+
+    def pairing_with_combo(r, combo) -> Fraction:
+        return combo[0] * cb.cartan_pairing(r, 0) + combo[1] * cb.cartan_pairing(r, 1)
+
+    total = len(gens)
+    brackets: BracketTable = {}
+    for i in range(total):
+        for j in range(i + 1, total):
+            ki, pi = gens[i]
+            kj, pj = gens[j]
+            comp: dict[int, Fraction] = {}
+            if ki == "cartan" and kj == "cartan":
+                pass
+            elif ki == "cartan":
+                c = pairing_with_combo(pj, pi)
+                if c:
+                    comp[j] = c
+            elif kj == "cartan":
+                c = -pairing_with_combo(pi, pj)
+                if c:
+                    comp[i] = c
+            else:
+                total_root = rs.add(pi, pj)
+                if all(x == 0 for x in total_root):
+                    comp = h_coords(cb.coroot(pi))
+                elif total_root in rs.all_roots:
+                    nval = cb.n(pi, pj)
+                    if nval:
+                        comp[root_pos[total_root]] = nval
+            comp = {k: c for k, c in comp.items() if c}
+            if comp:
+                brackets[(i, j)] = comp
+
+    dims = (5, 4, 5)
+    meta = {"family": "g2_flag", "params": {}}
+    m = LieModel(dims, _names(dims), brackets, reps={}, meta=meta)
+    m.reps["graded-tangent"] = tangent_rep(m, "graded-tangent")
+    return m

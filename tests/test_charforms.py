@@ -201,7 +201,8 @@ def test_odd_repeated_argument_antisymmetry():
 def test_cs_coefficients():
     assert ci.cs_coefficients(2) == [F(1, 2), F(-1, 6)]
     assert ci.cs_coefficients(3) == [F(1, 6), F(-1, 12), F(1, 60)]
-    assert ci.cs_coefficients(3, halved=True) == [F(1, 6), F(-1, 24), F(1, 240)]
+    assert [a / 2**j for j, a in enumerate(ci.cs_coefficients(3))] == [
+        F(1, 6), F(-1, 24), F(1, 240)]
 
 
 def test_cs_form_projective_line():

@@ -310,7 +310,8 @@ def _loaded_modules(statement):
 def test_start_up_imports():
     """Every module a process loads costs it the module's import, and, with
     no bytecode cache, the compile of its source.  The CLI leaves out
-    dataclasses, inspect and chevalley (only g2 needs it); the package
+    dataclasses and inspect, and loads no Chevalley module (that construction
+    is the test oracle tests/chevalley_oracle.py); the package
     import leaves out argparse and the CLI, yet still loads every module
     that perfbench/layers.py patches through sys.modules."""
     start = _loaded_modules("pass")

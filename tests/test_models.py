@@ -5,7 +5,9 @@ import pytest
 import cartan_invariants as ci
 from cartan_invariants import Part, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, quotient_d, mask_bits
+from cartan_invariants.modelio import emit_model_json
 from cartan_invariants.models import _model_from_matrices
+from chevalley_oracle import g2_chevalley_flag
 from dense_oracle import rref_rows
 
 BUILTIN = [
@@ -228,6 +230,22 @@ def test_g2_quotient_d_patterns():
     assert support(13, g_plus) == {("u2", "u3")}
 
 
+def test_g2_matrices_match_chevalley_assembly():
+    """The matrices on the 7-dimensional module give the bracket table that
+    the Chevalley basis, built from the G2 Cartan data alone, assembles."""
+    m, oracle = ci.g2_flag(), g2_chevalley_flag()
+    assert m.brackets == oracle.brackets
+    assert emit_model_json(m) == emit_model_json(oracle)
+    assert validate_model(oracle).ok
+
+
+def test_tangent_rep_block_must_be_invariant():
+    m = ci.projective(2)
+    assert ci.tangent_rep(m, "all", 0, 2).matrices == m.reps["tangent"].matrices
+    with pytest.raises(ValueError, match=r"minus block \[0,1\) not g0-invariant"):
+        ci.tangent_rep(m, "first", 0, 1)
+
+
 def test_g2_graded_tangent_block_pattern():
     m = ci.g2_flag()
     rep = m.reps["graded-tangent"]
@@ -315,12 +333,13 @@ def _dense_brackets(matrices):
     return brackets
 
 
-# every matrix-realized family; g2 is built from a Chevalley basis instead
-ORACLE_GRID = [case for case in BUILTIN if case[0] != "g2"] + [
+# every family is realized by matrices; g2, the last BUILTIN case, comes last
+# here too, so the parametrized ids of the other cases keep their numbers
+ORACLE_GRID = BUILTIN[:-1] + [
     ("grassmannian", dict(p=1, q=3)), ("grassmannian", dict(p=3, q=2)),
     ("lagrangian", dict(n=3)), ("conformal", dict(n=6)), ("foliated", dict(p=1, q=2)),
     ("split", dict(p=1, q=3)),
-]
+] + BUILTIN[-1:]
 
 
 @pytest.mark.parametrize("family,params", ORACLE_GRID)
