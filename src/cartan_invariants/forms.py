@@ -2,16 +2,15 @@
 
 Monomials are bitmasks over the global generator order, so structural
 equality, wedge signs and trigrade counts are all bit arithmetic.  A Form
-is homogeneous in tau: one tau exponent, and a map from monomial masks to
-nonzero ``Fraction`` coefficients.
+is homogeneous in tau: one tau exponent, one positive integer denominator
+and a map from monomial masks to integer numerators, in lowest terms.
 
-The wedge, the CE differential and the coadjoint action run on integer
-numerators: each input form is brought to numerators over the LCM of its
-denominators, the structure tables are held as numerators over their own
-LCM, sums accumulate as ``{mask: int}`` and one ``Fraction`` is built per
-output term.  A Form keeps the integer views the wedge kernel reads from it,
-built on first use: forms are never mutated, so an operand reused across
-products (an entry of a matrix power, say) is converted once, not per product.
+Every operation on forms (sums, scaling, the wedge, the CE differential and
+the coadjoint action) runs on those integers: the structure tables are held
+as numerators over their own LCM, sums accumulate as ``{mask: int}`` over
+the product or LCM of the denominators, and one gcd pass brings each result
+to lowest terms.  ``Fraction``s are built only where coefficients leave the
+form layer: ``terms``, ``coefficients``, ``to_json`` and ``pretty``.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -56,20 +55,27 @@ def mask_bits(mask: int) -> list[int]:
 
 
 class Form:
-    """Exterior form tau**tau * sum_mask c_mask mask with rational c_mask.
+    """Exterior form tau**tau * sum_mask (nums[mask] / den) mask, built from
+    ``terms``, a map from masks to rationals (``int`` or ``Fraction``).
 
-    Every form the engine builds is homogeneous in tau, so the exponent is
-    stored once and ``terms`` maps monomial masks to nonzero ``Fraction``s.
-    The zero form has no terms; it is equal to every other zero form and
-    neutral under ``+`` whatever its exponent.
+    The tau exponent is stored once, with a positive integer ``den`` and
+    integer numerators ``nums``, kept canonical: no zero numerator,
+    ``gcd(den, *nums) == 1`` and ``den == 1`` for the zero form, so equal
+    forms have equal ``den`` and ``nums``.  The zero form is equal to every
+    other zero form and neutral under ``+`` whatever its exponent.  The
+    read-only ``terms`` builds the coefficients as reduced ``Fraction``s.
     """
 
-    __slots__ = ("terms", "tau", "_right", "_left")
+    __slots__ = ("nums", "den", "tau", "_left")
 
     def __init__(self, terms: dict[int, Fraction] | None = None, tau: int = 0):
-        self.terms = {mask: Fraction(c) for mask, c in terms.items() if c} if terms else {}
+        # rationals are in lowest terms, so over the LCM of their
+        # denominators the numerators are already coprime to it
+        terms = {mask: c for mask, c in terms.items() if c} if terms else {}
+        self.den = lcm(*(c.denominator for c in terms.values()))
+        self.nums = {mask: c.numerator * (self.den // c.denominator) for mask, c in terms.items()}
         self.tau = tau
-        self._right = self._left = None
+        self._left = None
 
     @classmethod
     def zero(cls) -> "Form":
@@ -77,7 +83,7 @@ class Form:
 
     @classmethod
     def unit(cls) -> "Form":
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     @classmethod
     def monomial(cls, mask: int, coeff=1, tau: int = 0) -> "Form":
@@ -90,55 +96,53 @@ class Form:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
+
+    @property
+    def terms(self) -> dict[int, Fraction]:
+        """The coefficients, as mask -> reduced nonzero ``Fraction``."""
+        den = self.den
+        return {mask: Fraction(n, den) for mask, n in self.nums.items()}
 
     def __add__(self, other: "Form") -> "Form":
-        if not other.terms:
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
         if self.tau != other.tau:
             raise ValueError(f"sum of forms at tau^{self.tau} and tau^{other.tau}")
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = out.get(mask)
-            s = c if s is None else s + c
-            if s:
-                out[mask] = s
-            else:
-                del out[mask]
-        return _form(out, self.tau)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        out = {mask: n * fa for mask, n in self.nums.items()}
+        for mask, n in other.nums.items():
+            out[mask] = out.get(mask, 0) + n * fb
+        return _form(out, d, self.tau)
 
     def __neg__(self) -> "Form":
-        return _form({m: -c for m, c in self.terms.items()}, self.tau)
+        return _form({mask: -n for mask, n in self.nums.items()}, self.den, self.tau)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
-        """Multiply by a rational."""
-        if not c:
-            return _form({}, self.tau)
-        return _form({m: q * c for m, q in self.terms.items()}, self.tau)
+        """Multiply by a rational (``int`` or ``Fraction``)."""
+        p, q = c.numerator, c.denominator
+        if not p:
+            return _form({}, 1, self.tau)
+        nums = self.nums if p == 1 else {mask: n * p for mask, n in self.nums.items()}
+        return _form(nums, self.den * q, self.tau)
 
     def tau_shift(self, k: int) -> "Form":
         """Multiply by tau**k."""
-        return _form(self.terms, self.tau + k)
+        return _form(self.nums, self.den, self.tau + k)
 
     def wedge(self, other: "Form") -> "Form":
         return _wedge_sums([[(self, other)]])[0]
 
-    def right_view(self) -> tuple[int, list[tuple[int, int]]]:
-        """(d, [(mask, numerator)]) over the LCM d of the denominators, kept."""
-        if self._right is None:
-            self._right = _numerators(self)
-        return self._right
-
-    def left_view(self) -> tuple[int, list[tuple[int, int, int]]]:
-        """(d, [(mask, parity_above(mask), numerator)]), kept without a right view."""
+    def left_view(self) -> list[tuple[int, int, int]]:
+        """[(mask, parity_above(mask), numerator)], built on first use and kept."""
         if self._left is None:
-            d, nums = self._right or _numerators(self)
-            self._left = (d, [(m, parity_above(m), n) for m, n in nums])
+            self._left = [(mask, parity_above(mask), n) for mask, n in self.nums.items()]
         return self._left
 
     def wedge_power(self, k: int) -> "Form":
@@ -148,73 +152,79 @@ class Form:
         return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Form) and self.terms == other.terms
-                and (self.tau == other.tau or not self.terms))
+        return (isinstance(other, Form) and self.nums == other.nums and self.den == other.den
+                and (self.tau == other.tau or not self.nums))
 
     def __hash__(self):
-        return hash((self.tau if self.terms else 0, tuple(sorted(self.terms.items()))))
+        return hash((self.tau if self.nums else 0, self.den, tuple(sorted(self.nums.items()))))
 
     def degrees(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
+        return {mask.bit_count() for mask in self.nums}
 
     def coefficients(self, tau: int = 0) -> dict[int, Fraction]:
         """The coefficients of tau**tau, as mask -> Fraction; a nonzero form
         must sit at that exponent."""
-        if self.terms and self.tau != tau:
+        if self.nums and self.tau != tau:
             raise AssertionError(f"form at tau^{self.tau} read at tau^{tau}")
-        return dict(self.terms)
+        return self.terms
 
     def _sorted_masks(self) -> list[int]:
-        return sorted(self.terms, key=lambda m: (m.bit_count(), mask_key(m)))
+        return sorted(self.nums, key=lambda mask: (mask.bit_count(), mask_key(mask)))
 
     def to_json(self, model: LieModel) -> list:
-        return [[[model.names[g] for g in mask_bits(mask)], self.tau, str(self.terms[mask])]
+        return [[[model.names[g] for g in mask_bits(mask)], self.tau,
+                 str(Fraction(self.nums[mask], self.den))]
                 for mask in self._sorted_masks()]
 
     def pretty(self, model: LieModel) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         t = "" if self.tau == 0 else "*t" if self.tau == 1 else f"*t^{self.tau}"
         bits = []
         for mask in self._sorted_masks():
             names = "∧".join(model.names[g] for g in mask_bits(mask)) or "1"
-            bits.append(f"({self.terms[mask]}{t})·{names}")
+            bits.append(f"({Fraction(self.nums[mask], self.den)}{t})·{names}")
         return " + ".join(bits)
 
     def __repr__(self) -> str:
-        return f"Form<{len(self.terms)} terms, tau^{self.tau}>"
+        return f"Form<{len(self.nums)} terms, tau^{self.tau}>"
 
 
-def _form(terms: dict[int, Fraction], tau: int) -> Form:
-    """A Form from terms already free of zeros, without copying them."""
+def _form(acc: dict[int, int], den: int, tau: int) -> Form:
+    """The form tau**tau * sum_mask (acc[mask] / den) mask, den > 0, made
+    canonical: zero numerators dropped, then one gcd pass over den and the
+    rest.  ``acc`` itself is kept when it is already canonical: forms share
+    their numerator dicts and never mutate them."""
+    nums = acc if all(acc.values()) else {mask: n for mask, n in acc.items() if n}
+    g = gcd(den, *nums.values())
     res = Form.__new__(Form)
-    res.terms = terms
+    res.nums, res.den = (nums, den) if g == 1 else ({m: n // g for m, n in nums.items()}, den // g)
     res.tau = tau
-    res._right = res._left = None
+    res._left = None
     return res
 
 
 def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
     """For each list of pairs (a, b), the form sum of a ^ b, in integers.
 
-    Operands are read through the integer views their forms keep (``left_view``
-    and ``right_view``); a sum accumulates ``{mask: int}`` over the LCM of its
-    pairs' denominator products and builds one ``Fraction`` per output term.
-    Pairs with a zero operand are skipped; the others must agree in tau.
+    A left operand is read through the view it keeps (``left_view``), a
+    right one through its numerators; a sum accumulates ``{mask: int}`` over
+    the LCM of its pairs' denominator products.  Pairs with a zero operand
+    are skipped; the others must agree in tau.
     """
     out = []
     for pairs in sums:
-        live = [(a, b) for a, b in pairs if a.terms and b.terms]
+        live = [(a, b) for a, b in pairs if a.nums and b.nums]
         # a zero sum keeps the exponent of its first pair
         taus = {a.tau + b.tau for a, b in live} or {sum(f.tau for f in pairs[0]) if pairs else 0}
         if len(taus) > 1:
             raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
-        ops = [(a.left_view(), b.right_view()) for a, b in live]
-        d = lcm(*(da * db for (da, _), (db, _) in ops))
+        d = lcm(*(a.den * b.den for a, b in live))
         acc: dict[int, int] = {}
-        for (da, left), (db, right) in ops:
-            f = d // (da * db)
-            for m1, p1, n1 in left:
+        for a, b in live:
+            f = d // (a.den * b.den)
+            right = list(b.nums.items())
+            for m1, p1, n1 in a.left_view():
                 n1 *= f
                 for m2, n2 in right:
                     if m1 & m2:
@@ -224,19 +234,8 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
                         acc[mask] = acc.get(mask, 0) - n1 * n2
                     else:
                         acc[mask] = acc.get(mask, 0) + n1 * n2
-        out.append(_over(acc, d, taus.pop()))
+        out.append(_form(acc, d, taus.pop()))
     return out
-
-
-def _numerators(f: Form) -> tuple[int, list[tuple[int, int]]]:
-    """(d, [(mask, numerator)]): f's coefficients over the LCM d of their denominators."""
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    return d, [(m, c.numerator * (d // c.denominator)) for m, c in f.terms.items()]
-
-
-def _over(acc: dict[int, int], d: int, tau: int) -> Form:
-    """The form tau**tau * sum_mask (acc[mask] / d) mask: one Fraction per term."""
-    return _form({m: Fraction(n, d) for m, n in acc.items() if n}, tau)
 
 
 def mask_key(mask: int) -> tuple[int, ...]:
@@ -271,51 +270,50 @@ def is_at_grade(m: LieModel, form: Form, grade: Grade) -> bool:
     """A form sits at (p,q,r) iff every monomial has plus count exactly r,
     minus count at least p, and total degree p+q+r."""
     deg = grade.degree()
-    for mask in form.terms:
-        if mask.bit_count() != deg:
-            return False
-        if plus_count(m, mask) != grade.r:
-            return False
-        if minus_count(m, mask) < grade.p:
-            return False
-    return True
+    return all(mask.bit_count() == deg and plus_count(m, mask) == grade.r
+               and minus_count(m, mask) >= grade.p for mask in form.nums)
 
 
 class GradeError(ValueError):
     pass
 
 
-def ce_differential(m: LieModel, form: Form) -> Form:
+def ce_differential(m: LieModel, form: Form, plus: int | None = None) -> Form:
     """Chevalley-Eilenberg differential, extended to monomials as an odd derivation.
 
     On dual generators d xi^a = -1/2 sum c^a_bc xi^b xi^c, which over ordered
     pairs b < c is -sum c^a_bc xi^b ^ xi^c.  Runs on integer numerators: the
-    form's over its own LCM d, the table's over the model's ``dual_d`` den.
+    form's over its ``den``, the table's over the model's ``dual_d`` den.
+
+    With ``plus``, only ``plus_component(m, ce_differential(m, form), plus)``
+    is built: each factor xi^a reads the one group of ``dual_d`` pairs whose
+    rise takes the plus count to ``plus``.
     """
     den, table = m.dual_d()
-    d, nums = _numerators(form)
     acc: dict[int, int] = {}
-    for mask, n in nums:
+    for mask, n in form.nums.items():
         above = parity_above(mask)
+        rise = None if plus is None else plus - plus_count(m, mask)
         for t, a in enumerate(mask_bits(mask)):
             rest = mask ^ (1 << a)
             # past the t bits below a, then the pair sorts into rest, whose
             # parity_above is above with the bits below a flipped
             odd = above ^ ((1 << a) - 1)
-            for pair_mask, c in table[a]:
-                if pair_mask & rest:
-                    continue
-                new_mask = rest | pair_mask
-                if ((odd & pair_mask).bit_count() + t) & 1:
-                    acc[new_mask] = acc.get(new_mask, 0) - n * c
-                else:
-                    acc[new_mask] = acc.get(new_mask, 0) + n * c
-    return _over(acc, d * den, form.tau)
+            for pairs in table[a].values() if rise is None else (table[a].get(rise, ()),):
+                for pair_mask, c in pairs:
+                    if pair_mask & rest:
+                        continue
+                    new_mask = rest | pair_mask
+                    if ((odd & pair_mask).bit_count() + t) & 1:
+                        acc[new_mask] = acc.get(new_mask, 0) - n * c
+                    else:
+                        acc[new_mask] = acc.get(new_mask, 0) + n * c
+    return _form(acc, form.den * den, form.tau)
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:
-    return _form({mask: c for mask, c in form.terms.items() if plus_count(m, mask) == r},
-                 form.tau)
+    return _form({mask: n for mask, n in form.nums.items() if plus_count(m, mask) == r},
+                 form.den, form.tau)
 
 
 def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
@@ -330,7 +328,7 @@ def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
     """
     if not is_at_grade(m, form, grade):
         raise GradeError(f"form is not at grade {grade.as_tuple()}")
-    return plus_component(m, ce_differential(m, form), grade.r + 1)
+    return ce_differential(m, form, grade.r + 1)
 
 
 # -- coadjoint action --------------------------------------------------------
@@ -359,10 +357,6 @@ class CoadjointOperator:
     def weight(self, a: int) -> Fraction:
         return Fraction(self.table[a].get(a, 0), self.den)
 
-    def on_mask(self, mask: int) -> dict[int, Fraction]:
-        """Image of a unit monomial, as mask -> rational coefficient."""
-        return {k: Fraction(n, self.den) for k, n in self.image(mask).items()}
-
     def image(self, mask: int) -> dict[int, int]:
         """Image of a unit monomial, as mask -> nonzero numerator over ``den``."""
         out: dict[int, int] = {}
@@ -385,12 +379,11 @@ class CoadjointOperator:
         return {k: v for k, v in out.items() if v}
 
     def __call__(self, form: Form) -> Form:
-        d, nums = _numerators(form)
         acc: dict[int, int] = {}
-        for mask, n in nums:
+        for mask, n in form.nums.items():
             for new_mask, c in self.image(mask).items():
                 acc[new_mask] = acc.get(new_mask, 0) + n * c
-        return _over(acc, d * self.den, form.tau)
+        return _form(acc, form.den * self.den, form.tau)
 
 
 # -- invariant subspaces -------------------------------------------------------

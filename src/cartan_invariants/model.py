@@ -182,7 +182,7 @@ class LieModel:
         self.minus_mask = ((1 << dims[0]) - 1)
         self.zero_mask = ((1 << dims[1]) - 1) << dims[0]
         self.plus_mask = ((1 << dims[2]) - 1) << (dims[0] + dims[1])
-        self._dual_d: tuple[int, list[list[tuple[int, int]]]] | None = None
+        self._dual_d: tuple[int, list[dict[int, list[tuple[int, int]]]]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -217,16 +217,21 @@ class LieModel:
 
     # -- dual differential table -------------------------------------------
 
-    def dual_d(self) -> tuple[int, list[list[tuple[int, int]]]]:
+    def dual_d(self) -> tuple[int, list[dict[int, list[tuple[int, int]]]]]:
         """(den, table): for each generator a, the terms of
         d(xi^a) = -sum c^a_bc xi^b xi^c (b<c) as (mask of b and c, numerator),
-        the numerators over den, the LCM of the structure constants' denominators."""
+        the numerators over den, the LCM of the structure constants'
+        denominators, grouped by their rise: the plus count of b and c less
+        that of a."""
         if self._dual_d is None:
             den = lcm(*(c.denominator for comp in self.brackets.values() for c in comp.values()))
-            table: list[list[tuple[int, int]]] = [[] for _ in range(self.total)]
+            table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.total)]
             for (i, j), comp in self.brackets.items():
+                pair = (1 << i) | (1 << j)
                 for k, c in comp.items():
-                    table[k].append(((1 << i) | (1 << j), -c.numerator * (den // c.denominator)))
+                    rise = (pair & self.plus_mask).bit_count() - (self.plus_mask >> k & 1)
+                    table[k].setdefault(rise, []).append(
+                        (pair, -c.numerator * (den // c.denominator)))
             self._dual_d = (den, table)
         return self._dual_d
 

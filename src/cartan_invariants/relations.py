@@ -118,8 +118,7 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
         # tau; both enter as rational columns, and the kernel is then cut
         # back to the Chern monomials.
         sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree)
-        columns += [plus_component(m, ce_differential(m, b), degree).coefficients()
-                    for b in sources]
+        columns += [ce_differential(m, b, degree).coefficients() for b in sources]
     null = nullspace(columns)
     out = []
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
@@ -221,7 +220,7 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
     else:
         basis = [Form.monomial(mask) for mask in monomial_masks(m, deg, grade.r - 1, min_minus)]
-    columns = [plus_component(m, ce_differential(m, b), grade.r).coefficients() for b in basis]
+    columns = [ce_differential(m, b, grade.r).coefficients() for b in basis]
     n = len(basis)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)

@@ -192,7 +192,7 @@ def _reference_sum(pairs):
 def test_kept_views_serve_reused_operands():
     """Forms reused many times as left and right operands of the wedge kernel,
     through ``_wedge_sums``, ``matwedge`` and ``trace_wedge``, against the
-    Fraction reference; some share one terms dict through ``tau_shift``."""
+    Fraction reference; some share one numerator dict through ``tau_shift``."""
     rng = random.Random(29)
     for _ in range(25):
         width = rng.choice((6, 12, 70))
@@ -217,9 +217,66 @@ def test_kept_views_serve_reused_operands():
                 [(x[i][k], y[k][i]) for i in range(2) for k in range(3)])
         for f in base + shifted:
             d = math.lcm(*(c.denominator for c in f.terms.values()))
-            nums = [(mask, int(c * d)) for mask, c in f.terms.items()]
-            assert f.right_view() == (d, nums) and f.right_view() is f.right_view()
-            assert f.left_view() == (d, [(mask, parity_above(mask), n) for mask, n in nums])
+            assert f.den == d and f.nums == {mask: int(c * d) for mask, c in f.terms.items()}
+            assert f.left_view() == [(mask, parity_above(mask), n) for mask, n in f.nums.items()]
+            assert f.left_view() is f.left_view()
+        for f, g in zip(base, shifted):
+            assert g.nums is f.nums and g.den == f.den
+
+
+def _assert_canonical(f):
+    """One positive integer denominator and nonzero integer numerators in
+    lowest terms, denominator 1 for the zero form; ``terms`` reads them as
+    reduced Fractions."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(n) is int and n for n in f.nums.values())
+    assert math.gcd(f.den, *f.nums.values()) == 1
+    assert f.nums or f.den == 1
+    assert f.terms == {mask: F(n, f.den) for mask, n in f.nums.items()}
+    assert all(type(c) is F and math.gcd(c.numerator, c.denominator) == 1
+               for c in f.terms.values())
+
+
+def test_every_operation_returns_the_canonical_form():
+    import cartan_invariants as ci
+    rng = random.Random(41)
+    models = [ci.projective(2), _rescaled_zero_block(ci.projective(2))]
+    checked = 0
+    for m in models:
+        ops = [CoadjointOperator(m, u) for u in range(m.total)]
+        for _ in range(60):
+            a = _random_rational_form(rng, m.total, rng.randint(0, 2))
+            b = _random_rational_form(rng, m.total, a.tau)
+            q = F(rng.randint(-6, 6), rng.randint(1, 6))
+            results = [a + b, a - b, b - b, -a, a.scale(rng.randint(-4, 4)), a.scale(q),
+                       a.scale(0), a.tau_shift(2), a.wedge(b),
+                       *_wedge_sums([[(a, b), (b, a)], [(a, a.scale(q))], []]),
+                       ce_differential(m, a), rng.choice(ops)(a)]
+            results += [ce_differential(m, a, r) for r in range(m.dims[2] + 2)]
+            results += [plus_component(m, a, r) for r in range(m.dims[2] + 1)]
+            for f in results:
+                _assert_canonical(f)
+            checked += len(results)
+            # the same value built another way is equal and hashes alike
+            for f, g in [(a + b - b, a), (a.scale(q).scale(1 / q) if q else a, a),
+                         (a.scale(2).scale(F(1, 2)), a), (a.wedge(b.scale(q)), a.wedge(b).scale(q)),
+                         (ce_differential(m, a.scale(6)), ce_differential(m, a).scale(6))]:
+                assert f == g and hash(f) == hash(g) and (f.den, f.nums) == (g.den, g.nums)
+            # a different value is a different form, also when only den differs
+            if a.nums:
+                assert a != a.scale(2) and a != a.scale(F(1, 3)) and a != a.tau_shift(1)
+            # zero forms at different exponents are equal
+            z = (a - a).tau_shift(rng.randint(1, 4))
+            assert z == Form.zero() == b.scale(0) and hash(z) == hash(Form.zero())
+            assert z.den == 1 and not z.nums
+    assert checked > 2000
+    mask = 0b101
+    half = Form({mask: 1}).scale(F(1, 2))
+    assert Form({mask: F(2, 4)}) == half and hash(Form({mask: F(2, 4)})) == hash(half)
+    assert half != Form({mask: 1}) and half.nums == Form({mask: 1}).nums
+    assert (half.den, half.nums) == (2, {mask: 1})
+    assert Form({mask: F(6, 4), 0b11: 3}).nums == {mask: 3, 0b11: 6}
+    assert Form({mask: F(6, 4), 0b11: 3}).den == 2
 
 
 # -- the derivations on integer numerators against Fraction references --------
@@ -286,14 +343,20 @@ def test_derivations_match_fraction_references():
             d = ce_differential(m, f)
             assert d.terms == _reference_differential(m, f.terms)
             assert d.tau == f.tau and _fractions_only(d)
+            for r in range(-1, m.dims[2] + 2):
+                part = ce_differential(m, f, r)
+                assert part == plus_component(m, d, r) and part.tau == f.tau
+                assert part.terms == {mask: c for mask, c in d.terms.items()
+                                      if (mask & m.plus_mask).bit_count() == r}
             for op, table in ops:
                 g = op(f)
                 assert g.terms == _reference_action(table, f.terms)
                 assert g.tau == f.tau and _fractions_only(g)
                 for mask in f.terms:
-                    image = op.on_mask(mask)
-                    assert image == _reference_action(table, {mask: F(1)})
-                    assert all(type(c) is F and c for c in image.values())
+                    image = op.image(mask)
+                    assert all(type(n) is int and n for n in image.values())
+                    assert {k: F(n, op.den) for k, n in image.items()} == _reference_action(
+                        table, {mask: F(1)})
             checked += 1
     assert checked >= 300
 
