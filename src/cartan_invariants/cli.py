@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .charforms import chern_form_of, chern_forms, cs_class, transgression
 from .forms import Form, Grade, ce_differential, plus_component
@@ -104,11 +105,11 @@ def _require(ok: bool, message: str):
         raise SystemExit2(message)
 
 
-def _emit(args, obj: dict, text_lines: list[str]):
+def _emit(args, obj: dict, text_lines: Callable[[], list[str]]):
     if getattr(args, "json", False):
         print(json.dumps(obj, separators=(",", ":")))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -128,17 +129,16 @@ def cmd_model(args) -> int:
     m = _load_model(args)
     report = validate_model(m)
     obj = {"ok": report.ok, "failures": report.failures}
-    _emit(args, obj, ["ok" if report.ok else "FAILED"]
+    _emit(args, obj, lambda: ["ok" if report.ok else "FAILED"]
           + [f"  {f['check']}: {f['detail']}" for f in report.failures])
     return 0 if report.ok else 1
 
 
 def cmd_report(args) -> int:
     m = _load_model(args)
-    lines = []
-    for gen, d, dq in _natural_differentials(m):
-        lines += [f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}"]
-    _emit(args, structure_report(m), lines)
+    _emit(args, structure_report(m), lambda: [
+        line for gen, d, dq in _natural_differentials(m)
+        for line in (f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}")])
     return 0
 
 
@@ -150,7 +150,7 @@ def cmd_chern(args) -> int:
     cs = chern_forms(m, rep, k_max)
     obj = {"model": m.meta.get("family", "file"), "rep": rep.label,
            "forms": {f"c{k}": c.to_json(m) for k, c in enumerate(cs, start=1)}}
-    _emit(args, obj, [f"c{k} = {c.pretty(m)}" for k, c in enumerate(cs, start=1)])
+    _emit(args, obj, lambda: [f"c{k} = {c.pretty(m)}" for k, c in enumerate(cs, start=1)])
     return 0
 
 
@@ -165,11 +165,10 @@ def cmd_cs(args) -> int:
                            else (*cs_class(m, rep, poly), None))
     obj = {"poly": args.poly, "grade": list(grade.as_tuple()),
            "cs_class": t_form.to_json(m)}
-    lines = [f"grade = {grade.as_tuple()}", f"cs_class = {t_form.pretty(m)}"]
     if args.full:
         obj["chern_simons_form"] = full.to_json(m)
-        lines.append(f"chern_simons_form = {full.pretty(m)}")
-    _emit(args, obj, lines)
+    _emit(args, obj, lambda: [f"grade = {grade.as_tuple()}", f"cs_class = {t_form.pretty(m)}"]
+          + ([f"chern_simons_form = {full.pretty(m)}"] if args.full else []))
     return 0
 
 
@@ -186,7 +185,7 @@ def cmd_relations(args) -> int:
             sign = "-" if c < 0 and bits else ("+" if bits else ("-" if c < 0 else ""))
             bits.append(f"{sign} {abs(c)}*{partition_label(mon)}".strip())
         lines.append(" ".join(bits) + " = 0")
-    _emit(args, obj, lines or ["no relations"])
+    _emit(args, obj, lambda: lines or ["no relations"])
     return 0
 
 
@@ -217,12 +216,9 @@ def cmd_primitive(args) -> int:
         "certificate": {k: v for k, v in res.certificate.items()},
         "searched_dimension": res.searched_dimension,
     }
-    lines = [f"grade = {grade.as_tuple()}"]
-    if res.exact:
-        lines.append(f"primitive = {res.psi.pretty(m)}")
-    else:
-        lines.append(f"not exact; certificate = {res.certificate}")
-    _emit(args, obj, lines)
+    _emit(args, obj, lambda: [f"grade = {grade.as_tuple()}",
+                              f"primitive = {res.psi.pretty(m)}" if res.exact
+                              else f"not exact; certificate = {res.certificate}"])
     if not res.exact and args.expect_exact:
         return 1
     return 0
@@ -246,7 +242,7 @@ def cmd_audit(args) -> int:
         verdict = "zero form" if row["chern_form_zero"] else (
             "exact" if row["exact"] else "NOT exact")
         lines.append(f"c{row['k']}: {verdict}")
-    _emit(args, obj, lines)
+    _emit(args, obj, lambda: lines)
     if args.expect_exact and any(not row["exact"] for row in report["degrees"]):
         return 1
     return 0
@@ -261,7 +257,7 @@ def cmd_conformal_coeffs(args) -> int:
     _require(1 <= args.n <= CONFORMAL_N_MAX, f"--n must be in 1..{CONFORMAL_N_MAX}")
     coeffs = conformal_coefficients(args.n)
     obj = {"n": args.n, "coefficients": [str(c) for c in coeffs]}
-    _emit(args, obj, [" ".join(str(c) for c in coeffs)])
+    _emit(args, obj, lambda: [" ".join(str(c) for c in coeffs)])
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import Iterable
 
 from .linalg import nullspace, row_space_rref
 from .model import FrozenRecord, LieModel, Part
@@ -238,6 +239,23 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
     return out
 
 
+def combination(terms: Iterable[tuple[Fraction | int, Form]]) -> Form:
+    """sum c * f over the pairs (c, f), accumulated once as integer
+    numerators over the LCM of the denominators; the nonzero terms must
+    agree in tau."""
+    live = [(c, f) for c, f in terms if c and f.nums]
+    taus = {f.tau for _, f in live} or {0}
+    if len(taus) > 1:
+        raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
+    d = lcm(*(c.denominator * f.den for c, f in live))
+    acc: dict[int, int] = {}
+    for c, f in live:
+        k = c.numerator * (d // (c.denominator * f.den))
+        for mask, n in f.nums.items():
+            acc[mask] = acc.get(mask, 0) + k * n
+    return _form(acc, d, taus.pop())
+
+
 def mask_key(mask: int) -> tuple[int, ...]:
     return tuple(mask_bits(mask))
 
@@ -353,9 +371,6 @@ class CoadjointOperator:
 
     def is_diagonal(self) -> bool:
         return all(set(row) <= {a} for a, row in enumerate(self.table))
-
-    def weight(self, a: int) -> Fraction:
-        return Fraction(self.table[a].get(a, 0), self.den)
 
     def image(self, mask: int) -> dict[int, int]:
         """Image of a unit monomial, as mask -> nonzero numerator over ``den``."""

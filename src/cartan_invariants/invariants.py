@@ -150,26 +150,13 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "+-*^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit():
-            j = i
+        elif ch.isdigit() or ch == "c":
+            # an integer, or 'c' or 'ch' and the integer index after it
+            start = j = i + (2 if text.startswith("ch", i) else ch == "c")
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif text.startswith("ch", i):
-            j = i + 2
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 2:
-                raise PolyParseError("expected index after 'ch'")
-            tokens.append(text[i:j])
-            i = j
-        elif ch == "c":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolyParseError("expected index after 'c'")
+            if j == start:
+                raise PolyParseError(f"expected index after {text[i:start]!r}")
             tokens.append(text[i:j])
             i = j
         else:

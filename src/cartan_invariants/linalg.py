@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals.
 
-All of it runs on one sparse elimination, ``eliminate``.  An input row is a
-dict from column index to nonzero entry, ``Fraction`` or ``int``; the systems
-of this project (Chevalley-Eilenberg differentials on monomial bases) are
-well under 1% nonzero, so only nonzero entries are ever stored or touched.
-The elimination itself is fraction-free: each row is scaled to integers and
-reduced on integer rows, and a ``Fraction`` is built only for each entry of
-the returned rref.
+All of it runs on one sparse fraction-free forward elimination, ``_echelon``,
+of rows ``{column: Fraction or int}`` scaled to integers; the systems here
+(Chevalley-Eilenberg differentials on monomial bases) are well under 1%
+nonzero, so only nonzero entries are stored or touched.  ``eliminate``
+back-substitutes all of it to the rref, one ``Fraction`` per rref entry;
+``solve`` and ``fredholm_witness`` back-substitute only their right-hand side
+column, one ``Fraction`` per solution entry, and touch no free column.
 
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
@@ -88,8 +88,7 @@ def _echelon(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, dict[int, int]]:
 
 
 def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, Row]:
-    """Reduced row echelon form of sparse rows with ``Fraction`` or ``int``
-    entries, computed fraction-free.
+    """Reduced row echelon form of sparse rows, computed fraction-free.
 
     Returns the nonzero rows of the rref keyed by pivot column, in increasing
     order of pivot, each row in increasing order of column with ``Fraction``
@@ -99,8 +98,7 @@ def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, Row]:
     modified.
 
     After ``_echelon``, one back-substitution from the largest pivot down
-    clears the other pivot columns of each integer row, and each row becomes
-    ``Fraction`` entries over its pivot as it is taken from the echelon form.
+    clears the other pivot columns of each integer row, then divides it by its pivot.
     """
     echelon = _echelon(rows)
     pivots = sorted(echelon)
@@ -149,18 +147,36 @@ def nullspace(columns: Sequence[Column]) -> list[Row]:
     return kernel(rref(columns), len(columns))
 
 
+def _back_substitute(echelon: dict[int, dict[int, int]], c: int) -> Row:
+    """The nonzero entries x_p, by increasing pivot p, of the solution with
+    free entries zero of the system with ``_echelon`` form ``echelon`` and
+    right-hand side column c, its largest column and not a pivot.  From the
+    largest pivot down, x_p = (r_c - sum_j r_j x_j) / r_p over the pivots j
+    of its row r, each x_j a reduced integer pair, summed over their LCM."""
+    x: dict[int, tuple[int, int]] = {}
+    for p in sorted(echelon, reverse=True):
+        r = echelon[p]
+        terms = [(v, x[j]) for j, v in r.items() if j in x]
+        d = lcm(*(q for _, (_, q) in terms))
+        s = r.get(c, 0) * d - sum(v * n * (d // q) for v, (n, q) in terms)
+        if s:
+            g = gcd(s, d * r[p])
+            x[p] = (s // g, d * r[p] // g)
+    return {p: Fraction(*x[p]) for p in sorted(x)}
+
+
 def solve(columns: Sequence[Column], b: Column) -> tuple[Row | None, int]:
     """A solution x of ``A x = b`` (free entries zero) and the rank of A, from
-    one elimination of [A | b].
+    one ``_echelon`` of [A | b] and ``_back_substitute`` of its b column.
 
     x is None when b is not in the span of the columns; callers use that as
     the "not exact" signal in primitive searches.
     """
     n = len(columns)
-    reduced = rref([*columns, b])
-    if n in reduced:
-        return None, len(reduced) - 1
-    return {p: row[n] for p, row in reduced.items() if n in row}, len(reduced)
+    echelon = _echelon(sparse_rows([*columns, b]).values())
+    if n in echelon:
+        return None, len(echelon) - 1
+    return _back_substitute(echelon, n), len(echelon)
 
 
 def row_space_rref(rows: Iterable[Mapping[int, Scalar]]) -> list[Row]:
@@ -178,16 +194,16 @@ def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Sc
     right-hand side (0, ..., 0, 1).
     """
     rhs = 1 + max(key for col in (*columns, b) for key in col)
-    reduced = eliminate([*columns, {**b, rhs: Fraction(1)}])
-    if rhs in reduced:
+    echelon = _echelon([*columns, {**b, rhs: 1}])
+    if rhs in echelon:
         raise ValueError("b lies in the span of the columns")
-    return {k: row[rhs] for k, row in reduced.items() if rhs in row}
+    return _back_substitute(echelon, rhs)
 
 
-def is_fredholm_witness(columns: Iterable[Mapping[int, Fraction]], b: Mapping[int, Fraction],
+def is_fredholm_witness(columns: Iterable[Mapping[int, Scalar]], b: Mapping[int, Scalar],
                         y: Mapping[int, Fraction]) -> bool:
     """Exact check that y.a = 0 for every column a and y.b != 0."""
-    def pair(vec: Mapping[int, Fraction]) -> Fraction:
+    def pair(vec: Mapping[int, Scalar]) -> Fraction:
         return sum((c * y[k] for k, c in vec.items() if k in y), Fraction(0))
 
     return all(not pair(a) for a in columns) and pair(b) != 0

@@ -211,9 +211,9 @@ class LieModel:
         comp = self.brackets.get((j, i), {})
         return {k: -c for k, c in comp.items()}
 
-    def zero_coefficients(self, v: dict[int, Fraction]) -> list[Fraction]:
+    def zero_coefficients(self, v: dict[int, Fraction]) -> list[Fraction | int]:
         """Coordinates of the g0-part of a sparse coefficient dict over the g0 basis."""
-        return [v.get(g, Fraction(0)) for g in self.part_range(Part.ZERO)]
+        return [v.get(g, 0) for g in self.part_range(Part.ZERO)]
 
     # -- dual differential table -------------------------------------------
 
@@ -242,14 +242,11 @@ class LieModel:
 
         This is (u . xi)(y) = -xi([u, y]) extended over the dual basis.
         """
-        table: list[dict[int, Fraction]] = [dict() for _ in range(self.total)]
+        table: list[dict[int, Fraction]] = [{} for _ in range(self.total)]
         for y in range(self.total):
-            comp = self.bracket_basis(u, y)
-            for a, c in comp.items():
-                if c:
-                    table[a][y] = table[a].get(y, Fraction(0)) - c
-        for a in range(self.total):
-            table[a] = {y: c for y, c in table[a].items() if c}
+            # each (a, y) is met once, and bracket entries are nonzero
+            for a, c in self.bracket_basis(u, y).items():
+                table[a][y] = -c
         return table
 
 

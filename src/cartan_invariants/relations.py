@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .charforms import chern_forms
-from .forms import (Form, Grade, ce_differential, invariant_basis, is_at_grade,
+from .forms import (Form, Grade, ce_differential, combination, invariant_basis, is_at_grade,
                     monomial_masks, plus_component, quotient_d)
 from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
@@ -124,9 +124,7 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
         coeffs = _normalize([row.get(j, Fraction(0)) for j in range(len(parts))])
         relation = Relation(degree, tuple(parts), coeffs)
-        residual = Form.zero()
-        for p, c in relation.nonzero():
-            residual = residual + evaluate_partition(cforms, p).scale(c)
+        residual = combination((c, evaluate_partition(cforms, p)) for p, c in relation.nonzero())
         if modulo_exact:
             if not residual.is_zero:
                 check = find_primitive(m, residual, Grade(degree, 0, degree),
@@ -165,13 +163,7 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     min_minus = grade.p if min_minus is None else min_minus
     basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
     cols = [quotient_d(m, b, grade).coefficients() for b in basis]
-    out = []
-    for combo in nullspace(cols):
-        f = Form.zero()
-        for j, c in sorted(combo.items()):
-            f = f + basis[j].scale(c)
-        out.append(f)
-    return out
+    return [combination((c, basis[j]) for j, c in combo.items()) for combo in nullspace(cols)]
 
 
 class PrimitiveResult(Record):
@@ -210,6 +202,9 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     itself invariant.  The search is one ``solve`` of [A | b], with b the
     tau^e coefficients of xi and e its tau exponent, which also gives the
     certificate ranks; a ``not_exact`` result costs one more, for its witness.
+    Column j of A is ``d_j.nums``, d_j the restricted differential of basis
+    vector b_j, so psi = sum_j x_j d_j.den b_j, in one accumulation.  Either
+    result is re-verified: psi by its differential, a witness exactly.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
@@ -220,7 +215,8 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
     else:
         basis = [Form.monomial(mask) for mask in monomial_masks(m, deg, grade.r - 1, min_minus)]
-    columns = [ce_differential(m, b, grade.r).coefficients() for b in basis]
+    diffs = [ce_differential(m, b, grade.r) for b in basis]
+    columns = [d.nums for d in diffs]
     n = len(basis)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)
@@ -234,10 +230,7 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
              "columns": n, "tau_exponent": xi.tau},
             y,
         )
-    psi = Form.zero()
-    for p, c in x.items():
-        psi = psi + basis[p].scale(c)
-    psi = psi.tau_shift(xi.tau)
+    psi = combination((c * diffs[j].den, basis[j]) for j, c in x.items()).tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")

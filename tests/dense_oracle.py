@@ -3,7 +3,9 @@ of ``cartan_invariants.linalg`` and its callers are checked against.
 
 Nothing here calls the package, so a test that compares with it does not
 run the code it tests.  A matrix is a list of dense rows, except for
-``fraction_eliminate``, which takes sparse rows as ``linalg.eliminate`` does.
+``fraction_eliminate``, which takes sparse rows as ``linalg.eliminate`` does,
+and ``rref_solve`` and ``rref_fredholm_witness``, which take sparse columns
+as ``linalg.solve`` and ``linalg.fredholm_witness`` do.
 """
 
 from fractions import Fraction as F
@@ -85,6 +87,37 @@ def fraction_eliminate(rows) -> dict[int, dict[int, F]]:
                 _add_multiple(other, -f, r)
         reduced[p] = r
     return reduced
+
+
+def _sparse_rows(columns) -> dict:
+    """Sparse columns ``{row key: entry}`` as sparse rows ``{row key: {j: entry}}``."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c:
+                rows.setdefault(key, {})[j] = c
+    return rows
+
+
+def rref_solve(columns, b) -> tuple[dict[int, F] | None, int]:
+    """``linalg.solve`` read off the full rref of [A | b]: the solution with
+    free entries zero, its nonzero entries by increasing pivot, or None, and
+    the rank of A."""
+    n = len(columns)
+    reduced = fraction_eliminate(_sparse_rows([*columns, b]).values())
+    if n in reduced:
+        return None, len(reduced) - 1
+    return {p: reduced[p][n] for p in sorted(reduced) if n in reduced[p]}, len(reduced)
+
+
+def rref_fredholm_witness(columns, b) -> dict[int, F]:
+    """``linalg.fredholm_witness`` read off the full rref of the transposed
+    system, the columns of A and b as rows, augmented by (0, ..., 0, 1)."""
+    rhs = 1 + max(key for col in (*columns, b) for key in col)
+    reduced = fraction_eliminate([*columns, {**b, rhs: F(1)}])
+    if rhs in reduced:
+        raise ValueError("b lies in the span of the columns")
+    return {k: reduced[k][rhs] for k in sorted(reduced) if rhs in reduced[k]}
 
 
 def oracle_nullspace(data, cols) -> list[tuple[F, ...]]:

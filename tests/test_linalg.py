@@ -8,8 +8,8 @@ from cartan_invariants import linalg
 from cartan_invariants.linalg import (_echelon, eliminate, fredholm_witness, is_fredholm_witness,
                                       kernel, nullspace, rank, rref, row_space_rref, solve,
                                       sparse_rows)
-from dense_oracle import (fraction_eliminate, in_span, oracle_nullspace, oracle_solve, rref_rows,
-                          same_span, span_rref)
+from dense_oracle import (fraction_eliminate, in_span, oracle_nullspace, oracle_solve,
+                          rref_fredholm_witness, rref_rows, rref_solve, same_span, span_rref)
 
 
 def _columns(data):
@@ -219,6 +219,63 @@ def test_integer_core_matches_fraction_oracles():
             shuffled = [dict(rng.sample(list(r.items()), len(r))) for r in rows]
             rng.shuffle(shuffled)
             assert _layout(eliminate(shuffled)) == _layout(got), trial
+
+
+def _wide_system(rng):
+    """Sparse columns over scattered int row keys, with wide int and Fraction
+    entries, some empty and some combinations of earlier ones, and a
+    right-hand side that is either in their span or random."""
+    keys = rng.sample(range(2**16), rng.randint(1, 10))
+    density = rng.choice([0.15, 0.4, 0.8])
+    columns = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.random()
+        if kind < 0.15:
+            columns.append({})
+        elif kind < 0.4 and columns:
+            combo = _apply(columns, {j: F(_wide_entry(rng)) for j in
+                                     rng.sample(range(len(columns)), rng.randint(1, len(columns)))})
+            columns.append({k: v.numerator if v.denominator == 1 else v
+                            for k, v in combo.items()})
+        else:
+            columns.append({k: _wide_entry(rng) for k in keys if rng.random() < density})
+    if rng.random() < 0.5:
+        b = _apply(columns, {j: F(_wide_entry(rng)) for j in range(len(columns))
+                             if rng.random() < 0.6})
+    else:
+        b = {k: _wide_entry(rng) for k in keys if rng.random() < density}
+    return columns, b
+
+
+def test_back_substitution_matches_rref_reference():
+    """solve and fredholm_witness back-substitute one column of the integer
+    echelon form; the reference reads that column off the full Fraction rref.
+    Keys, their order, the reduced Fraction values and the rank all agree."""
+    rng = random.Random(20261020)
+    seen = {"consistent": 0, "inconsistent": 0, "deficient": 0, "empty column": 0}
+    for trial in range(400):
+        columns, b = _wide_system(rng)
+        before = ([dict(c) for c in columns], dict(b))
+        x, rk = solve(columns, b)
+        ref_x, ref_rk = rref_solve(columns, b)
+        assert rk == ref_rk, trial
+        assert (x is None) == (ref_x is None), trial
+        seen["deficient"] += rk < len(columns)
+        seen["empty column"] += {} in columns
+        if x is not None:
+            seen["consistent"] += 1
+            assert list(x.items()) == list(ref_x.items()), trial
+            assert all(type(v) is F and v for v in x.values())
+            with pytest.raises(ValueError):
+                fredholm_witness(columns, b)
+        else:
+            seen["inconsistent"] += 1
+            y = fredholm_witness(columns, b)
+            assert list(y.items()) == list(rref_fredholm_witness(columns, b).items()), trial
+            assert all(type(v) is F and v for v in y.values())
+            assert is_fredholm_witness(columns, b, y), trial
+        assert ([dict(c) for c in columns], dict(b)) == before, trial
+    assert min(seen.values()) >= 60, seen
 
 
 def test_forward_pass_divides_out_common_factors(monkeypatch):

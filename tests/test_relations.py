@@ -238,6 +238,7 @@ def test_parse_poly_grammar():
     p = parse_poly("5^5*c5-3*c1^5")
     assert p.degree == 5
     assert parse_poly("ch3").degree == 3
+    assert parse_poly("12*c3*ch4").degree == 7
     assert parse_poly("c1^2") == InvPoly.chern(1) ** 2
     assert parse_poly("(c1+c1)^2") == (InvPoly.chern(1).scale(2)) ** 2
     with pytest.raises(ci.PolyParseError):
@@ -252,6 +253,15 @@ def test_parse_poly_grammar():
         with pytest.raises(ci.PolyParseError):
             parse_poly(zero)  # cancels to the zero polynomial
     assert parse_poly("c16").degree == parse_poly("c1^16").degree == 16  # at the cap
+
+
+@pytest.mark.parametrize("text, message", [
+    ("c", "expected index after 'c'"), ("2*cx", "expected index after 'c'"),
+    ("ch", "expected index after 'ch'"), ("chx", "expected index after 'ch'"),
+    ("c1h", "unexpected character 'h'")])
+def test_parse_poly_token_errors(text, message):
+    with pytest.raises(ci.PolyParseError, match=message):
+        parse_poly(text)
 
 
 @pytest.mark.parametrize("text", ["c1^99999999", "2^99999999*c1", "c99999", "ch17",
@@ -314,13 +324,13 @@ def test_find_primitive_eliminates_once_per_tau_exponent(monkeypatch):
     with pytest.raises(ValueError):
         c1 + c1.tau_shift(1)
     calls = []
-    real = linalg.eliminate
+    real = linalg._echelon
 
     def counting(rows):
         calls.append(1)
         return real(rows)
 
-    monkeypatch.setattr(linalg, "eliminate", counting)
+    monkeypatch.setattr(linalg, "_echelon", counting)
     res = ci.find_primitive(m3, xi, grade, invariant_only=False)
     assert not res.exact and len(calls) == 2  # the search, then the witness
     calls.clear()
