@@ -16,10 +16,11 @@ commutator argument (``cs_coefficients``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator
 
-from .forms import Form, Grade, _wedge_sums, ce_differential, plus_component
+from .forms import (Form, Grade, _wedge_sums, ce_differential, combination, plus_component,
+                    wedge_all)
 from .invariants import InvPoly
 from .model import LieModel, Part, Rep, diagonal_block
 
@@ -40,15 +41,6 @@ class MatrixForm:
     @classmethod
     def identity(cls, n: int) -> "MatrixForm":
         return cls([[Form.unit() if i == j else Form.zero() for j in range(n)] for i in range(n)])
-
-    def __add__(self, other: "MatrixForm") -> "MatrixForm":
-        return MatrixForm(
-            [[self.grid[i][j] + other.grid[i][j] for j in range(self.cols)]
-             for i in range(self.rows)]
-        )
-
-    def scale(self, c) -> "MatrixForm":
-        return MatrixForm([[f.scale(c) for f in row] for row in self.grid])
 
     def matwedge(self, other: "MatrixForm") -> "MatrixForm":
         if self.cols != other.rows:
@@ -187,37 +179,22 @@ def chern_character(m: LieModel, rep: Rep, j_max: int) -> list[Form]:
     return out
 
 
-TODD_MAX = 4
+# The Todd polynomials td_1 .. td_4 in the Chern forms, {partition: coefficient}.
+TODD = [{(1,): Fraction(1, 2)},
+        {(1, 1): Fraction(1, 12), (2,): Fraction(1, 12)},
+        {(2, 1): Fraction(1, 24)},
+        {(1, 1, 1, 1): Fraction(-1, 720), (2, 1, 1): Fraction(4, 720),
+         (3, 1): Fraction(1, 720), (2, 2): Fraction(3, 720), (4,): Fraction(-1, 720)}]
+TODD_MAX = len(TODD)
 
 
 def todd_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
     """Todd forms through degree 4 from the universal polynomials."""
     if k_max > TODD_MAX:
         raise ValueError("todd_forms supports degree <= 4 only")
-    cs = chern_forms(m, rep, min(k_max, rep.dim))
-
-    def c(k: int) -> Form:
-        return cs[k - 1] if k <= len(cs) else Form.zero()
-
-    out = []
-    if k_max >= 1:
-        out.append(c(1).scale(Fraction(1, 2)))
-    if k_max >= 2:
-        out.append((c(1).wedge(c(1)) + c(2)).scale(Fraction(1, 12)))
-    if k_max >= 3:
-        out.append(c(1).wedge(c(2)).scale(Fraction(1, 24)))
-    if k_max >= 4:
-        c1 = c(1)
-        c1sq = c1.wedge(c1)
-        term = (
-            c1sq.wedge(c1sq).scale(-1)
-            + c1sq.wedge(c(2)).scale(4)
-            + c1.wedge(c(3))
-            + c(2).wedge(c(2)).scale(3)
-            - c(4)
-        )
-        out.append(term.scale(Fraction(1, 720)))
-    return out
+    cs = chern_forms(m, rep, min(k_max, rep.dim)) + [Form.zero()] * k_max
+    return [combination((c, wedge_all(cs[q - 1] for q in p)) for p, c in TODD[k].items())
+            for k in range(k_max)]
 
 
 # -- polarization / Chern-Simons ---------------------------------------------
@@ -271,22 +248,42 @@ def _sequence_weights(ids: list[int], degrees: list[int]) -> dict[tuple[int, ...
     return weights
 
 
-def _word(cache: dict, word: tuple[MatrixForm, ...], traced: bool, keep: bool = True):
+def _word(cache: dict, word: tuple[MatrixForm, ...], traced: bool):
     """The product of a word of argument matrices, or with ``traced`` its trace, from
     ``cache``, keyed by the matrices' identities (each entry holds its word, so none
-    is reused).  Without ``keep`` a trace and the product under it are not stored:
-    a polarization traces each full-length word once, and its products are largest."""
+    is reused).  A product is its prefix times the last letter; a trace of m > 1
+    letters is ``trace_wedge`` of the products of its halves, the first of
+    ceil(m/2) letters, which words of the same letters share."""
     key = (traced, *map(id, word))
     if key in cache:
         return cache[key][1]
     if len(word) == 1:
         out = word[0].trace() if traced else word[0]
+    elif traced:
+        h = (len(word) + 1) // 2
+        out = _word(cache, word[:h], False).trace_wedge(_word(cache, word[h:], False))
     else:
-        prefix = _word(cache, word[:-1], False, keep or not traced)
-        out = prefix.trace_wedge(word[-1]) if traced else prefix.matwedge(word[-1])
-    if keep:
-        cache[key] = (word, out)
+        out = _word(cache, word[:-1], False).matwedge(word[-1])
+    cache[key] = (word, out)
     return out
+
+
+def _trace_class(seq: tuple[int, ...], word: tuple[int, ...], deg: list[int]):
+    """The canonical key of the wedge of traces that a trace word cuts from a
+    sequence of argument ids, and the sign that takes the wedge to it.  Each
+    trace becomes its least rotation, as tr(P Q) = (-1)^(|P||Q|) tr(Q P); the
+    traces, forms that graded-commute, are then sorted, with the Koszul sign
+    of the odd ones."""
+    factors, pos = [], 0
+    for part in word:
+        seg = seq[pos:pos + part]
+        pos += part
+        r = min(range(part), key=lambda r: seg[r:] + seg[:r])
+        p, q = sum(deg[i] for i in seg[:r]), sum(deg[i] for i in seg[r:])
+        factors.append((seg[r:] + seg[:r], p + q, (-1) ** (p * q)))
+    order = sorted(range(len(factors)), key=factors.__getitem__)
+    sign = prod(f[2] for f in factors) * _koszul_sign(tuple(order), [f[1] for f in factors])
+    return tuple(factors[i][0] for i in order), sign
 
 
 def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None,
@@ -294,10 +291,12 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     """Unnormalized graded symmetrization sum_{sigma in S_k} of the trace words.
 
     Arguments with the same identity are collapsed first, so each distinct
-    argument sequence is evaluated once with its summed Koszul weight.  A
-    trace word ends in ``trace_wedge``: a full matrix product is formed only
-    as the prefix of a longer word.  Products and traces come from the
-    ``_word`` cache ``words``, which callers share across polarizations.
+    argument sequence comes with its summed Koszul weight.  Each pair of a
+    sequence and a trace word of f goes to its ``_trace_class``; the integer
+    weights (f's coefficients over their common denominator) are summed per
+    class, and each class with a nonzero weight is evaluated once.  Traces
+    come from the ``_word`` cache ``words``, which callers share across
+    polarizations.
     """
     k = len(args)
     if f.degree != k:
@@ -309,21 +308,17 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     seen: dict[int, int] = {}
     ids = [seen.setdefault(id(a), len(seen)) for a in args]
     uniq = {i: a for a, i in zip(args, ids)}
-    result = Form.zero()
+    deg = [degrees[ids.index(i)] for i in range(len(uniq))]
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {word: c.numerator * (den // c.denominator) for word, c in f.terms.items()}
+    totals: dict[tuple, int] = {}
     for seq, weight in _sequence_weights(ids, degrees).items():
-        mats = tuple(uniq[i] for i in seq)
-        for word, coeff in f.terms.items():
-            pos = 0
-            acc = None
-            for part in word:
-                t = _word(words, mats[pos:pos + part], True, part < k)
-                pos += part
-                acc = t if acc is None else acc.wedge(t)
-                if acc.is_zero:
-                    break
-            if not acc.is_zero:
-                result = result + acc.scale(coeff * weight)
-    return result
+        for word, c in ints.items():
+            key, sign = _trace_class(seq, word, deg)
+            totals[key] = totals.get(key, 0) + sign * weight * c
+    return combination(
+        (c, wedge_all(_word(words, tuple(uniq[i] for i in seg), True) for seg in key))
+        for key, c in totals.items() if c).scale(Fraction(1, den))
 
 
 def invariant_poly_eval(f: InvPoly, args: list[MatrixForm],

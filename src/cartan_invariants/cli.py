@@ -136,7 +136,7 @@ def cmd_model(args) -> int:
 
 def cmd_report(args) -> int:
     m = _load_model(args)
-    _emit(args, structure_report(m), lambda: [
+    _emit(args, structure_report(m) if args.json else {}, lambda: [
         line for gen, d, dq in _natural_differentials(m)
         for line in (f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}")])
     return 0

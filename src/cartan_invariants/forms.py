@@ -9,8 +9,9 @@ Every operation on forms (sums, scaling, the wedge, the CE differential and
 the coadjoint action) runs on those integers: the structure tables are held
 as numerators over their own LCM, sums accumulate as ``{mask: int}`` over
 the product or LCM of the denominators, and one gcd pass brings each result
-to lowest terms.  ``Fraction``s are built only where coefficients leave the
-form layer: ``terms``, ``coefficients``, ``to_json`` and ``pretty``.
+to lowest terms.  ``Fraction``s are built only by ``terms`` and
+``coefficients``; ``to_json`` and ``pretty`` print each n/den reduced by
+its own gcd.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -147,10 +148,7 @@ class Form:
         return self._left
 
     def wedge_power(self, k: int) -> "Form":
-        out = Form.unit()
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
+        return wedge_all([self] * k)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Form) and self.nums == other.nums and self.den == other.den
@@ -169,23 +167,25 @@ class Form:
             raise AssertionError(f"form at tau^{self.tau} read at tau^{tau}")
         return self.terms
 
-    def _sorted_masks(self) -> list[int]:
-        return sorted(self.nums, key=lambda mask: (mask.bit_count(), mask_key(mask)))
+    def _sorted_terms(self) -> list[tuple[int, list[int], str]]:
+        """(degree, generator ids, coefficient string) of each term, in
+        canonical order: by degree, then by the ids."""
+        den, out = self.den, []
+        for mask, n in self.nums.items():
+            g = gcd(n, den)
+            out.append((mask.bit_count(), mask_bits(mask),
+                        str(n // g) if den == g else f"{n // g}/{den // g}"))
+        return sorted(out)
 
     def to_json(self, model: LieModel) -> list:
-        return [[[model.names[g] for g in mask_bits(mask)], self.tau,
-                 str(Fraction(self.nums[mask], self.den))]
-                for mask in self._sorted_masks()]
+        return [[[model.names[g] for g in b], self.tau, c] for _, b, c in self._sorted_terms()]
 
     def pretty(self, model: LieModel) -> str:
         if not self.nums:
             return "0"
         t = "" if self.tau == 0 else "*t" if self.tau == 1 else f"*t^{self.tau}"
-        bits = []
-        for mask in self._sorted_masks():
-            names = "∧".join(model.names[g] for g in mask_bits(mask)) or "1"
-            bits.append(f"({Fraction(self.nums[mask], self.den)}{t})·{names}")
-        return " + ".join(bits)
+        return " + ".join(f"({c}{t})·{'∧'.join(model.names[g] for g in bits) or '1'}"
+                          for _, bits, c in self._sorted_terms())
 
     def __repr__(self) -> str:
         return f"Form<{len(self.nums)} terms, tau^{self.tau}>"
@@ -256,8 +256,15 @@ def combination(terms: Iterable[tuple[Fraction | int, Form]]) -> Form:
     return _form(acc, d, taus.pop())
 
 
-def mask_key(mask: int) -> tuple[int, ...]:
-    return tuple(mask_bits(mask))
+def wedge_all(factors: Iterable[Form]) -> Form:
+    """The wedge of the factors in order, the unit for none; an iterator is
+    read only up to the first zero partial product."""
+    acc = None
+    for f in factors:
+        acc = f if acc is None else acc.wedge(f)
+        if acc.is_zero:
+            break
+    return Form.unit() if acc is None else acc
 
 
 class Grade(FrozenRecord):

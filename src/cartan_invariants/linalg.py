@@ -6,13 +6,14 @@ of rows ``{column: Fraction or int}`` scaled to integers; the systems here
 nonzero, so only nonzero entries are stored or touched.  ``eliminate``
 back-substitutes all of it to the rref, one ``Fraction`` per rref entry;
 ``solve`` and ``fredholm_witness`` back-substitute only their right-hand side
-column, one ``Fraction`` per solution entry, and touch no free column.
+column, one ``Fraction`` per solution entry, and touch no free column;
+``rank`` counts the echelon rows and back-substitutes nothing.
 
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
 ``nullspace`` and ``solve`` take such columns and ``row_space_rref`` takes
-sparse rows; these five are what the solvers call.  Every result holds
-``Fraction`` entries.
+sparse rows; these five are what the solvers call.  Every vector result
+holds ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def rref(columns: Iterable[Column]) -> dict[int, Row]:
 
 
 def rank(columns: Iterable[Column]) -> int:
-    return len(rref(columns))
+    return len(_echelon(sparse_rows(columns).values()))
 
 
 def nullspace(columns: Sequence[Column]) -> list[Row]:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, combination, invariant_basis, is_at_grade,
-                    monomial_masks, plus_component, quotient_d)
+                    monomial_masks, plus_component, quotient_d, wedge_all)
 from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
 from .model import LieModel, Record, Rep
@@ -55,15 +55,6 @@ def partition_label(p: Partition) -> str:
         factors.append(f"c{p[i]}" + (f"^{j - i}" if j - i > 1 else ""))
         i = j
     return "*".join(factors) if factors else "1"
-
-
-def evaluate_partition(cforms: list[Form], p: Partition) -> Form:
-    acc = Form.unit()
-    for part in p:
-        acc = acc.wedge(cforms[part - 1])
-        if acc.is_zero:
-            break
-    return acc
 
 
 class Relation(Record):
@@ -112,7 +103,7 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
         raise ValueError("degree exceeds module dimension")
     cforms = chern_forms(m, rep, degree)
     parts = partitions_of(degree)
-    columns = [evaluate_partition(cforms, p).coefficients(degree) for p in parts]
+    columns = [wedge_all(cforms[q - 1] for q in p).coefficients(degree) for p in parts]
     if modulo_exact:
         # The Chern monomials carry tau^degree and the exact corrections no
         # tau; both enter as rational columns, and the kernel is then cut
@@ -124,7 +115,8 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
         coeffs = _normalize([row.get(j, Fraction(0)) for j in range(len(parts))])
         relation = Relation(degree, tuple(parts), coeffs)
-        residual = combination((c, evaluate_partition(cforms, p)) for p, c in relation.nonzero())
+        residual = combination((c, wedge_all(cforms[q - 1] for q in p))
+                               for p, c in relation.nonzero())
         if modulo_exact:
             if not residual.is_zero:
                 check = find_primitive(m, residual, Grade(degree, 0, degree),

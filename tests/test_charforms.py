@@ -397,33 +397,103 @@ def test_sequence_weights_match_permutation_walk():
     assert _sequence_weights([0, 1, 0], [1, 2, 1]) == {}
 
 
-def _walk_polarized(f, args, degrees):
-    """The k! walk with the full product and its trace for every word."""
+def _walk_polarized(f, args, degrees, memo=None):
+    """The k! walk: for every permutation and trace word, the wedge of the
+    traces of the full products.  Products and wedges of traces are memoized
+    in ``memo`` by the matrices (by identity) they multiply, so calls on the
+    same matrices may share it."""
+    memo = {} if memo is None else memo
+
+    def product(mats):
+        key = tuple(map(id, mats))
+        if key not in memo:
+            memo[key] = (mats[0] if len(mats) == 1 else product(mats[:-1]).matwedge(mats[-1]), mats)
+        return memo[key][0]
+
     result = Form.zero()
     for perm in permutations(range(len(args))):
         sign = _koszul_sign(perm, degrees)
+        mats = tuple(args[p] for p in perm)
         for word, coeff in f.terms.items():
             pos, acc = 0, Form.unit()
             for part in word:
-                mat = args[perm[pos]]
-                for p in perm[pos + 1:pos + part]:
-                    mat = mat.matwedge(args[p])
+                key = (word, *map(id, mats[:pos + part]))
+                if key not in memo:
+                    memo[key] = (acc.wedge(product(mats[pos:pos + part]).trace()), mats)
+                acc = memo[key][0]
                 pos += part
-                acc = acc.wedge(mat.trace())
             result = result + acc.scale(coeff * sign)
     return result
 
 
+def _graded_matrix(rng, n, degree, width=9):
+    """An n x n matrix of random forms of one degree on ``width`` generators."""
+    return MatrixForm([[Form({sum(1 << g for g in rng.sample(range(width), degree)):
+                              rng.randint(-4, 4) for _ in range(rng.randint(0, 2))})
+                        for _ in range(n)] for _ in range(n)])
+
+
+POLARIZED_POLYS = ["c2", "c3", "c1*c2", "c4", "c1*c3", "c2^2", "c1^2*c2", "5^5*c5-3*c1^5"]
+
+
 def test_polarized_matches_permutation_walk():
-    m = ci.projective(2)
+    """On projective(2) and grassmannian(2, 2), at copies of a alone, with two
+    copies of u, and with u (odd) at every position next to v = u^u (even),
+    the odd w = u a or a, the trace classes give the k! walk's sum."""
+    nonzero = 0
+    for m in (ci.projective(2), ci.grassmannian(2, 2)):
+        memo = {}
+        rep = m.reps["tangent"]
+        u, a = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
+        v, w = u.matwedge(u), u.matwedge(a)
+        for f in [InvPoly.trace_power(3)] + [parse_poly(text) for text in POLARIZED_POLYS]:
+            k = f.degree
+            cases = [([a] * k, [2] * k), ([u, u] + [a] * (k - 2), [1, 1] + [2] * (k - 2))]
+            for p in range(k):
+                for other, d in ((None, 2), (v, 2), (w, 3)):
+                    args, degrees = [a] * k, [2] * k
+                    if other is not None:
+                        args[(p + 1) % k], degrees[(p + 1) % k] = other, d
+                    args[p], degrees[p] = u, 1
+                    cases.append((args, degrees))
+            for args, degrees in cases:
+                out = _polarized(f, args, degrees)
+                assert out == _walk_polarized(f, args, degrees, memo), (m.meta, f.terms, degrees)
+                nonzero += not out.is_zero
+    assert nonzero > 100
+
+
+def test_polarized_matches_permutation_walk_on_random_matrices():
+    """Random 3 x 3 matrices of 1- and 2-forms, two of each parity, in random
+    sequences: every trace word has nonzero traces to rotate and sort."""
+    rng = random.Random(20261019)
+    letters = [(_graded_matrix(rng, 3, d), d) for d in (1, 1, 2, 2)]
+    for text in POLARIZED_POLYS:
+        f = parse_poly(text)
+        for _ in range(3):
+            picks = [rng.choice(letters) for _ in range(f.degree)]
+            args, degrees = [x for x, _ in picks], [d for _, d in picks]
+            out = _polarized(f, args, degrees)
+            assert out == _walk_polarized(f, args, degrees), (f.terms, degrees)
+
+
+def test_trace_is_graded_cyclic():
+    """tr(P Q) = (-1)^(|P||Q|) tr(Q P) on the words P, Q of length <= 2 in u,
+    v and a on grassmannian(2, 2), and on random matrices of 1- and 2-forms."""
+    m = ci.grassmannian(2, 2)
     rep = m.reps["tangent"]
     u, a = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
-    v = u.matwedge(u)
-    for f in (InvPoly.chern(3), InvPoly.trace_power(3), InvPoly.chern(2)):
-        for args, degrees in (([u, a, a], [1, 2, 2]), ([u, v, a], [1, 2, 2]),
-                              ([a, a, a], [2, 2, 2]), ([u, u, a], [1, 1, 2])):
-            args, degrees = args[:f.degree], degrees[:f.degree]
-            assert _polarized(f, args, degrees) == _walk_polarized(f, args, degrees)
+    rng = random.Random(5)
+    for letters in ([(u, 1), (u.matwedge(u), 2), (a, 2)],
+                    [(_graded_matrix(rng, 3, d), d) for d in (1, 1, 2)]):
+        words = letters + [(x.matwedge(y), dx + dy) for x, dx in letters for y, dy in letters]
+        odd_pairs = 0
+        for p, dp in words:
+            for q, dq in words:
+                pq = p.trace_wedge(q)
+                assert pq == q.trace_wedge(p).scale((-1) ** (dp * dq))
+                odd_pairs += dp * dq % 2 and not pq.is_zero
+        assert odd_pairs > 0
 
 
 def _per_call_polarized(f, args, degrees):
@@ -501,3 +571,29 @@ def test_transgression_matches_separate_evaluations():
             assert ci.chern_simons_form(m, rep, f) == ref_full
             nonzero_tails += not (full - t_form).is_zero
     assert nonzero_tails >= 10  # the j >= 1 terms are exercised
+
+
+def test_transgression_evaluates_each_trace_class_once(monkeypatch):
+    """In the g2 transgression of 5^5*c5-3*c1^5, each traced word is asked of
+    ``_word`` in one rotation only, and each is evaluated once: as many traces
+    are computed as there are distinct traced words."""
+    from cartan_invariants import charforms
+    asked, computed = set(), []
+    word = charforms._word
+
+    def spy_word(cache, mats, traced):
+        if traced:
+            asked.add(tuple(map(id, mats)))
+        return word(cache, mats, traced)
+
+    def spy(name):
+        method = getattr(MatrixForm, name)
+        return lambda self, *rest: computed.append(name) or method(self, *rest)
+
+    monkeypatch.setattr(charforms, "_word", spy_word)
+    monkeypatch.setattr(MatrixForm, "trace", spy("trace"))
+    monkeypatch.setattr(MatrixForm, "trace_wedge", spy("trace_wedge"))
+    m = ci.g2_flag()
+    charforms.transgression(m, m.reps["graded-tangent"], parse_poly("5^5*c5-3*c1^5"))
+    rotations = {min(w[r:] + w[:r] for r in range(len(w))) for w in asked}
+    assert len(rotations) == len(asked) == len(computed) > 20

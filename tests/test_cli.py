@@ -190,6 +190,18 @@ def test_cli_structure_report_split_no_plus_rows():
     assert all(r["part"] != "plus" for r in report["generators"])
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_cli_report_differentiates_each_generator_once(monkeypatch, json_flag):
+    from cartan_invariants import cli as cli_module
+    calls = []
+    d = cli_module.ce_differential
+    monkeypatch.setattr(cli_module, "ce_differential",
+                        lambda *a, **kw: calls.append(a) or d(*a, **kw))
+    code, out, err = cli("report", "g2", *json_flag)
+    assert code == 0 and out
+    assert len(calls) == 14  # dim g2
+
+
 def test_cli_report_matches_library():
     code, out, err = cli("report", "projective", "--n", "1", "--json")
     obj = json.loads(out)

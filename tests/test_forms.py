@@ -10,7 +10,7 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                foliated_projective, invariant_basis, is_at_grade,
                                monomial_masks, plus_component, projective, quotient_d)
 from cartan_invariants.charforms import MatrixForm
-from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits, mask_key,
+from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits,
                                      parity_above)
 from cartan_invariants.model import LieModel
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
@@ -548,7 +548,7 @@ def _plain_masks(m, degree, plus, min_minus):
         for rest in combinations(minus_zero, degree - plus):
             if sum(g < m.dims[0] for g in rest) >= min_minus:
                 masks.append(sum(1 << g for g in pc + rest))
-    return sorted(masks, key=mask_key)
+    return sorted(masks, key=lambda mask: tuple(mask_bits(mask)))
 
 
 def _fraction_joint_kernel(masks, tables):
