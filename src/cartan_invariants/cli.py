@@ -105,9 +105,11 @@ def _require(ok: bool, message: str):
         raise SystemExit2(message)
 
 
-def _emit(args, obj: dict, text_lines: Callable[[], list[str]]):
+def _emit(args, obj: Callable[[], dict], text_lines: Callable[[], list[str]]):
+    """Print ``obj()`` as JSON under --json, else ``text_lines()``; only the
+    one printed is built."""
     if getattr(args, "json", False):
-        print(json.dumps(obj, separators=(",", ":")))
+        print(json.dumps(obj(), separators=(",", ":")))
     else:
         for line in text_lines():
             print(line)
@@ -128,15 +130,15 @@ def cmd_model(args) -> int:
         return 0
     m = _load_model(args)
     report = validate_model(m)
-    obj = {"ok": report.ok, "failures": report.failures}
-    _emit(args, obj, lambda: ["ok" if report.ok else "FAILED"]
+    _emit(args, lambda: {"ok": report.ok, "failures": report.failures},
+          lambda: ["ok" if report.ok else "FAILED"]
           + [f"  {f['check']}: {f['detail']}" for f in report.failures])
     return 0 if report.ok else 1
 
 
 def cmd_report(args) -> int:
     m = _load_model(args)
-    _emit(args, structure_report(m) if args.json else {}, lambda: [
+    _emit(args, lambda: structure_report(m), lambda: [
         line for gen, d, dq in _natural_differentials(m)
         for line in (f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}")])
     return 0
@@ -148,9 +150,9 @@ def cmd_chern(args) -> int:
     _require(args.max >= 1, "--max must be >= 1")
     k_max = min(args.max, rep.dim)
     cs = chern_forms(m, rep, k_max)
-    obj = {"model": m.meta.get("family", "file"), "rep": rep.label,
-           "forms": {f"c{k}": c.to_json(m) for k, c in enumerate(cs, start=1)}}
-    _emit(args, obj, lambda: [f"c{k} = {c.pretty(m)}" for k, c in enumerate(cs, start=1)])
+    _emit(args, lambda: {"model": m.meta.get("family", "file"), "rep": rep.label,
+                         "forms": {f"c{k}": c.to_json(m) for k, c in enumerate(cs, start=1)}},
+          lambda: [f"c{k} = {c.pretty(m)}" for k, c in enumerate(cs, start=1)])
     return 0
 
 
@@ -163,11 +165,10 @@ def cmd_cs(args) -> int:
         raise SystemExit2(str(e))
     t_form, grade, full = (transgression(m, rep, poly) if args.full
                            else (*cs_class(m, rep, poly), None))
-    obj = {"poly": args.poly, "grade": list(grade.as_tuple()),
-           "cs_class": t_form.to_json(m)}
-    if args.full:
-        obj["chern_simons_form"] = full.to_json(m)
-    _emit(args, obj, lambda: [f"grade = {grade.as_tuple()}", f"cs_class = {t_form.pretty(m)}"]
+    _emit(args, lambda: {"poly": args.poly, "grade": list(grade.as_tuple()),
+                         "cs_class": t_form.to_json(m),
+                         **({"chern_simons_form": full.to_json(m)} if args.full else {})},
+          lambda: [f"grade = {grade.as_tuple()}", f"cs_class = {t_form.pretty(m)}"]
           + ([f"chern_simons_form = {full.pretty(m)}"] if args.full else []))
     return 0
 
@@ -177,7 +178,6 @@ def cmd_relations(args) -> int:
     rep = _rep_of(m, args.rep)
     _require(1 <= args.degree <= rep.dim, f"--degree must be in 1..{rep.dim}, the rep dimension")
     rels = find_relations(m, rep, args.degree, modulo_exact=args.modulo_exact)
-    obj = {"relations": [r.to_json() for r in rels]}
     lines = []
     for r in rels:
         bits = []
@@ -185,7 +185,8 @@ def cmd_relations(args) -> int:
             sign = "-" if c < 0 and bits else ("+" if bits else ("-" if c < 0 else ""))
             bits.append(f"{sign} {abs(c)}*{partition_label(mon)}".strip())
         lines.append(" ".join(bits) + " = 0")
-    _emit(args, obj, lambda: lines or ["no relations"])
+    _emit(args, lambda: {"relations": [r.to_json() for r in rels]},
+          lambda: lines or ["no relations"])
     return 0
 
 
@@ -209,16 +210,15 @@ def cmd_primitive(args) -> int:
         print(f"warning: target is not closed at grade {grade.as_tuple()}", file=sys.stderr)
     res = find_primitive(m, xi, grade, invariant_only=not args.no_invariant,
                          min_minus=args.min_minus)
-    obj = {
+    _emit(args, lambda: {
         "target": args.target,
         "grade": list(grade.as_tuple()),
         "primitive": res.psi.to_json(m) if res.exact else "not_exact",
         "certificate": {k: v for k, v in res.certificate.items()},
         "searched_dimension": res.searched_dimension,
-    }
-    _emit(args, obj, lambda: [f"grade = {grade.as_tuple()}",
-                              f"primitive = {res.psi.pretty(m)}" if res.exact
-                              else f"not exact; certificate = {res.certificate}"])
+    }, lambda: [f"grade = {grade.as_tuple()}",
+                f"primitive = {res.psi.pretty(m)}" if res.exact
+                else f"not exact; certificate = {res.certificate}"])
     if not res.exact and args.expect_exact:
         return 1
     return 0
@@ -230,19 +230,18 @@ def cmd_audit(args) -> int:
     _require(rep.g_module, f"rep {rep.label!r} is not a g-module restriction")
     _require(args.max is None or args.max >= 1, "--max must be >= 1")
     report = exactness_audit(m, rep, args.max)
-    obj = {
-        "rep": report["rep"],
-        "degrees": [
-            {k: (v.to_json(m) if isinstance(v, Form) else v) for k, v in row.items()}
-            for row in report["degrees"]
-        ],
-    }
     lines = []
     for row in report["degrees"]:
         verdict = "zero form" if row["chern_form_zero"] else (
             "exact" if row["exact"] else "NOT exact")
         lines.append(f"c{row['k']}: {verdict}")
-    _emit(args, obj, lambda: lines)
+    _emit(args, lambda: {
+        "rep": report["rep"],
+        "degrees": [
+            {k: (v.to_json(m) if isinstance(v, Form) else v) for k, v in row.items()}
+            for row in report["degrees"]
+        ],
+    }, lambda: lines)
     if args.expect_exact and any(not row["exact"] for row in report["degrees"]):
         return 1
     return 0
@@ -256,8 +255,8 @@ CONFORMAL_N_MAX = 1000
 def cmd_conformal_coeffs(args) -> int:
     _require(1 <= args.n <= CONFORMAL_N_MAX, f"--n must be in 1..{CONFORMAL_N_MAX}")
     coeffs = conformal_coefficients(args.n)
-    obj = {"n": args.n, "coefficients": [str(c) for c in coeffs]}
-    _emit(args, obj, lambda: [" ".join(str(c) for c in coeffs)])
+    _emit(args, lambda: {"n": args.n, "coefficients": [str(c) for c in coeffs]},
+          lambda: [" ".join(str(c) for c in coeffs)])
     return 0
 
 

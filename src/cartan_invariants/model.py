@@ -80,10 +80,12 @@ class Generator(FrozenRecord):
 
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
-SparseMatrix = dict[tuple[int, int], Fraction]
+# a matrix by its nonzero entries: int or Fraction in a family's basis
+# matrices and their commutators, Fraction in a Rep
+SparseMatrix = dict[tuple[int, int], Fraction | int]
 
 
-def sparse_sum(*terms: tuple[Fraction, SparseMatrix]) -> SparseMatrix:
+def sparse_sum(*terms: tuple[Fraction | int, SparseMatrix]) -> SparseMatrix:
     """sum c * mat over the (c, mat) pairs, without zero entries."""
     out: SparseMatrix = {}
     for c, mat in terms:

@@ -153,8 +153,9 @@ def model_from_obj(obj: dict) -> LieModel:
             if (not isinstance(mat, list) or len(mat) != dim
                     or any(not isinstance(row, list) or len(row) != dim for row in mat)):
                 raise ModelSchemaError(f"{where} matrices must be {dim}x{dim}")
-            parsed_mats.append({(i, j): x for i, row in enumerate(mat)
-                                for j, c in enumerate(row) if (x := _rational(c, where))})
+            # the string "0", the common entry, needs no parse to be dropped
+            parsed_mats.append({(i, j): x for i, row in enumerate(mat) for j, c in enumerate(row)
+                                if c != "0" and (x := _rational(c, where))})
         f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
         reps[label] = Rep(label, parsed_mats, dim, ghost=bool(f.get("ghost")),
                           g_module=bool(f.get("g_module")))

@@ -12,6 +12,7 @@ import pytest
 
 import cartan_invariants as ci
 from cartan_invariants.cli import run, structure_report
+from cartan_invariants.forms import Form
 from cartan_invariants.modelio import (ModelSchemaError, emit_model_json,
                                        parse_model_file, parse_model_json)
 from cartan_invariants.models import FAMILIES
@@ -200,6 +201,31 @@ def test_cli_report_differentiates_each_generator_once(monkeypatch, json_flag):
     code, out, err = cli("report", "g2", *json_flag)
     assert code == 0 and out
     assert len(calls) == 14  # dim g2
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "projective", "--n", "2", "--rep", "tangent", "--max", "2"],
+    ["cs", "projective", "--n", "2", "--rep", "tangent", "--poly", "c2", "--full"],
+    ["primitive", "g2", "--rep", "graded-tangent", "--target", "5^5*c5-3*c1^5"],
+    ["audit", "FILE", "--rep", "tangent"],
+], ids=lambda argv: argv[0])
+def test_cli_text_mode_serializes_no_form(monkeypatch, tmp_path, argv):
+    """The JSON object, with ``Form.to_json`` of every form, is built only
+    under --json.  Every built-in g-module restriction has zero Chern forms,
+    so the audit reads projective(1) with its tangent module flagged as one,
+    which gives it a primitive to serialize."""
+    obj = json.loads(emit_model_json(ci.projective(1)))
+    obj["meta"]["flags"]["tangent"] = {"ghost": False, "g_module": True}
+    path = tmp_path / "projective1.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    calls = []
+    to_json = Form.to_json
+    monkeypatch.setattr(Form, "to_json", lambda *a: calls.append(a) or to_json(*a))
+    assert cli(*argv)[0] == 0
+    assert calls == []
+    assert cli(*argv, "--json")[0] == 0
+    assert calls
 
 
 def test_cli_report_matches_library():
@@ -393,6 +419,9 @@ def _set(path, value):
 @pytest.mark.parametrize("edit", [
     pytest.param(_set(["brackets", 0, 2, 0, 1], -2), id="int-bracket-coefficient"),
     pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], 2), id="int-rep-entry"),
+    pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], 0), id="int-zero-rep-entry"),
+    pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], "0/0"), id="zero-over-zero-entry"),
+    pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], "0.0"), id="decimal-zero-entry"),
     pytest.param(_set(["meta", "pairing"], [[1]]), id="int-pairing-entry"),
     pytest.param(_set(["reps", "tangent"], 5), id="rep-not-object"),
     pytest.param(_set(["brackets"], 5), id="brackets-not-list"),

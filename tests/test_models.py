@@ -346,8 +346,34 @@ ORACLE_GRID = BUILTIN[:-1] + [
 def test_sparse_bracket_table_matches_dense_rref(family, params):
     m = ci.build_model(family, **params)
     assert m.brackets == _dense_brackets(_dense(m.realization))
+    assert list(m.brackets) == sorted(m.brackets)
     assert [list(c) for c in m.brackets.values()] == [
         sorted(c) for c in m.brackets.values()]
+    assert all(type(c) is F for comp in m.brackets.values() for c in comp.values())
+    assert all(type(x) is F for rep in m.reps.values() for mat in rep.matrices
+               for x in mat.values())
+
+
+# x = E00 + E22 and y = E22 are diagonal and meet at index 2, so they are
+# commuted but commute; y and z = E10 have disjoint supports and are not
+# commuted; xz = 0 and zx = z, so [x, z] = -z
+X, Y, Z = {(0, 0): 1, (2, 2): 1}, {(2, 2): 1}, {(1, 0): 1}
+
+
+@pytest.mark.parametrize("mats,commuted,brackets", [
+    ([X, Y, Z], [(0, 1), (0, 2)], {(0, 2): {2: F(-1)}}),
+    ([Z, Y, X], [(0, 2), (1, 2)], {(0, 2): {0: F(1)}}),
+], ids=["AB-zero", "BA-zero"])
+def test_model_from_matrices_commutes_only_meeting_supports(monkeypatch, mats, commuted,
+                                                            brackets):
+    from cartan_invariants import models
+    calls = []
+    commutator = models.sparse_commutator
+    monkeypatch.setattr(models, "sparse_commutator",
+                        lambda a, b: calls.append((a, b)) or commutator(a, b))
+    m = _model_from_matrices((1, 1, 1), mats, ["w1", "z1", "u1"], {})
+    assert m.brackets == brackets
+    assert calls == [(mats[i], mats[j]) for i, j in commuted]
 
 
 def test_model_from_matrices_errors():
