@@ -5,48 +5,45 @@ tau = i/(2*pi), the Atiyah, Chern, Chern-character, Todd and transgression
 (Chern-Simons) forms of the flat models of classical geometric structures,
 discovers the exact polynomial relations among Chern forms, and solves for
 transgression primitives in the trigraded quotient complex.
+
+The namespace is lazy: a name's home module is imported, and the name
+bound here, on first access, so a process compiles only what it uses.
 """
 
-from .scalars import parse_rational
-from .linalg import nullspace, rank, rref, solve
-from .model import (Generator, LieModel, Part, Rep, ValidationReport,
-                    validate_model, validate_rep)
-from .forms import (CoadjointOperator, Form, Grade, GradeError, ce_differential,
-                    invariant_basis, is_at_grade, monomial_masks, plus_component,
-                    quotient_d)
-from .invariants import InvPoly, PolyParseError, parse_poly
-from .charforms import (MatrixForm, atiyah_form, chern_character, chern_form_of,
-                        chern_forms, chern_simons_form, cs_class, cs_coefficients,
-                        invariant_poly_eval, omega0_matrix, tangent_atiyah_form,
-                        tangent_rep, todd_forms, transgression, transgression_checks,
-                        verify_multiplicativity)
-from .relations import (PrimitiveResult, Relation, conformal_coefficients,
-                        exactness_audit, find_primitive, find_relations,
-                        invariant_cocycles, is_closed, partitions_of)
-from .models import (FAMILIES, build_model, conformal, foliated_projective,
-                     g2_flag, grassmannian, lagrangian_grassmannian, projective,
-                     split_projective)
-from .modelio import (ModelSchemaError, emit_model_json, model_from_obj,
-                      model_to_obj, parse_model_file, parse_model_json)
+from importlib import import_module
 
-__all__ = [
-    "parse_rational",
-    "nullspace", "rank", "rref", "solve",
-    "Generator", "LieModel", "Part", "Rep", "ValidationReport",
-    "validate_model", "validate_rep",
-    "CoadjointOperator", "Form", "Grade", "GradeError", "ce_differential",
-    "invariant_basis", "is_at_grade", "monomial_masks", "plus_component",
-    "quotient_d",
-    "InvPoly", "PolyParseError", "parse_poly",
-    "MatrixForm", "atiyah_form", "chern_character", "chern_form_of",
-    "chern_forms", "chern_simons_form", "cs_class", "cs_coefficients",
-    "invariant_poly_eval", "omega0_matrix", "tangent_atiyah_form", "tangent_rep",
-    "todd_forms", "transgression", "transgression_checks", "verify_multiplicativity",
-    "PrimitiveResult", "Relation", "conformal_coefficients", "exactness_audit",
-    "find_primitive", "find_relations", "invariant_cocycles", "is_closed",
-    "partitions_of",
-    "FAMILIES", "build_model", "conformal", "foliated_projective", "g2_flag",
-    "grassmannian", "lagrangian_grassmannian", "projective", "split_projective",
-    "ModelSchemaError", "emit_model_json", "model_from_obj", "model_to_obj",
-    "parse_model_file", "parse_model_json",
-]
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "scalars": ("parse_rational",),
+    "linalg": ("nullspace", "rank", "rref", "solve"),
+    "model": ("Generator", "LieModel", "Part", "Rep", "ValidationReport", "tangent_rep",
+              "validate_model", "validate_rep"),
+    "forms": ("CoadjointOperator", "Form", "Grade", "GradeError", "ce_differential",
+              "invariant_basis", "is_at_grade", "monomial_masks", "plus_component", "quotient_d"),
+    "invariants": ("InvPoly", "PolyParseError", "parse_poly"),
+    "charforms": ("MatrixForm", "atiyah_form", "chern_character", "chern_form_of", "chern_forms",
+                  "chern_simons_form", "cs_class", "cs_coefficients", "invariant_poly_eval",
+                  "omega0_matrix", "tangent_atiyah_form", "todd_forms", "transgression",
+                  "transgression_checks", "verify_multiplicativity"),
+    "relations": ("PrimitiveResult", "Relation", "conformal_coefficients", "exactness_audit",
+                  "find_primitive", "find_relations", "invariant_cocycles", "is_closed",
+                  "partitions_of"),
+    "models": ("FAMILIES", "build_model", "conformal", "foliated_projective", "g2_flag",
+               "grassmannian", "lagrangian_grassmannian", "projective", "split_projective"),
+    "modelio": ("ModelSchemaError", "emit_model_json", "model_from_obj", "model_to_obj",
+                "parse_model_file", "parse_model_json"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -22,7 +22,7 @@ from typing import Iterator
 from .forms import (Form, Grade, _wedge_sums, ce_differential, combination, plus_component,
                     wedge_all)
 from .invariants import InvPoly
-from .model import LieModel, Part, Rep, diagonal_block
+from .model import LieModel, Part, Rep, diagonal_block, tangent_rep
 
 
 class MatrixForm:
@@ -113,24 +113,6 @@ def tangent_atiyah_form(m: LieModel, rep: Rep | None = None):
                 out[x][y][z] = [-Fraction(rho[(x, y)].get((i, z), 0)
                                           + rho[(x, z)].get((i, y), 0), 2) for i in minus]
     return out
-
-
-def tangent_rep(m: LieModel, label: str = "tangent", lo: int = 0,
-                hi: int | None = None) -> Rep:
-    """g0 acting through the bracket on the minus gids [lo, hi), all of g- by
-    default (the model-level tangent module); the block must be g0-invariant."""
-    hi = m.dims[0] if hi is None else hi
-    mats = []
-    for u in m.part_range(Part.ZERO):
-        mat = {}
-        for j in range(lo, hi):
-            for k, c in m.bracket_basis(u, j).items():
-                if lo <= k < hi:
-                    mat[(k - lo, j - lo)] = c
-                elif k < m.dims[0]:
-                    raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
-        mats.append(mat)
-    return Rep(label, mats, hi - lo)
 
 
 def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:

@@ -130,7 +130,8 @@ class Rep:
                  ghost: bool = False, g_module: bool = False):
         self.label = label
         self.dim = dim
-        self.matrices = [{key: Fraction(x) for key, x in mat.items() if x} for mat in matrices]
+        self.matrices = [{key: x if type(x) is Fraction else Fraction(x)
+                          for key, x in mat.items() if x} for mat in matrices]
         for mat in self.matrices:
             for i, j in mat:
                 if not (0 <= i < dim and 0 <= j < dim):
@@ -171,7 +172,7 @@ class LieModel:
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < self.total):
                 raise ValueError(f"bad bracket key ({i},{j})")
-            entry = {k: Fraction(c) for k, c in comp.items() if c}
+            entry = {k: c if type(c) is Fraction else Fraction(c) for k, c in comp.items() if c}
             for k in entry:
                 if not 0 <= k < self.total:
                     raise ValueError(f"bracket ({i},{j}) hits generator {k} out of range")
@@ -250,6 +251,24 @@ class LieModel:
             for a, c in self.bracket_basis(u, y).items():
                 table[a][y] = -c
         return table
+
+
+def tangent_rep(m: LieModel, label: str = "tangent", lo: int = 0,
+                hi: int | None = None) -> Rep:
+    """g0 acting through the bracket on the minus gids [lo, hi), all of g- by
+    default (the model-level tangent module); the block must be g0-invariant."""
+    hi = m.dims[0] if hi is None else hi
+    mats = []
+    for u in m.part_range(Part.ZERO):
+        mat = {}
+        for j in range(lo, hi):
+            for k, c in m.bracket_basis(u, j).items():
+                if lo <= k < hi:
+                    mat[(k - lo, j - lo)] = c
+                elif k < m.dims[0]:
+                    raise ValueError(f"minus block [{lo},{hi}) not g0-invariant")
+        mats.append(mat)
+    return Rep(label, mats, hi - lo)
 
 
 class ValidationReport(Record):

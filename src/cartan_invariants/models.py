@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charforms import tangent_rep
 from .linalg import rref
 from .model import (BracketTable, LieModel, Rep, SparseMatrix, diagonal_block,
-                    sparse_commutator, sparse_sum)
+                    sparse_commutator, sparse_sum, tangent_rep)
 
 
 def _E(i: int, j: int) -> SparseMatrix:

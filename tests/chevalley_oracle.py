@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cartan_invariants.charforms import tangent_rep
-from cartan_invariants.model import BracketTable, LieModel
+from cartan_invariants.model import BracketTable, LieModel, tangent_rep
 from cartan_invariants.models import _names
 
 Root = tuple[int, ...]

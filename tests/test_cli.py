@@ -347,19 +347,33 @@ def _loaded_modules(statement):
 
 def test_start_up_imports():
     """Every module a process loads costs it the module's import, and, with
-    no bytecode cache, the compile of its source.  The CLI leaves out
-    dataclasses and inspect, and loads no Chevalley module (that construction
-    is the test oracle tests/chevalley_oracle.py); the package
-    import leaves out argparse and the CLI, yet still loads every module
-    that perfbench/layers.py patches through sys.modules."""
+    no bytecode cache, the compile of its source.  The package namespace is
+    lazy: importing it loads no package module and no argparse, and a model
+    build loads only the three modules it runs.  The CLI leaves out
+    dataclasses and inspect, and loads no Chevalley module (that
+    construction is the test oracle tests/chevalley_oracle.py), yet still
+    loads every module that perfbench/layers.py patches through sys.modules
+    once its first query has imported the CLI."""
     start = _loaded_modules("pass")
-    cli_path = _loaded_modules("from cartan_invariants.cli import main") - start
+
+    def package_modules(statement):
+        loaded = _loaded_modules(statement) - start
+        return loaded, {name for name in loaded if name.startswith("cartan_invariants.")}
+
+    loaded, modules = package_modules("import cartan_invariants")
+    assert "cartan_invariants" in loaded and not modules and "argparse" not in loaded
+    _, modules = package_modules("import cartan_invariants as ci; ci.build_model('g2')")
+    assert modules == {"cartan_invariants.linalg", "cartan_invariants.model",
+                       "cartan_invariants.models"}
+    text = json.dumps({"dims": [1, 0, 1], "names": ["w1", "u1"], "brackets": [], "reps": {}})
+    _, modules = package_modules(f"import cartan_invariants as ci; ci.parse_model_json({text!r})")
+    assert modules == {"cartan_invariants.model", "cartan_invariants.modelio",
+                       "cartan_invariants.scalars"}
+    cli_path, modules = package_modules("from cartan_invariants.cli import main")
     assert not cli_path & {"dataclasses", "inspect", "cartan_invariants.chevalley"}
-    package = _loaded_modules("import cartan_invariants") - start
-    assert not package & {"argparse", "cartan_invariants.cli"}
     assert {f"cartan_invariants.{name}" for name in (
         "charforms", "forms", "invariants", "linalg", "model", "modelio", "models",
-        "relations")} <= package
+        "relations")} <= modules
 
 
 def test_wrapped_family_builder_keeps_its_parameters(monkeypatch):
