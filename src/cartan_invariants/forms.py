@@ -317,23 +317,28 @@ def ce_differential(m: LieModel, form: Form, plus: int | None = None) -> Form:
     den, table = m.dual_d()
     acc: dict[int, int] = {}
     for mask, n in form.nums.items():
-        above = parity_above(mask)
-        rise = None if plus is None else plus - plus_count(m, mask)
-        for t, a in enumerate(mask_bits(mask)):
-            rest = mask ^ (1 << a)
-            # past the t bits below a, then the pair sorts into rest, whose
-            # parity_above is above with the bits below a flipped
-            odd = above ^ ((1 << a) - 1)
-            for pairs in table[a].values() if rise is None else (table[a].get(rise, ()),):
-                for pair_mask, c in pairs:
-                    if pair_mask & rest:
-                        continue
-                    new_mask = rest | pair_mask
-                    if ((odd & pair_mask).bit_count() + t) & 1:
-                        acc[new_mask] = acc.get(new_mask, 0) - n * c
-                    else:
-                        acc[new_mask] = acc.get(new_mask, 0) + n * c
+        _add_d(acc, table, mask, n, None if plus is None else plus - plus_count(m, mask))
     return _form(acc, form.den * den, form.tau)
+
+
+def _add_d(acc: dict[int, int], table, mask: int, n: int, rise: int | None) -> None:
+    """acc += n * d(mask) over the ``dual_d`` den, only pairs of this rise if given:
+    the inner loop of ``ce_differential`` and ``relations.monomial_differentials``."""
+    above = parity_above(mask)
+    for t, a in enumerate(mask_bits(mask)):
+        rest = mask ^ (1 << a)
+        # past the t bits below a, then the pair sorts into rest, whose
+        # parity_above is above with the bits below a flipped
+        odd = above ^ ((1 << a) - 1)
+        for pairs in table[a].values() if rise is None else (table[a].get(rise, ()),):
+            for pair_mask, c in pairs:
+                if pair_mask & rest:
+                    continue
+                new_mask = rest | pair_mask
+                if ((odd & pair_mask).bit_count() + t) & 1:
+                    acc[new_mask] = acc.get(new_mask, 0) - n * c
+                else:
+                    acc[new_mask] = acc.get(new_mask, 0) + n * c
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:
@@ -439,20 +444,19 @@ def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
         return []
     weight = _packed_weights(m, torus, degree)
     bits = [1 << g for g in range(m.total)]
-    lo = m.offsets[Part.PLUS]
+    lo, nm, k = m.offsets[Part.PLUS], m.dims[0], degree - plus - min_minus
     # combinations of two parallel lists come out in the same order
     by_weight: dict[int, list[int]] = {}
     for pw, pb in zip(combinations(weight[lo:], plus), combinations(bits[lo:], plus)):
         by_weight.setdefault(-sum(pw), []).append(sum(pb))
-    first_zero = 1 << m.dims[0]
     masks = []
-    for rw, rb in zip(combinations(weight[:lo], degree - plus),
-                      combinations(bits[:lo], degree - plus)):
-        # rb is increasing: min_minus minus generators iff entry min_minus is one
-        if min_minus > 0 and rb[min_minus - 1] >= first_zero:
-            continue
-        for pmask in by_weight.get(sum(rw), ()):
-            masks.append(sum(rb) | pmask)
+    # only subsets that meet min_minus: that many from g-, then k more above them
+    for hw, hb in zip(combinations(weight[:nm], min_minus), combinations(bits[:nm], min_minus)):
+        hs, hm = sum(hw), sum(hb)
+        for rw, rb in zip(combinations(weight[hm.bit_length():lo], k),
+                          combinations(bits[hm.bit_length():lo], k)):
+            for pmask in by_weight.get(hs + sum(rw), ()):
+                masks.append(hm | sum(rb) | pmask)
     return masks
 
 

@@ -203,8 +203,12 @@ def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Sc
 
 def is_fredholm_witness(columns: Iterable[Mapping[int, Scalar]], b: Mapping[int, Scalar],
                         y: Mapping[int, Fraction]) -> bool:
-    """Exact check that y.a = 0 for every column a and y.b != 0."""
-    def pair(vec: Mapping[int, Scalar]) -> Fraction:
-        return sum((c * y[k] for k, c in vec.items() if k in y), Fraction(0))
+    """Exact check, in integers, that y.a = 0 for every column a and y.b != 0."""
+    d = lcm(*(v.denominator for v in y.values()))
+    yn = {k: v.numerator * (d // v.denominator) for k, v in y.items()}
+
+    def pair(vec: Mapping[int, Scalar]) -> int:  # over the LCM of vec's denominators
+        s = lcm(*(c.denominator for c in vec.values()))
+        return sum(c.numerator * (s // c.denominator) * yn[k] for k, c in vec.items() if k in yn)
 
     return all(not pair(a) for a in columns) and pair(b) != 0

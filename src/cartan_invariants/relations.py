@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .charforms import chern_forms
-from .forms import (Form, Grade, ce_differential, combination, invariant_basis, is_at_grade,
-                    monomial_masks, plus_component, quotient_d, wedge_all)
+from .forms import (Form, Grade, _add_d, ce_differential, combination, invariant_basis,
+                    is_at_grade, monomial_masks, plus_count, plus_component, quotient_d, wedge_all)
 from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
 from .model import LieModel, Record, Rep
@@ -158,6 +158,17 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     return [combination((c, basis[j]) for j, c in combo.items()) for combo in nullspace(cols)]
 
 
+def monomial_differentials(m: LieModel, masks: list[int], plus: int) -> tuple[int, list]:
+    """(den, columns): column j is ``ce_differential(m, Form.monomial(masks[j]),
+    plus)`` as integer numerators over den, the ``dual_d`` den; no Form is built."""
+    (den, table), cols = m.dual_d(), []
+    for mask in masks:
+        acc: dict[int, int] = {}
+        _add_d(acc, table, mask, 1, plus - plus_count(m, mask))
+        cols.append(acc if all(acc.values()) else {k: n for k, n in acc.items() if n})
+    return den, cols
+
+
 class PrimitiveResult(Record):
     """Outcome of a primitive search.
 
@@ -194,9 +205,10 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     itself invariant.  The search is one ``solve`` of [A | b], with b the
     tau^e coefficients of xi and e its tau exponent, which also gives the
     certificate ranks; a ``not_exact`` result costs one more, for its witness.
-    Column j of A is ``d_j.nums``, d_j the restricted differential of basis
-    vector b_j, so psi = sum_j x_j d_j.den b_j, in one accumulation.  Either
-    result is re-verified: psi by its differential, a witness exactly.
+    Column j of A is b_j's restricted differential in integers over D_j, so
+    psi = sum_j x_j D_j b_j: ``d_j.nums`` over ``d_j.den``, or for monomials
+    ``monomial_differentials`` (no ``Form`` each) over the ``dual_d`` den.
+    Either result is re-verified: psi by its differential, a witness exactly.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
@@ -205,11 +217,12 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     deg = grade.degree() - 1
     if invariant_only:
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
+        diffs = [ce_differential(m, b, grade.r) for b in basis]
+        columns = [d.nums for d in diffs]
     else:
-        basis = [Form.monomial(mask) for mask in monomial_masks(m, deg, grade.r - 1, min_minus)]
-    diffs = [ce_differential(m, b, grade.r) for b in basis]
-    columns = [d.nums for d in diffs]
-    n = len(basis)
+        masks = monomial_masks(m, deg, grade.r - 1, min_minus)
+        den, columns = monomial_differentials(m, masks, grade.r)
+    n = len(columns)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)
     if x is None:
@@ -222,7 +235,8 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
              "columns": n, "tau_exponent": xi.tau},
             y,
         )
-    psi = combination((c * diffs[j].den, basis[j]) for j, c in x.items()).tau_shift(xi.tau)
+    psi = (combination((c * diffs[j].den, basis[j]) for j, c in x.items()) if invariant_only
+           else Form({masks[j]: c * den for j, c in x.items()})).tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")

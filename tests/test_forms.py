@@ -10,9 +10,11 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                foliated_projective, invariant_basis, is_at_grade,
                                monomial_masks, plus_component, projective, quotient_d)
 from cartan_invariants.charforms import MatrixForm
+from cartan_invariants import forms as forms_module
 from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits,
                                      parity_above)
 from cartan_invariants.model import LieModel
+from cartan_invariants.relations import monomial_differentials
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
 
 ALL_MODELS = None
@@ -657,7 +659,8 @@ def test_invariant_basis_matches_plain_enumeration():
         assert bool(diagonal) == (m is not rotation)
         for degree in range(6):
             for plus in range(min(degree, m.dims[2]) + 2):
-                for min_minus in range(3):
+                # min_minus == degree - plus: every minus/zero generator from g-
+                for min_minus in sorted({0, 1, 2, max(degree - plus, 0)}):
                     plain = _plain_masks(m, degree, plus, min_minus)
                     assert monomial_masks(m, degree, plus, min_minus) == plain
                     zero_weight = monomial_masks(m, degree, plus, min_minus, diagonal)
@@ -673,6 +676,56 @@ def test_invariant_basis_matches_plain_enumeration():
     assert cases > 500
     (b,) = invariant_basis(rotation, 2, 0, 0)
     assert b == Form.dual(0).wedge(Form.dual(1))
+
+
+def test_monomial_masks_walks_only_subsets_meeting_min_minus(monkeypatch):
+    """grassmannian(3,3) at (7, 3, 4) keeps 126 of the C(26, 4) minus/zero
+    subsets; each kept one is drawn once (twice over the parallel weight and
+    bit lists), and so is each of its min_minus g- heads, never the rest."""
+    import cartan_invariants as ci
+    m = ci.grassmannian(3, 3)
+    drawn = []
+
+    def counting(pool, k):
+        for subset in combinations(pool, k):
+            drawn.append(subset)
+            yield subset
+
+    monkeypatch.setattr(forms_module, "combinations", counting)
+    masks = monomial_masks(m, 7, 3, 4)
+    plus_subsets = math.comb(m.dims[2], 3)
+    kept = len(masks) // plus_subsets
+    assert kept == math.comb(m.dims[0], 4) == 126
+    assert len(drawn) == 2 * (plus_subsets + math.comb(m.dims[0], 4) + kept)
+    assert masks == _plain_masks(m, 7, 3, 4)
+
+
+def test_monomial_differentials_match_per_form_differentials():
+    """Column j of the one-pass table is ce_differential of the one-term form
+    of mask j, restricted to the plus count, over the dual_d den: on every
+    family, for masks at several (degree, plus, min_minus) and target plus
+    counts that rise by 0, 1 or 2."""
+    import cartan_invariants as ci
+    models = [ci.projective(3), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
+              ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
+              ci.g2_flag()]
+    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
+    columns = 0
+    for m in models:
+        den = m.dual_d()[0]
+        for degree in range(1, 5):
+            for plus in range(min(degree, m.dims[2]) + 1):
+                for min_minus in sorted({0, 1, degree - plus}):
+                    masks = monomial_masks(m, degree, plus, min_minus)
+                    for target in (plus, plus + 1, plus + 2):
+                        got_den, cols = monomial_differentials(m, masks, target)
+                        assert got_den == den and len(cols) == len(masks)
+                        for mask, col in zip(masks, cols):
+                            d = ce_differential(m, Form.monomial(mask), target)
+                            assert den % d.den == 0
+                            assert col == {k: n * (den // d.den) for k, n in d.nums.items()}
+                            columns += 1
+    assert columns > 10_000
 
 
 def test_monomial_masks_rejects_a_non_diagonal_torus():

@@ -278,6 +278,34 @@ def test_back_substitution_matches_rref_reference():
     assert min(seen.values()) >= 60, seen
 
 
+def _fraction_witness_check(columns, b, y):
+    """is_fredholm_witness as it was: every pairing summed in Fractions."""
+    def pair(vec):
+        return sum((c * y[k] for k, c in vec.items() if k in y), F(0))
+
+    return all(not pair(a) for a in columns) and pair(b) != 0
+
+
+def test_witness_check_in_integers_matches_the_fraction_sums():
+    """The integer pairings of is_fredholm_witness decide exactly as Fraction
+    sums do, on true witnesses, on witnesses with one entry moved, scaled or
+    dropped, and on vectors with a key no column has."""
+    rng = random.Random(20261019)
+    seen = {True: 0, False: 0}
+    for trial in range(400):
+        columns, b = _wide_system(rng)
+        if solve(columns, b)[0] is not None:
+            continue
+        y = fredholm_witness(columns, b)
+        key = rng.choice(list(y))
+        for probe in (y, {**y, key: y[key] + F(1, rng.randint(1, 7))}, {**y, key: 3 * y[key]},
+                      {k: v for k, v in y.items() if k != key}, {**y, 2**17: F(-5, 3)}):
+            got = is_fredholm_witness(columns, b, probe)
+            assert got == _fraction_witness_check(columns, b, probe), trial
+            seen[got] += 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_forward_pass_divides_out_common_factors(monkeypatch):
     """Clearing a column divides both multipliers by their gcd, so a row
     cleared of eight pivot columns whose entries share the factor 2**20

@@ -336,3 +336,89 @@ def test_find_primitive_eliminates_once_per_tau_exponent(monkeypatch):
     calls.clear()
     res = ci.find_primitive(m1, c1, Grade(1, 0, 1), invariant_only=False)
     assert res.exact and len(calls) == 1  # a form has one tau exponent
+
+
+def _per_form_primitive(m, xi, grade, min_minus=0):
+    """The monomial-basis search as it was built before the one-pass columns:
+    a one-term Form and a ce_differential per monomial, columns ``d.nums``,
+    and psi = sum_j x_j d_j.den b_j through ``combination``."""
+    from cartan_invariants.forms import combination
+    from cartan_invariants.linalg import fredholm_witness, solve
+    basis = [Form.monomial(mask)
+             for mask in ci.monomial_masks(m, grade.degree() - 1, grade.r - 1, min_minus)]
+    diffs = [ci.ce_differential(m, b, grade.r) for b in basis]
+    columns = [d.nums for d in diffs]
+    b = xi.coefficients(xi.tau)
+    x, rank = solve(columns, b)
+    n = len(basis)
+    if x is None:
+        return ("not_exact", None, n, {"matrix_rank": rank, "augmented_rank": rank + 1,
+                                       "columns": n, "tau_exponent": xi.tau},
+                fredholm_witness(columns, b))
+    psi = combination((c * diffs[j].den, basis[j]) for j, c in x.items()).tau_shift(xi.tau)
+    return ("exact", psi, n, {"matrix_rank": rank, "columns": n}, None)
+
+
+def _primitive_targets(m, rep):
+    """(xi, grade) pairs to search: the nonzero Chern forms c_1, c_2 at
+    (k, 0, k), then the transgression classes of c2 and c1^2."""
+    out = [(ck, Grade(k, 0, k)) for k, ck in enumerate(ci.chern_forms(m, rep, min(2, rep.dim)), 1)
+           if not ck.is_zero]
+    return out + [ci.cs_class(m, rep, parse_poly(poly)) for poly in ("c2", "c1^2")]
+
+
+def test_monomial_search_matches_the_per_form_path():
+    """find_primitive over the monomial basis gives the same status, psi,
+    certificate, searched dimension and witness (keys in order) as the
+    per-Form path, on all seven families and the g2 target of the CLI."""
+    models = [ci.projective(3), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
+              ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
+              ci.g2_flag()]
+    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
+    g2 = models[-1]
+    reps = [m.reps.get("tangent") or m.reps["graded-tangent"] for m in models]
+    cases = [(m, *target) for m, rep in zip(models, reps) for target in _primitive_targets(m, rep)]
+    cases.append((g2, *ci.cs_class(g2, g2.reps["graded-tangent"], parse_poly("5^5*c5-3*c1^5"))))
+    statuses = []
+    for m, xi, grade in cases:
+        for min_minus in range(3):
+            res = ci.find_primitive(m, xi, grade, invariant_only=False, min_minus=min_minus)
+            status, psi, n, certificate, witness = _per_form_primitive(m, xi, grade, min_minus)
+            case = (m.meta["family"], grade.as_tuple(), min_minus)
+            assert (res.status, res.searched_dimension, res.certificate) == (
+                status, n, certificate), case
+            assert res.psi == psi and (psi is None or res.psi.tau == psi.tau), case
+            assert res.witness == witness and list(res.witness or ()) == list(witness or ()), case
+            statuses.append(status)
+    assert statuses[-3:] == ["exact"] * 3
+    assert min(statuses.count("exact"), statuses.count("not_exact")) >= 15, statuses
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_monomial_search_builds_no_form_per_monomial(monkeypatch, exact):
+    """A --no-invariant search reads its columns off dual_d: no one-term Form
+    per monomial, and ce_differential runs only to re-check an exact psi."""
+    from cartan_invariants import forms, relations
+    if exact:  # c2 of grassmannian(2,2) over 220 monomials
+        m = ci.grassmannian(2, 2)
+        xi, grade = ci.chern_forms(m, m.reps["tangent"], 2)[1], Grade(2, 0, 2)
+    else:  # the transgression class of c3 of projective(3), over 660
+        m = ci.projective(3)
+        xi, grade = ci.cs_class(m, m.reps["tangent"], parse_poly("c3"))
+    calls = {"monomial": 0, "ce_differential": 0}
+    monomial, differential = Form.monomial.__func__, forms.ce_differential
+
+    def counted_monomial(cls, *args, **kwargs):
+        calls["monomial"] += 1
+        return monomial(cls, *args, **kwargs)
+
+    def counted_differential(*args, **kwargs):
+        calls["ce_differential"] += 1
+        return differential(*args, **kwargs)
+
+    monkeypatch.setattr(Form, "monomial", classmethod(counted_monomial))
+    for module in (forms, relations):
+        monkeypatch.setattr(module, "ce_differential", counted_differential)
+    res = ci.find_primitive(m, xi, grade, invariant_only=False)
+    assert res.exact == exact and res.searched_dimension > 200
+    assert calls == {"monomial": 0, "ce_differential": int(exact)}
