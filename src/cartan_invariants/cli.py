@@ -82,7 +82,7 @@ def _load_model(args) -> LieModel:
             if args.p is None or args.q is None:
                 raise SystemExit2(f"family {token!r} needs --p and --q")
             params["p"], params["q"] = args.p, args.q
-        if "o_weights" in takes and args.o_weights:
+        if "o_weights" in takes and args.o_weights is not None:
             try:
                 params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
             except ValueError:

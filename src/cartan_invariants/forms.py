@@ -465,9 +465,9 @@ def _joint_kernel(masks: list[int], operators: list[CoadjointOperator]) -> list[
     integer dicts mask -> coefficient.
 
     Each operator's image of a mask is built once, in numerators over its
-    ``den`` (a common factor the kernel does not see), and each kernel
-    combination is scaled to integers before the basis vectors are
-    recombined.
+    ``den`` (a common factor the kernel does not see); ``nullspace`` returns
+    each kernel combination in integers, and the basis vectors are
+    recombined by it.
     """
     basis: list[dict[int, int]] = [{mask: 1} for mask in masks]
     for op in operators:
@@ -484,18 +484,14 @@ def _joint_kernel(masks: list[int], operators: list[CoadjointOperator]) -> list[
                 for new_mask, c2 in im.items():
                     img[new_mask] = img.get(new_mask, 0) + c * c2
             images.append(img)
-        combos = nullspace(images)
         new_basis = []
-        for combo in combos:
-            scale = lcm(*(q.denominator for q in combo.values()))
+        for combo in nullspace(images):
             v: dict[int, int] = {}
-            for j, q in combo.items():
-                k = q.numerator * (scale // q.denominator)
+            for j, k in combo.items():
                 for mask, c in basis[j].items():
                     v[mask] = v.get(mask, 0) + k * c
             g = gcd(*v.values())
-            if g:
-                new_basis.append({mask: c // g for mask, c in v.items() if c})
+            new_basis.append({mask: c // g for mask, c in v.items() if c})
         basis = new_basis
     return basis
 
@@ -507,8 +503,8 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     The diagonal (Cartan) operators act by enumeration: only monomials of
     weight zero under them are built; the others by a joint kernel.
 
-    The result is canonical: ``row_space_rref`` brings the coefficient rows
-    to reduced row echelon form over the monomial list.
+    The result is canonical: each form is a ``row_space_rref`` row of the
+    coefficients over the monomial list, divided by its pivot entry.
     """
     ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
     masks = monomial_masks(m, degree, plus, min_minus, [op for op in ops if op.is_diagonal()])
@@ -517,4 +513,4 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = row_space_rref({index[mask]: c for mask, c in v.items()} for v in vecs)
-    return [Form({masks[i]: c for i, c in row.items()}) for row in canon]
+    return [_form({masks[i]: c for i, c in row.items()}, row[min(row)], 0) for row in canon]

@@ -4,16 +4,17 @@ All of it runs on one sparse fraction-free forward elimination, ``_echelon``,
 of rows ``{column: Fraction or int}`` scaled to integers; the systems here
 (Chevalley-Eilenberg differentials on monomial bases) are well under 1%
 nonzero, so only nonzero entries are stored or touched.  ``eliminate``
-back-substitutes all of it to the rref, one ``Fraction`` per rref entry;
-``solve`` and ``fredholm_witness`` back-substitute only their right-hand side
-column, one ``Fraction`` per solution entry, and touch no free column;
-``rank`` counts the echelon rows and back-substitutes nothing.
+back-substitutes all of it to the rref, in integers; ``solve`` and
+``fredholm_witness`` back-substitute only their right-hand side column, one
+``Fraction`` per solution entry, and touch no free column; ``rank`` counts
+the echelon rows and back-substitutes nothing.
 
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
 ``nullspace`` and ``solve`` take such columns and ``row_space_rref`` takes
-sparse rows; these five are what the solvers call.  Every vector result
-holds ``Fraction`` entries.
+sparse rows; these five are what the solvers call.  An echelon row or a
+kernel vector is a primitive integer vector, positive at its pivot or free
+column; a solution or a witness holds ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-Row = dict[int, Fraction]
+Row = dict[int, int]  # an echelon row or a kernel vector: coprime integers
+Vector = dict[int, Fraction]  # a solution or a witness
 Scalar = Fraction | int
 Column = Mapping[Hashable, Scalar]
 
 
-def sparse_rows(columns: Iterable[Column]) -> dict[Hashable, Row]:
+def sparse_rows(columns: Iterable[Column]) -> dict[Hashable, dict[int, Scalar]]:
     """The matrix whose j-th column maps row keys to entries, as sparse rows
     ``{row key: {j: entry}}``."""
-    rows: dict[Hashable, Row] = {}
+    rows: dict[Hashable, dict[int, Scalar]] = {}
     for j, col in enumerate(columns):
         for key, c in col.items():
             if c:
@@ -92,14 +94,14 @@ def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, Row]:
     """Reduced row echelon form of sparse rows, computed fraction-free.
 
     Returns the nonzero rows of the rref keyed by pivot column, in increasing
-    order of pivot, each row in increasing order of column with ``Fraction``
-    entries: entry 1 at its pivot, which is its smallest column, and no other
-    row has an entry in that column.  Since the rref is unique, so is the
-    result, whatever the order of the input rows.  The input rows are not
-    modified.
+    order of pivot, each scaled to its primitive integer multiple and in
+    increasing order of column: a positive entry at its pivot, which is its
+    smallest column, and no other row has an entry in that column.  Since the
+    rref is unique, so is the result, whatever the order of the input rows.
+    The input rows are not modified.
 
     After ``_echelon``, one back-substitution from the largest pivot down
-    clears the other pivot columns of each integer row, then divides it by its pivot.
+    clears the other pivot columns of each integer row.
     """
     echelon = _echelon(rows)
     pivots = sorted(echelon)
@@ -112,24 +114,7 @@ def eliminate(rows: Iterable[Mapping[int, Scalar]]) -> dict[int, Row]:
             for c in hits:
                 _clear(r, c, echelon[c])
             echelon[p] = _primitive(r, p)
-    reduced: dict[int, Row] = {}
-    for p in pivots:
-        r = echelon.pop(p)
-        pv = r[p]
-        reduced[p] = {j: Fraction(v, pv) for j, v in sorted(r.items())}
-    return reduced
-
-
-def kernel(reduced: dict[int, Row], cols: int) -> list[Row]:
-    """Basis of the right kernel of a matrix with ``cols`` columns, given its
-    ``eliminate`` output: one vector per free column f, with entry 1 at f, in
-    increasing order of f."""
-    basis = {f: {f: Fraction(1)} for f in range(cols) if f not in reduced}
-    for p, row in reduced.items():
-        for j, v in row.items():
-            if j != p:
-                basis[j][p] = -v
-    return list(basis.values())
+    return {p: dict(sorted(echelon[p].items())) for p in pivots}
 
 
 def rref(columns: Iterable[Column]) -> dict[int, Row]:
@@ -143,12 +128,26 @@ def rank(columns: Iterable[Column]) -> int:
 
 
 def nullspace(columns: Sequence[Column]) -> list[Row]:
-    """Basis of the right kernel {x : A x = 0}, one vector per free column,
-    with entry 1 there, in increasing order of the free column."""
-    return kernel(rref(columns), len(columns))
+    """Basis of the right kernel {x : A x = 0}: one primitive integer vector
+    per free column f, positive at f and zero at the other free columns, in
+    increasing order of f.  The rref row r with pivot p gives
+    x_p = -(r_f / r_p) x_f; each quotient is reduced by gcd(r_f, r_p) and x_f
+    is the LCM of their denominators, so the vector needs no gcd pass."""
+    reduced = rref(columns)
+    quotients = {f: {} for f in range(len(columns)) if f not in reduced}
+    for p, row in reduced.items():
+        for j, v in row.items():
+            if j != p:
+                g = gcd(v, row[p])
+                quotients[j][p] = (-v // g, row[p] // g)
+    basis = []
+    for f, qs in quotients.items():
+        d = lcm(*(q for _, q in qs.values()))
+        basis.append({f: d} | {p: n * (d // q) for p, (n, q) in qs.items()})
+    return basis
 
 
-def _back_substitute(echelon: dict[int, dict[int, int]], c: int) -> Row:
+def _back_substitute(echelon: dict[int, dict[int, int]], c: int) -> Vector:
     """The nonzero entries x_p, by increasing pivot p, of the solution with
     free entries zero of the system with ``_echelon`` form ``echelon`` and
     right-hand side column c, its largest column and not a pivot.  From the
@@ -166,7 +165,7 @@ def _back_substitute(echelon: dict[int, dict[int, int]], c: int) -> Row:
     return {p: Fraction(*x[p]) for p in sorted(x)}
 
 
-def solve(columns: Sequence[Column], b: Column) -> tuple[Row | None, int]:
+def solve(columns: Sequence[Column], b: Column) -> tuple[Vector | None, int]:
     """A solution x of ``A x = b`` (free entries zero) and the rank of A, from
     one ``_echelon`` of [A | b] and ``_back_substitute`` of its b column.
 
@@ -181,11 +180,11 @@ def solve(columns: Sequence[Column], b: Column) -> tuple[Row | None, int]:
 
 
 def row_space_rref(rows: Iterable[Mapping[int, Scalar]]) -> list[Row]:
-    """The rref basis of the span of the given sparse rows, in pivot order."""
+    """The rref basis, as ``eliminate`` rows, of the span of sparse rows."""
     return list(eliminate(rows).values())
 
 
-def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Scalar]) -> Row:
+def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Scalar]) -> Vector:
     """A left vector y (row key -> entry) with y.a = 0 for every column a and
     y.b = 1, proving that ``A x = b`` has no solution.
 

@@ -51,7 +51,7 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
     for p, row in reduced.items():
         for col, c in row.items():
             if col >= total:
-                comps[col - total][p] = c
+                comps[col - total][p] = Fraction(c, row[p])
     brackets: BracketTable = {pair: comp for pair, comp in zip(pairs, comps) if comp}
     return LieModel(dims, names, brackets, reps={}, meta=meta, realization=matrices)
 

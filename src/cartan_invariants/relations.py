@@ -14,13 +14,10 @@ error.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
 from .charforms import chern_forms
 from .forms import (Form, Grade, _add_d, ce_differential, combination, invariant_basis,
                     is_at_grade, monomial_masks, plus_count, plus_component, quotient_d, wedge_all)
-from .linalg import (Row, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
+from .linalg import (Vector, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
 from .model import LieModel, Record, Rep
 
@@ -77,16 +74,6 @@ class Relation(Record):
         }
 
 
-def _normalize(vec: list[Fraction]) -> tuple[int, ...]:
-    """The coprime integer multiple of vec whose first nonzero entry is positive."""
-    d = lcm(*(c.denominator for c in vec))
-    ints = [c.numerator * (d // c.denominator) for c in vec]
-    g = gcd(*ints) or 1
-    if next((c for c in ints if c), 0) < 0:
-        g = -g
-    return tuple(c // g for c in ints)
-
-
 def find_relations(m: LieModel, rep: Rep, degree: int,
                    modulo_exact: bool = False) -> list[Relation]:
     """Integer relations among the weighted-degree-``degree`` Chern monomials
@@ -113,7 +100,7 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     null = nullspace(columns)
     out = []
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
-        coeffs = _normalize([row.get(j, Fraction(0)) for j in range(len(parts))])
+        coeffs = tuple(row.get(j, 0) for j in range(len(parts)))
         relation = Relation(degree, tuple(parts), coeffs)
         residual = combination((c, wedge_all(cforms[q - 1] for q in p))
                                for p, c in relation.nonzero())
@@ -182,7 +169,7 @@ class PrimitiveResult(Record):
     __slots__ = ("status", "psi", "grade", "searched_dimension", "certificate", "witness")
 
     def __init__(self, status: str, psi: Form | None, grade: Grade, searched_dimension: int,
-                 certificate: dict, witness: Row | None = None):
+                 certificate: dict, witness: Vector | None = None):
         self.status = status  # "exact" | "not_exact"
         self.psi = psi
         self.grade = grade

@@ -297,6 +297,8 @@ def test_cli_usage_errors_exit_two():
     ["chern", "projective", "--n", "2", "--p", "3", "--rep", "tangent"],
     ["chern", "g2", "--q", "1", "--rep", "graded-tangent"],
     ["report", os.path.join(os.path.dirname(__file__), "data", "projective1.json"), "--n", "2"],
+    # an empty value is not the default
+    ["report", "projective", "--n", "2", "--o-weights", ""],
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
     code, out, err = cli(*argv)

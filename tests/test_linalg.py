@@ -4,10 +4,10 @@ from math import gcd
 
 import pytest
 
-from cartan_invariants import linalg
+from cartan_invariants import Part, grassmannian, invariant_basis, linalg
+from cartan_invariants.forms import CoadjointOperator
 from cartan_invariants.linalg import (_echelon, eliminate, fredholm_witness, is_fredholm_witness,
-                                      kernel, nullspace, rank, rref, row_space_rref, solve,
-                                      sparse_rows)
+                                      nullspace, rank, rref, row_space_rref, solve, sparse_rows)
 from dense_oracle import (fraction_eliminate, in_span, oracle_nullspace, oracle_solve,
                           rref_fredholm_witness, rref_rows, rref_solve, same_span, span_rref)
 
@@ -19,6 +19,18 @@ def _columns(data):
 
 def _dense(row, cols):
     return tuple(row.get(j, F(0)) for j in range(cols))
+
+
+def _unit(vec, k):
+    """An integer vector scaled to 1 at key k, as Fractions in its key order."""
+    return {j: F(v, vec[k]) for j, v in vec.items()}
+
+
+def _assert_primitive(vec, k):
+    """The integer contract of an echelon row or a kernel vector: nonzero
+    int entries with gcd 1, positive at key k."""
+    assert all(type(v) is int and v for v in vec.values())
+    assert gcd(*vec.values()) == 1 and vec[k] > 0
 
 
 def _apply(columns, x):
@@ -126,12 +138,20 @@ def test_sparse_core_matches_dense_oracle():
         expect = [tuple(red[i]) for i in range(len(pivots))]
         got = rref(cols)
         assert sorted(got) == pivots, trial
-        assert [_dense(got[p], c) for p in pivots] == expect, trial
-        assert all(v for row in got.values() for v in row.values())
+        assert [_dense(_unit(got[p], p), c) for p in pivots] == expect, trial
+        for p, row in got.items():
+            _assert_primitive(row, p)
         assert rank(cols) == len(pivots)
-        assert [_dense(v, c) for v in nullspace(cols)] == oracle_nullspace(data, c)
+        # a kernel vector's free column is its largest: every pivot it meets is smaller
+        null = nullspace(cols)
+        assert [_dense(_unit(v, max(v)), c) for v in null] == oracle_nullspace(data, c), trial
+        for v in null:
+            _assert_primitive(v, max(v))
         rows = [{j: x for j, x in enumerate(row) if x} for row in data]
-        assert [_dense(row, c) for row in row_space_rref(rows)] == expect
+        span = row_space_rref(rows)
+        assert [_dense(_unit(row, min(row)), c) for row in span] == expect, trial
+        for row in span:
+            _assert_primitive(row, min(row))
         # consistent right-hand sides, and arbitrary ones that are often not
         xtrue = {j: F(rng.randint(-3, 3)) for j in range(c)}
         consistent = _apply(cols, xtrue)
@@ -197,18 +217,19 @@ def test_integer_core_matches_fraction_oracles():
         before = [list(r.items()) for r in rows]
         got = eliminate(rows)
         assert [list(r.items()) for r in rows] == before, trial
-        # both Fraction references: sparse Gauss-Jordan and dense rref rows
-        assert got == fraction_eliminate(rows), trial
+        # each row scaled to 1 at its pivot against both Fraction references:
+        # sparse Gauss-Jordan and dense rref rows
+        unit = {p: _unit(row, p) for p, row in got.items()}
+        assert unit == fraction_eliminate(rows), trial
         red, pivots = rref_rows([[F(r.get(j, 0)) for j in range(cols)] for r in rows], cols)
-        assert got == {p: {j: v for j, v in enumerate(red[i]) if v}
-                       for i, p in enumerate(pivots)}, trial
-        # the output contract: increasing pivots and columns, Fraction
-        # entries, and an exact Fraction(1) at each pivot
+        assert unit == {p: {j: v for j, v in enumerate(red[i]) if v}
+                        for i, p in enumerate(pivots)}, trial
+        # the output contract: increasing pivots and columns, and each row
+        # the primitive integer multiple of its rref row, positive at its pivot
         assert list(got) == sorted(got)
         for p, row in got.items():
             assert list(row) == sorted(row) and min(row) == p
-            assert all(type(v) is F and v for v in row.values())
-            assert (row[p].numerator, row[p].denominator) == (1, 1)
+            _assert_primitive(row, p)
         # the forward pass: primitive integer rows with positive pivots
         echelon = _echelon(rows)
         assert sorted(echelon) == list(got)
@@ -328,7 +349,7 @@ def test_sparse_rows_transposes_columns():
     cols = [{5: F(1), 9: F(2)}, {}, {9: F(-1), 3: F(0)}]
     assert sparse_rows(cols) == {5: {0: F(1)}, 9: {0: F(2), 2: F(-1)}}
     # an all-zero matrix: no rows, every column free
-    assert kernel(eliminate(sparse_rows([{}, {}]).values()), 2) == [{0: F(1)}, {1: F(1)}]
+    assert nullspace([{}, {}]) == [{0: 1}, {1: 1}]
     # any hashable row key, such as a matrix cell
     assert sparse_rows([{(0, 1): F(1)}, {(0, 1): F(2), (1, 0): F(3)}]) == {
         (0, 1): {0: F(1), 1: F(2)}, (1, 0): {1: F(3)}}
@@ -365,4 +386,27 @@ def test_rank_and_nullspace_match_sympy():
         ref = sympy.Matrix(data)
         assert rank(_columns(data)) == ref.rank()
         expect = [tuple(F(int(x.p), int(x.q)) for x in v) for v in ref.nullspace()]
-        assert [_dense(v, c) for v in nullspace(_columns(data))] == expect
+        null = nullspace(_columns(data))
+        assert [_dense(_unit(v, max(v)), c) for v in null] == expect
+        for v in null:
+            _assert_primitive(v, max(v))
+
+
+def test_echelon_rows_and_kernel_vectors_build_no_fraction(monkeypatch):
+    """eliminate, rref, nullspace and row_space_rref answer in integers, and
+    so does invariant_basis, whose joint kernel and canonical rows they are."""
+    rng = random.Random(20261021)
+    rows = _wide_rows(rng, 8, 9)
+    cols = _columns(_random_sparse(rng, 9, 8, 0.4))
+    m = grassmannian(2, 2)
+    assert not all(CoadjointOperator(m, u).is_diagonal() for u in m.part_range(Part.ZERO))
+    expect = (eliminate(rows), rref(cols), nullspace(cols), row_space_rref(rows),
+              invariant_basis(m, 4, 2))
+    assert expect[2] and expect[4]
+
+    def no_fraction(*args):
+        raise AssertionError("linalg built a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", no_fraction)
+    assert (eliminate(rows), rref(cols), nullspace(cols), row_space_rref(rows),
+            invariant_basis(m, 4, 2)) == expect
