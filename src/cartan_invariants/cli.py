@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 from .charforms import chern_form_of, chern_forms, cs_class, transgression
 from .forms import Form, Grade, ce_differential, plus_component
 from .invariants import PolyParseError, parse_poly
-from .model import LieModel, Part, validate_model
+from .model import LieModel, Part, validate_model, validate_rep
 from .modelio import ModelSchemaError, emit_model_json, parse_model_file
 from .models import FAMILIES, build_model
 from .relations import (conformal_coefficients, exactness_audit, find_primitive,
@@ -132,6 +132,9 @@ def cmd_model(args) -> int:
         return 0
     m = _load_model(args)
     report = validate_model(m)
+    for label in sorted(m.reps):
+        for f in validate_rep(m, m.reps[label]).failures:
+            report.add(f["check"], f["detail"])
     _emit(args, lambda: {"ok": report.ok, "failures": report.failures},
           lambda: ["ok" if report.ok else "FAILED"]
           + [f"  {f['check']}: {f['detail']}" for f in report.failures])

@@ -9,9 +9,10 @@ Every operation on forms (sums, scaling, the wedge, the CE differential and
 the coadjoint action) runs on those integers: the structure tables are held
 as numerators over their own LCM, sums accumulate as ``{mask: int}`` over
 the product or LCM of the denominators, and one gcd pass brings each result
-to lowest terms.  ``Fraction``s are built only by ``terms`` and
-``coefficients``; ``to_json`` and ``pretty`` print each n/den reduced by
-its own gcd.
+to lowest terms.  d itself is ``model.differential_nums``, which
+``ce_differential`` wraps in a Form.  ``Fraction``s are built only by
+``terms`` and ``coefficients``; ``to_json`` and ``pretty`` print each n/den
+reduced by its own gcd.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -27,33 +28,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .linalg import nullspace, row_space_rref
-from .model import FrozenRecord, LieModel, Part
-
-
-def parity_above(mask: int) -> int:
-    """The mask whose bit y is set iff mask has an odd number of bits above y.
-
-    A prefix XOR of ``mask >> 1`` towards the low bits.  The wedge of the
-    unit monomials a and b (disjoint) is (-1)^n (a | b), where n counts the
-    pairs (x in a, y in b) with x > y; n has the parity of
-    ``(parity_above(a) & b).bit_count()``.
-    """
-    p = mask >> 1
-    width = p.bit_length()
-    shift = 1
-    while shift < width:
-        p ^= p >> shift
-        shift <<= 1
-    return p
-
-
-def mask_bits(mask: int) -> list[int]:
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
+from .model import FrozenRecord, LieModel, Part, differential_nums, mask_bits, parity_above
 
 
 class Form:
@@ -307,38 +282,11 @@ def ce_differential(m: LieModel, form: Form, plus: int | None = None) -> Form:
     """Chevalley-Eilenberg differential, extended to monomials as an odd derivation.
 
     On dual generators d xi^a = -1/2 sum c^a_bc xi^b xi^c, which over ordered
-    pairs b < c is -sum c^a_bc xi^b ^ xi^c.  Runs on integer numerators: the
-    form's over its ``den``, the table's over the model's ``dual_d`` den.
-
-    With ``plus``, only ``plus_component(m, ce_differential(m, form), plus)``
-    is built: each factor xi^a reads the one group of ``dual_d`` pairs whose
-    rise takes the plus count to ``plus``.
+    pairs b < c is -sum c^a_bc xi^b ^ xi^c; ``model.differential_nums`` acts
+    on the numerators.  With ``plus``, only ``plus_component(m,
+    ce_differential(m, form), plus)`` is built.
     """
-    den, table = m.dual_d()
-    acc: dict[int, int] = {}
-    for mask, n in form.nums.items():
-        _add_d(acc, table, mask, n, None if plus is None else plus - plus_count(m, mask))
-    return _form(acc, form.den * den, form.tau)
-
-
-def _add_d(acc: dict[int, int], table, mask: int, n: int, rise: int | None) -> None:
-    """acc += n * d(mask) over the ``dual_d`` den, only pairs of this rise if given:
-    the inner loop of ``ce_differential`` and ``relations.monomial_differentials``."""
-    above = parity_above(mask)
-    for t, a in enumerate(mask_bits(mask)):
-        rest = mask ^ (1 << a)
-        # past the t bits below a, then the pair sorts into rest, whose
-        # parity_above is above with the bits below a flipped
-        odd = above ^ ((1 << a) - 1)
-        for pairs in table[a].values() if rise is None else (table[a].get(rise, ()),):
-            for pair_mask, c in pairs:
-                if pair_mask & rest:
-                    continue
-                new_mask = rest | pair_mask
-                if ((odd & pair_mask).bit_count() + t) & 1:
-                    acc[new_mask] = acc.get(new_mask, 0) - n * c
-                else:
-                    acc[new_mask] = acc.get(new_mask, 0) + n * c
+    return _form(differential_nums(m, form.nums, plus), form.den * m.dual_d()[0], form.tau)
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:

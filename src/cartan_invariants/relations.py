@@ -15,11 +15,11 @@ error.
 from __future__ import annotations
 
 from .charforms import chern_forms
-from .forms import (Form, Grade, _add_d, ce_differential, combination, invariant_basis,
-                    is_at_grade, monomial_masks, plus_count, plus_component, quotient_d, wedge_all)
+from .forms import (Form, Grade, ce_differential, combination, invariant_basis, is_at_grade,
+                    monomial_masks, plus_component, quotient_d, wedge_all)
 from .linalg import (Vector, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
-from .model import LieModel, Record, Rep
+from .model import LieModel, Record, Rep, differential_nums
 
 Partition = tuple[int, ...]
 
@@ -92,11 +92,11 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     parts = partitions_of(degree)
     columns = [wedge_all(cforms[q - 1] for q in p).coefficients(degree) for p in parts]
     if modulo_exact:
-        # The Chern monomials carry tau^degree and the exact corrections no
-        # tau; both enter as rational columns, and the kernel is then cut
-        # back to the Chern monomials.
+        # The Chern monomials carry tau^degree and enter as rational columns,
+        # the exact corrections as the integer numerators of their
+        # differentials; the kernel is then cut back to the Chern monomials.
         sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree)
-        columns += [ce_differential(m, b, degree).coefficients() for b in sources]
+        columns += [differential_nums(m, b.nums, degree) for b in sources]
     null = nullspace(columns)
     out = []
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
@@ -138,22 +138,13 @@ def is_closed(m: LieModel, xi: Form, grade: Grade) -> tuple[bool, Form]:
 
 def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) -> list[Form]:
     """Basis of the g0-invariant forms at the given grade that are closed in
-    the quotient differential (min_minus defaults to the grade's p)."""
+    the quotient differential (min_minus defaults to the grade's p).  Column
+    j is d(b_j) times den_j and the ``dual_d`` den, so x gives sum x_j den_j b_j."""
     min_minus = grade.p if min_minus is None else min_minus
     basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
-    cols = [quotient_d(m, b, grade).coefficients() for b in basis]
-    return [combination((c, basis[j]) for j, c in combo.items()) for combo in nullspace(cols)]
-
-
-def monomial_differentials(m: LieModel, masks: list[int], plus: int) -> tuple[int, list]:
-    """(den, columns): column j is ``ce_differential(m, Form.monomial(masks[j]),
-    plus)`` as integer numerators over den, the ``dual_d`` den; no Form is built."""
-    (den, table), cols = m.dual_d(), []
-    for mask in masks:
-        acc: dict[int, int] = {}
-        _add_d(acc, table, mask, 1, plus - plus_count(m, mask))
-        cols.append(acc if all(acc.values()) else {k: n for k, n in acc.items() if n})
-    return den, cols
+    cols = [differential_nums(m, b.nums, grade.r + 1) for b in basis]
+    return [combination((c * basis[j].den, basis[j]) for j, c in combo.items())
+            for combo in nullspace(cols)]
 
 
 class PrimitiveResult(Record):
@@ -192,23 +183,22 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     itself invariant.  The search is one ``solve`` of [A | b], with b the
     tau^e coefficients of xi and e its tau exponent, which also gives the
     certificate ranks; a ``not_exact`` result costs one more, for its witness.
-    Column j of A is b_j's restricted differential in integers over D_j, so
-    psi = sum_j x_j D_j b_j: ``d_j.nums`` over ``d_j.den``, or for monomials
-    ``monomial_differentials`` (no ``Form`` each) over the ``dual_d`` den.
-    Either result is re-verified: psi by its differential, a witness exactly.
+    Column j of A is ``differential_nums`` of b_j's numerators, so with D the
+    ``dual_d`` den and den_j b_j's (1 for a monomial), psi = sum_j x_j D den_j
+    b_j, and no ``Form`` is built per column.  Either result is re-verified:
+    psi by its differential, a witness exactly.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
     if not is_at_grade(m, xi, grade):
         raise ValueError(f"target not at grade {grade.as_tuple()}")
-    deg = grade.degree() - 1
+    deg, den = grade.degree() - 1, m.dual_d()[0]
     if invariant_only:
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
-        diffs = [ce_differential(m, b, grade.r) for b in basis]
-        columns = [d.nums for d in diffs]
+        columns = [differential_nums(m, b.nums, grade.r) for b in basis]
     else:
         masks = monomial_masks(m, deg, grade.r - 1, min_minus)
-        den, columns = monomial_differentials(m, masks, grade.r)
+        columns = [differential_nums(m, {mask: 1}, grade.r) for mask in masks]
     n = len(columns)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)
@@ -222,7 +212,7 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
              "columns": n, "tau_exponent": xi.tau},
             y,
         )
-    psi = (combination((c * diffs[j].den, basis[j]) for j, c in x.items()) if invariant_only
+    psi = (combination((c * den * basis[j].den, basis[j]) for j, c in x.items()) if invariant_only
            else Form({masks[j]: c * den for j, c in x.items()})).tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:

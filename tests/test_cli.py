@@ -92,6 +92,28 @@ def test_model_build_round_trip_validates(tmp_path):
     assert code == 0
 
 
+def test_model_validate_checks_every_rep(tmp_path):
+    """A file whose brackets are sound but whose tangent rep is not a
+    representation fails ``model validate`` with exit 1, one line per
+    mismatched g0 pair, in the order validate_rep reports them."""
+    path = tmp_path / "p2.json"
+    assert cli("model", "build", "projective", "--n", "2", "-o", str(path))[0] == 0
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["reps"]["tangent"]["matrices"][0][0][1] = "5"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    m = parse_model_file(str(path))
+    assert ci.validate_model(m).ok
+    expected = [f["detail"] for f in ci.validate_rep(m, m.reps["tangent"]).failures]
+    assert expected[0] == "tangent: commutator mismatch on (z1,z3)"
+    code, out, err = cli("model", "validate", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["FAILED"] + [f"  rep: {d}" for d in expected]
+    code, out, err = cli("model", "validate", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False,
+                               "failures": [{"check": "rep", "detail": d} for d in expected]}
+
+
 def test_model_without_g0_keeps_rep_dim(tmp_path):
     path = tmp_path / "nog0.json"
     path.write_text(json.dumps({"dims": [1, 0, 1], "names": ["w1", "u1"], "brackets": [],

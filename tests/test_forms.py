@@ -13,8 +13,7 @@ from cartan_invariants.charforms import MatrixForm
 from cartan_invariants import forms as forms_module
 from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits,
                                      parity_above)
-from cartan_invariants.model import LieModel
-from cartan_invariants.relations import monomial_differentials
+from cartan_invariants.model import LieModel, differential_nums
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
 
 ALL_MODELS = None
@@ -700,32 +699,39 @@ def test_monomial_masks_walks_only_subsets_meeting_min_minus(monkeypatch):
     assert masks == _plain_masks(m, 7, 3, 4)
 
 
-def test_monomial_differentials_match_per_form_differentials():
-    """Column j of the one-pass table is ce_differential of the one-term form
-    of mask j, restricted to the plus count, over the dual_d den: on every
-    family, for masks at several (degree, plus, min_minus) and target plus
-    counts that rise by 0, 1 or 2."""
+def test_differential_nums_matches_the_fraction_reference():
+    """differential_nums of an integer vector is the Fraction reference
+    differential over the dual_d den, restricted to the plus count when one
+    is given: on every family and a model with fractional structure
+    constants, for unit and multi-mask vectors of masks at several (degree,
+    plus, min_minus), and target plus counts that rise by 0, 1 or 2, or none."""
     import cartan_invariants as ci
     models = [ci.projective(3), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
               ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
-              ci.g2_flag()]
-    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
-    columns = 0
+              ci.g2_flag(), _rescaled_zero_block(ci.projective(2))]
+    assert len({m.meta.get("family") for m in models[:-1]}) == len(ci.FAMILIES)
+    assert models[-1].dual_d()[0] > 1
+    rng = random.Random(20)
+    vectors = 0
     for m in models:
         den = m.dual_d()[0]
         for degree in range(1, 5):
             for plus in range(min(degree, m.dims[2]) + 1):
                 for min_minus in sorted({0, 1, degree - plus}):
                     masks = monomial_masks(m, degree, plus, min_minus)
-                    for target in (plus, plus + 1, plus + 2):
-                        got_den, cols = monomial_differentials(m, masks, target)
-                        assert got_den == den and len(cols) == len(masks)
-                        for mask, col in zip(masks, cols):
-                            d = ce_differential(m, Form.monomial(mask), target)
-                            assert den % d.den == 0
-                            assert col == {k: n * (den // d.den) for k, n in d.nums.items()}
-                            columns += 1
-    assert columns > 10_000
+                    sums = [{mask: rng.choice([-3, -1, 2, 5]) for mask in
+                             rng.sample(masks, min(len(masks), rng.randint(2, 4)))}
+                            for _ in range(3)] if masks else []
+                    for nums in [{mask: 1} for mask in masks] + sums:
+                        full = _reference_differential(m, nums)
+                        for target in (plus, plus + 1, plus + 2, None):
+                            got = differential_nums(m, nums, target)
+                            assert got == {k: c * den for k, c in full.items()
+                                           if target is None or (k & m.plus_mask).bit_count()
+                                           == target}
+                            assert all(type(n) is int for n in got.values())
+                        vectors += 1
+    assert vectors > 10_000
 
 
 def test_monomial_masks_rejects_a_non_diagonal_torus():

@@ -1,4 +1,5 @@
 import copy
+import os
 import pickle
 import random
 from fractions import Fraction as F
@@ -8,7 +9,9 @@ import pytest
 from cartan_invariants import (CoadjointOperator, Part, projective, validate_model,
                                validate_rep)
 from cartan_invariants.forms import Form, Grade, ce_differential
-from cartan_invariants.model import Generator, Rep, ValidationReport, sparse_commutator
+from cartan_invariants.model import (LANGLANDS_CONDITIONS, Generator, LieModel, Rep,
+                                     ValidationReport, sparse_commutator)
+from cartan_invariants.modelio import parse_model_file
 from cartan_invariants.relations import PrimitiveResult, Relation
 from conftest import sl2_corrupted
 
@@ -31,6 +34,96 @@ def test_langlands_condition_failure_reported():
     m = LieModel((1, 1, 1), ["f*", "h*", "e*"], {(1, 2): {0: F(1)}})
     report = validate_model(m)
     assert any(f["check"] == "langlands" for f in report.failures)
+
+
+def _triple_loop_jacobi(m):
+    """The Jacobi failures of ``validate_model`` computed bracket by bracket
+    over every triple i < j < k: the oracle of its d^2 = 0 check."""
+    failures = []
+    n = m.total
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for inner, outer in (((j, k), i), ((k, i), j), ((i, j), k)):
+                    for mid, c in m.bracket_basis(*inner).items():
+                        for t, c2 in m.bracket_basis(outer, mid).items():
+                            acc[t] = acc.get(t, F(0)) + c * c2
+                bad = {t: c for t, c in acc.items() if c}
+                if bad:
+                    failures.append({"check": "jacobi", "detail": (
+                        f"jacobi({m.names[i]},{m.names[j]},{m.names[k]}) = "
+                        + " + ".join(f"{c}*{m.names[t]}" for t, c in sorted(bad.items())))})
+    return failures
+
+
+def _assert_jacobi_matches_oracle(m):
+    report = validate_model(m)
+    langlands = [f for f in report.failures if f["check"] == "langlands"]
+    assert report.failures == langlands + _triple_loop_jacobi(m)
+    assert report.ok == (not report.failures)
+    return report
+
+
+def _corrupted(m, rng):
+    """m with one to three bracket entries changed, added or removed, and
+    some new coefficients fractional."""
+    brackets = {pair: dict(comp) for pair, comp in m.brackets.items()}
+    for _ in range(rng.randint(1, 3)):
+        c = F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2, 3]))
+        if brackets and rng.random() < 0.6:
+            pair = rng.choice(sorted(brackets))
+            k = rng.choice(sorted(brackets[pair]) + [rng.randrange(m.total)])
+        else:
+            i, j = sorted(rng.sample(range(m.total), 2))
+            pair, k = (i, j), rng.randrange(m.total)
+        comp = brackets.setdefault(pair, {})
+        comp[k] = 0 if rng.random() < 0.2 else comp.get(k, 0) + c
+    return LieModel(m.dims, m.names, brackets)
+
+
+def test_jacobi_check_matches_the_triple_loop_oracle():
+    """validate_model's failures equal those of the bracket-by-bracket triple
+    loop, text and order alike: on a model of every family, on 240 seeded
+    corruptions of them, and on the projective(1) file with [z1,u1] = -3*u1."""
+    import cartan_invariants as ci
+    models = [ci.projective(3), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
+              ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
+              ci.g2_flag()]
+    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
+    for m in models:
+        assert _assert_jacobi_matches_oracle(m).ok
+    rng = random.Random(2048)
+    failing = fractional = 0
+    for seed in range(240):
+        report = _assert_jacobi_matches_oracle(_corrupted(models[seed % len(models)], rng))
+        failing += any(f["check"] == "jacobi" for f in report.failures)
+        fractional += any("/" in f["detail"] for f in report.failures if f["check"] == "jacobi")
+    assert failing >= 200 and fractional >= 20, (failing, fractional)
+    path = os.path.join(os.path.dirname(__file__), "data", "projective1.json")
+    file_model = parse_model_file(path)
+    z1, u1 = (file_model.names.index(name) for name in ("z1", "u1"))
+    assert file_model.brackets[(z1, u1)] == {u1: F(-2)}
+    brackets = dict(file_model.brackets) | {(z1, u1): {u1: F(-3)}}
+    report = _assert_jacobi_matches_oracle(LieModel(file_model.dims, file_model.names, brackets))
+    assert report.failures == [{"check": "jacobi", "detail": "jacobi(w1,z1,u1) = -1*z1"}]
+
+
+def test_validate_model_reads_brackets_only_for_the_splitting_checks(monkeypatch):
+    """The Jacobi check reads the dual_d table, not bracket_basis: the only
+    bracket_basis calls are the Langlands pairs, once each per condition."""
+    m = projective(8)
+    calls = []
+    bracket_basis = LieModel.bracket_basis
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return bracket_basis(self, i, j)
+
+    monkeypatch.setattr(LieModel, "bracket_basis", counted)
+    assert validate_model(m).ok
+    assert calls == [(i, j) for pa, pb, _ in LANGLANDS_CONDITIONS
+                     for i in m.part_range(pa) for j in m.part_range(pb)]
 
 
 def test_bracket_examples(sl2):

@@ -396,8 +396,9 @@ def test_monomial_search_matches_the_per_form_path():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_monomial_search_builds_no_form_per_monomial(monkeypatch, exact):
-    """A --no-invariant search reads its columns off dual_d: no one-term Form
-    per monomial, and ce_differential runs only to re-check an exact psi."""
+    """A --no-invariant search, and then an invariant one, read their columns
+    off dual_d: no one-term Form per monomial, no Form per basis vector, and
+    ce_differential runs only to re-check an exact psi."""
     from cartan_invariants import forms, relations
     if exact:  # c2 of grassmannian(2,2) over 220 monomials
         m = ci.grassmannian(2, 2)
@@ -421,4 +422,8 @@ def test_monomial_search_builds_no_form_per_monomial(monkeypatch, exact):
         monkeypatch.setattr(module, "ce_differential", counted_differential)
     res = ci.find_primitive(m, xi, grade, invariant_only=False)
     assert res.exact == exact and res.searched_dimension > 200
+    assert calls == {"monomial": 0, "ce_differential": int(exact)}
+    calls.update(monomial=0, ce_differential=0)
+    res = ci.find_primitive(m, xi, grade)
+    assert res.exact == exact and res.searched_dimension > 1
     assert calls == {"monomial": 0, "ce_differential": int(exact)}
