@@ -82,7 +82,7 @@ def atiyah_form(m: LieModel, rep: Rep) -> MatrixForm:
     grid = [[dict() for _ in range(n)] for _ in range(n)]
     for x in m.part_range(Part.PLUS):
         for y in m.part_range(Part.MINUS):
-            rho = rep.act(m.zero_coefficients(m.bracket_basis(x, y)))  # rho(proj0[x,y])
+            rho = rep.act(m, m.bracket_basis(x, y))  # rho(proj0[x,y])
             mask = (1 << y) | (1 << x)
             # a(x,y) = -rho, and x*^y* = -(y*^x*) in canonical (y-first)
             # order, so the stored coefficient on the mask is +rho.
@@ -102,7 +102,7 @@ def tangent_atiyah_form(m: LieModel, rep: Rep | None = None):
         raise ValueError("tangent Atiyah tensor needs the g- action")
     minus = list(m.part_range(Part.MINUS))
     out: dict[int, dict[int, dict[int, list[Fraction]]]] = {}
-    rho = {(x, y): rep.act(m.zero_coefficients(m.bracket_basis(x, y)))
+    rho = {(x, y): rep.act(m, m.bracket_basis(x, y))
            for x in m.part_range(Part.PLUS) for y in minus}
     for x in m.part_range(Part.PLUS):
         out[x] = {}

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable
 from .charforms import chern_form_of, chern_forms, cs_class, transgression
 from .forms import Form, Grade, ce_differential, plus_component
 from .invariants import PolyParseError, parse_poly
-from .model import LieModel, Part, validate_model, validate_rep
+from .model import LieModel, Part, Rep, ValidationReport, validate_model, validate_rep
 from .modelio import ModelSchemaError, emit_model_json, parse_model_file
 from .models import FAMILIES, build_model
 from .relations import (conformal_coefficients, exactness_audit, find_primitive,
@@ -46,22 +46,15 @@ def structure_report(m: LieModel) -> dict:
     return {"dims": list(m.dims), "generators": rows}
 
 
-def _model_args(sub: argparse.ArgumentParser):
-    sub.add_argument("model", help="family name (%s) or a model JSON file path"
-                     % "|".join(sorted(FAMILIES)))
-    sub.add_argument("--n", type=int, help="rank parameter for projective/conformal/lagrangian")
-    sub.add_argument("--p", type=int, help="first block size")
-    sub.add_argument("--q", type=int, help="second block size")
-    sub.add_argument("--o-weights", type=str, default=None,
-                     help="comma-separated line-module weights (projective only)")
-
-
 def _reject_flags(what: str, names: list[str]):
     _require(not names, f"{what} takes no "
              + ", ".join("--" + name.replace("_", "-") for name in names))
 
 
-def _load_model(args) -> LieModel:
+def _load_model(args, check: bool = True) -> LieModel:
+    """The model of the query.  A model file must pass every check of
+    ``model validate``, unless ``check`` is false: the first failure is a
+    schema error."""
     token = args.model
     given = [name for name in ("n", "p", "q", "o_weights") if getattr(args, name) is not None]
     if token in FAMILIES:
@@ -94,8 +87,28 @@ def _load_model(args) -> LieModel:
             raise SystemExit2(f"family {token!r}: {e}")
     if os.path.isfile(token):
         _reject_flags("a model file", given)
-        return parse_model_file(token)
+        m = parse_model_file(token)
+        if check and not (report := _validation(m)).ok:
+            first = report.failures[0]
+            raise ModelSchemaError(f"model fails its {first['check']} check: {first['detail']}")
+        return m
     raise SystemExit2(f"unknown model family or missing file: {token!r}")
+
+
+def _model_and_rep(args) -> tuple[LieModel, Rep]:
+    m = _load_model(args)
+    if args.rep not in m.reps:
+        raise SystemExit2(f"model has no rep {args.rep!r}; available: {sorted(m.reps)}")
+    return m, m.reps[args.rep]
+
+
+def _validation(m: LieModel) -> ValidationReport:
+    """``validate_model``, then ``validate_rep`` on every rep in label order."""
+    report = validate_model(m)
+    for label in sorted(m.reps):
+        for f in validate_rep(m, m.reps[label]).failures:
+            report.add(f["check"], f["detail"])
+    return report
 
 
 class SystemExit2(Exception):
@@ -110,7 +123,7 @@ def _require(ok: bool, message: str):
 def _emit(args, obj: Callable[[], dict], text_lines: Callable[[], list[str]]):
     """Print ``obj()`` as JSON under --json, else ``text_lines()``; only the
     one printed is built."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj(), separators=(",", ":")))
     else:
         for line in text_lines():
@@ -118,8 +131,8 @@ def _emit(args, obj: Callable[[], dict], text_lines: Callable[[], list[str]]):
 
 
 def cmd_model(args) -> int:
+    m = _load_model(args, check=args.action == "build")
     if args.action == "build":
-        m = _load_model(args)
         text = emit_model_json(m)
         if args.output:
             try:
@@ -130,11 +143,7 @@ def cmd_model(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    m = _load_model(args)
-    report = validate_model(m)
-    for label in sorted(m.reps):
-        for f in validate_rep(m, m.reps[label]).failures:
-            report.add(f["check"], f["detail"])
+    report = _validation(m)
     _emit(args, lambda: {"ok": report.ok, "failures": report.failures},
           lambda: ["ok" if report.ok else "FAILED"]
           + [f"  {f['check']}: {f['detail']}" for f in report.failures])
@@ -150,8 +159,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_chern(args) -> int:
-    m = _load_model(args)
-    rep = _rep_of(m, args.rep)
+    m, rep = _model_and_rep(args)
     _require(args.max >= 1, "--max must be >= 1")
     k_max = min(args.max, rep.dim)
     cs = chern_forms(m, rep, k_max)
@@ -162,12 +170,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_cs(args) -> int:
-    m = _load_model(args)
-    rep = _rep_of(m, args.rep)
-    try:
-        poly = parse_poly(args.poly)
-    except PolyParseError as e:
-        raise SystemExit2(str(e))
+    m, rep = _model_and_rep(args)
+    poly = parse_poly(args.poly)
     t_form, grade, full = (transgression(m, rep, poly) if args.full
                            else (*cs_class(m, rep, poly), None))
     _emit(args, lambda: {"poly": args.poly, "grade": list(grade.as_tuple()),
@@ -179,8 +183,7 @@ def cmd_cs(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    m = _load_model(args)
-    rep = _rep_of(m, args.rep)
+    m, rep = _model_and_rep(args)
     _require(1 <= args.degree <= rep.dim, f"--degree must be in 1..{rep.dim}, the rep dimension")
     rels = find_relations(m, rep, args.degree, modulo_exact=args.modulo_exact)
     lines = []
@@ -196,13 +199,9 @@ def cmd_relations(args) -> int:
 
 
 def cmd_primitive(args) -> int:
-    m = _load_model(args)
-    rep = _rep_of(m, args.rep)
+    m, rep = _model_and_rep(args)
     _require(args.min_minus >= 0, "--min-minus must be >= 0")
-    try:
-        poly = parse_poly(args.target)
-    except PolyParseError as e:
-        raise SystemExit2(str(e))
+    poly = parse_poly(args.target)
     if args.chern_form:
         xi = chern_form_of(m, rep, poly)
         grade = Grade(poly.degree, 0, poly.degree)
@@ -230,8 +229,7 @@ def cmd_primitive(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    m = _load_model(args)
-    rep = _rep_of(m, args.rep)
+    m, rep = _model_and_rep(args)
     _require(rep.g_module, f"rep {rep.label!r} is not a g-module restriction")
     _require(args.max is None or args.max >= 1, "--max must be >= 1")
     report = exactness_audit(m, rep, args.max)
@@ -265,97 +263,78 @@ def cmd_conformal_coeffs(args) -> int:
     return 0
 
 
-def _rep_of(m: LieModel, label: str):
-    if label not in m.reps:
-        raise SystemExit2(f"model has no rep {label!r}; available: {sorted(m.reps)}")
-    return m.reps[label]
+# Arguments as (*flags, add_argument keywords).  The model positional and
+# the family parameters, --rep and --json are each declared once; every
+# command takes --json, after its other arguments.
+MODEL = [
+    ("model", {"help": "family name (%s) or a model JSON file path" % "|".join(sorted(FAMILIES))}),
+    ("--n", {"type": int, "help": "rank parameter for projective/conformal/lagrangian"}),
+    ("--p", {"type": int, "help": "first block size"}),
+    ("--q", {"type": int, "help": "second block size"}),
+    ("--o-weights", {"help": "comma-separated line-module weights (projective only)"}),
+]
+REP = ("--rep", {"required": True})
+JSON = ("--json", {"action": "store_true"})
+EXPECT_EXACT = ("--expect-exact", {"action": "store_true"})
+
+# name: (help, handler, arguments)
+COMMANDS = {
+    "model": ("build or validate model files", cmd_model, [
+        ("action", {"choices": ["build", "validate"]}), *MODEL,
+        ("-o", "--output", {})]),
+    "report": ("structure equations of a model", cmd_report, MODEL),
+    "chern": ("Chern forms of a module", cmd_chern, [
+        *MODEL, REP, ("--max", {"type": int, "default": 5})]),
+    "cs": ("transgression class of an invariant polynomial", cmd_cs, [
+        *MODEL, REP, ("--poly", {"required": True}),
+        ("--full", {"action": "store_true", "help": "also emit the full transgression form"})]),
+    "relations": ("exact relations among Chern forms", cmd_relations, [
+        *MODEL, REP, ("--degree", {"type": int, "required": True}),
+        ("--modulo-exact", {"action": "store_true",
+                            "help": "relations in the quotient cohomology instead of "
+                                    "strict form equality"})]),
+    "primitive": ("solve for a transgression primitive", cmd_primitive, [
+        *MODEL, ("--rep", {"default": "tangent"}),
+        ("--target", {"required": True, "help": "invariant polynomial, e.g. '5^5*c5-3*c1^5'"}),
+        ("--chern-form", {"action": "store_true",
+                          "help": "target the Chern form of the polynomial instead of "
+                                  "its transgression class"}),
+        ("--min-minus", {"type": int, "default": 0}),
+        ("--no-invariant", {"action": "store_true"}), EXPECT_EXACT]),
+    "audit": ("exactness audit of a g-module restriction", cmd_audit, [
+        *MODEL, REP, ("--max", {"type": int}), EXPECT_EXACT]),
+    "conformal-coeffs": ("coefficients of the conformal generating function",
+                         cmd_conformal_coeffs, [("--n", {"type": int, "required": True})]),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command registered, which is all that the
+    top-level help and an unknown command need, and the arguments of
+    ``command`` alone."""
     import argparse  # at the top it precedes the package modules: ~0.1-0.2 MB more peak RSS
     ap = argparse.ArgumentParser(prog="cartan-invariants",
                                  description="Exact characteristic forms of "
                                              "homogeneous Cartan-geometry models")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p_model = sub.add_parser("model", help="build or validate model files")
-    p_model.add_argument("action", choices=["build", "validate"])
-    _model_args(p_model)
-    p_model.add_argument("-o", "--output", default=None)
-    p_model.add_argument("--json", action="store_true")
-    p_model.set_defaults(fn=cmd_model)
-
-    p_report = sub.add_parser("report", help="structure equations of a model")
-    _model_args(p_report)
-    p_report.add_argument("--json", action="store_true")
-    p_report.set_defaults(fn=cmd_report)
-
-    p_chern = sub.add_parser("chern", help="Chern forms of a module")
-    _model_args(p_chern)
-    p_chern.add_argument("--rep", required=True)
-    p_chern.add_argument("--max", type=int, default=5)
-    p_chern.add_argument("--json", action="store_true")
-    p_chern.set_defaults(fn=cmd_chern)
-
-    p_cs = sub.add_parser("cs", help="transgression class of an invariant polynomial")
-    _model_args(p_cs)
-    p_cs.add_argument("--rep", required=True)
-    p_cs.add_argument("--poly", required=True)
-    p_cs.add_argument("--full", action="store_true",
-                      help="also emit the full transgression form")
-    p_cs.add_argument("--json", action="store_true")
-    p_cs.set_defaults(fn=cmd_cs)
-
-    p_rel = sub.add_parser("relations", help="exact relations among Chern forms")
-    _model_args(p_rel)
-    p_rel.add_argument("--rep", required=True)
-    p_rel.add_argument("--degree", type=int, required=True)
-    p_rel.add_argument("--modulo-exact", action="store_true",
-                       help="relations in the quotient cohomology instead of "
-                            "strict form equality")
-    p_rel.add_argument("--json", action="store_true")
-    p_rel.set_defaults(fn=cmd_relations)
-
-    p_prim = sub.add_parser("primitive", help="solve for a transgression primitive")
-    _model_args(p_prim)
-    p_prim.add_argument("--rep", default="tangent")
-    p_prim.add_argument("--target", required=True,
-                        help="invariant polynomial, e.g. '5^5*c5-3*c1^5'")
-    p_prim.add_argument("--chern-form", action="store_true",
-                        help="target the Chern form of the polynomial instead of "
-                             "its transgression class")
-    p_prim.add_argument("--min-minus", type=int, default=0)
-    p_prim.add_argument("--no-invariant", action="store_true")
-    p_prim.add_argument("--expect-exact", action="store_true")
-    p_prim.add_argument("--json", action="store_true")
-    p_prim.set_defaults(fn=cmd_primitive)
-
-    p_audit = sub.add_parser("audit", help="exactness audit of a g-module restriction")
-    _model_args(p_audit)
-    p_audit.add_argument("--rep", required=True)
-    p_audit.add_argument("--max", type=int, default=None)
-    p_audit.add_argument("--expect-exact", action="store_true")
-    p_audit.add_argument("--json", action="store_true")
-    p_audit.set_defaults(fn=cmd_audit)
-
-    p_cc = sub.add_parser("conformal-coeffs",
-                          help="coefficients of the conformal generating function")
-    p_cc.add_argument("--n", type=int, required=True)
-    p_cc.add_argument("--json", action="store_true")
-    p_cc.set_defaults(fn=cmd_conformal_coeffs)
-
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        parser = sub.add_parser(name, help=help_text)
+        parser.set_defaults(fn=handler)
+        if name == command:
+            for *flags, keywords in (*arguments, JSON):
+                parser.add_argument(*flags, **keywords)
     return ap
 
 
 def run(argv: list[str]) -> int:
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit2 as e:
+    except (SystemExit2, PolyParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ModelSchemaError as e:

@@ -109,6 +109,8 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 # a matrix by its nonzero entries: int or Fraction in a family's basis
 # matrices and their commutators, Fraction in a Rep
 SparseMatrix = dict[tuple[int, int], Fraction | int]
+# LieModel.dual_d: (den, per-generator pairs by rise, generators by rise)
+DualD = tuple[int, list[dict[int, list[tuple[int, int]]]], dict[int, int]]
 
 
 def sparse_sum(*terms: tuple[Fraction | int, SparseMatrix]) -> SparseMatrix:
@@ -126,13 +128,21 @@ def diagonal_block(mat: SparseMatrix, lo: int, hi: int) -> SparseMatrix:
     return {(i - lo, j - lo): x for (i, j), x in mat.items() if lo <= i < hi and lo <= j < hi}
 
 
-def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """ab - ba from the nonzero entries alone, without zero entries."""
+def row_index(mat: SparseMatrix) -> dict[int, list[tuple[int, Fraction | int]]]:
+    """The entries of mat by row, ``{k: [(j, mat[k, j]), ...]}``."""
+    rows: dict[int, list[tuple[int, Fraction | int]]] = {}
+    for (k, j), v in mat.items():
+        rows.setdefault(k, []).append((j, v))
+    return rows
+
+
+def sparse_commutator(a: SparseMatrix, b: SparseMatrix, rows_a=None, rows_b=None) -> SparseMatrix:
+    """ab - ba from the nonzero entries alone, without zero entries.  A
+    caller that commutes each matrix many times passes its ``row_index`` as
+    ``rows_a`` or ``rows_b``, so that it is built once."""
     out: SparseMatrix = {}
-    for x, y, sign in ((a, b, 1), (b, a, -1)):
-        rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, j), v in y.items():
-            rows.setdefault(k, []).append((j, v))
+    for x, rows, sign in ((a, row_index(b) if rows_b is None else rows_b, 1),
+                          (b, row_index(a) if rows_a is None else rows_a, -1)):
         for (i, k), u in x.items():
             for j, v in rows.get(k, ()):
                 out[(i, j)] = out.get((i, j), 0) + sign * u * v
@@ -165,9 +175,12 @@ class Rep:
         self.ghost = ghost
         self.g_module = g_module
 
-    def act(self, coeffs: list[Fraction]) -> SparseMatrix:
-        """Matrix of a g0 element given by coefficients over the g0 basis."""
-        return sparse_sum(*zip(coeffs, self.matrices, strict=True))
+    def act(self, m: LieModel, v: dict[int, Fraction]) -> SparseMatrix:
+        """Matrix of the g0-part of v, a sparse coefficient dict over the
+        generators of m, such as a bracket."""
+        start, end = m.offsets[Part.ZERO], m.offsets[Part.PLUS]
+        return sparse_sum(*((c, self.matrices[g - start]) for g, c in v.items()
+                            if start <= g < end))
 
 
 class LieModel:
@@ -211,7 +224,7 @@ class LieModel:
         self.minus_mask = ((1 << dims[0]) - 1)
         self.zero_mask = ((1 << dims[1]) - 1) << dims[0]
         self.plus_mask = ((1 << dims[2]) - 1) << (dims[0] + dims[1])
-        self._dual_d: tuple[int, list[dict[int, list[tuple[int, int]]]]] | None = None
+        self._dual_d: DualD | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -240,28 +253,27 @@ class LieModel:
         comp = self.brackets.get((j, i), {})
         return {k: -c for k, c in comp.items()}
 
-    def zero_coefficients(self, v: dict[int, Fraction]) -> list[Fraction | int]:
-        """Coordinates of the g0-part of a sparse coefficient dict over the g0 basis."""
-        return [v.get(g, 0) for g in self.part_range(Part.ZERO)]
-
     # -- dual differential table -------------------------------------------
 
-    def dual_d(self) -> tuple[int, list[dict[int, list[tuple[int, int]]]]]:
-        """(den, table): for each generator a, the terms of
+    def dual_d(self) -> DualD:
+        """(den, table, risers): for each generator a, the terms of
         d(xi^a) = -sum c^a_bc xi^b xi^c (b<c) as (mask of b and c, numerator),
         the numerators over den, the LCM of the structure constants'
         denominators, grouped by their rise: the plus count of b and c less
-        that of a."""
+        that of a.  ``risers[rise]`` is the mask of the generators that have
+        a group for that rise."""
         if self._dual_d is None:
             den = lcm(*(c.denominator for comp in self.brackets.values() for c in comp.values()))
             table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.total)]
+            risers: dict[int, int] = {}
             for (i, j), comp in self.brackets.items():
                 pair = (1 << i) | (1 << j)
                 for k, c in comp.items():
                     rise = (pair & self.plus_mask).bit_count() - (self.plus_mask >> k & 1)
                     table[k].setdefault(rise, []).append(
                         (pair, -c.numerator * (den // c.denominator)))
-            self._dual_d = (den, table)
+                    risers[rise] = risers.get(rise, 0) | 1 << k
+            self._dual_d = (den, table, risers)
         return self._dual_d
 
     # -- coadjoint action ----------------------------------------------------
@@ -285,17 +297,23 @@ def differential_nums(m: LieModel, nums: dict[int, int],
     ``dual_d`` den; with ``plus``, only its plus-count-``plus`` part, read off
     the one ``dual_d`` group per factor that reaches it.  d is the odd
     derivation with d xi^a = -sum_{b<c} c^a_bc xi^b ^ xi^c."""
-    table = m.dual_d()[1]
+    _, table, risers = m.dual_d()
     acc: dict[int, int] = {}
     for mask, n in nums.items():
-        rise = None if plus is None else plus - (mask & m.plus_mask).bit_count()
+        if plus is None:
+            live = mask
+        else:
+            rise = plus - (mask & m.plus_mask).bit_count()
+            live = mask & risers.get(rise, 0)
         above = parity_above(mask)
-        for t, a in enumerate(mask_bits(mask)):
+        for a in mask_bits(live):
             rest = mask ^ (1 << a)
+            below = (1 << a) - 1
             # past the t bits below a, then the pair sorts into rest, whose
             # parity_above is above with the bits below a flipped
-            odd = above ^ ((1 << a) - 1)
-            for pairs in table[a].values() if rise is None else (table[a].get(rise, ()),):
+            t = (mask & below).bit_count()
+            odd = above ^ below
+            for pairs in table[a].values() if plus is None else (table[a][rise],):
                 for pair_mask, c in pairs:
                     if pair_mask & rest:
                         continue
@@ -391,13 +409,14 @@ def validate_model(m: LieModel) -> ValidationReport:
 def validate_rep(m: LieModel, rep: Rep) -> ValidationReport:
     """Check rho([u,v]) = rho(u)rho(v) - rho(v)rho(u) over the g0 basis."""
     report = ValidationReport(ok=True)
-    zero_range = list(m.part_range(Part.ZERO))
+    start = m.offsets[Part.ZERO]
     mats = rep.matrices
-    for a_pos, u in enumerate(zero_range):
-        for b_pos in range(a_pos + 1, len(zero_range)):
-            v = zero_range[b_pos]
-            expected = rep.act(m.zero_coefficients(m.bracket_basis(u, v)))
-            if sparse_commutator(mats[a_pos], mats[b_pos]) != expected:
+    rows = [row_index(mat) for mat in mats]
+    for a in range(m.dims[Part.ZERO]):
+        for b in range(a + 1, m.dims[Part.ZERO]):
+            u, v = start + a, start + b
+            expected = rep.act(m, m.bracket_basis(u, v))
+            if sparse_commutator(mats[a], mats[b], rows[a], rows[b]) != expected:
                 report.add(
                     "rep",
                     f"{rep.label}: commutator mismatch on ({m.names[u]},{m.names[v]})",

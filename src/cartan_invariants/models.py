@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import rref
-from .model import (BracketTable, LieModel, Rep, SparseMatrix, diagonal_block,
+from .model import (BracketTable, LieModel, Rep, SparseMatrix, diagonal_block, row_index,
                     sparse_commutator, sparse_sum, tangent_rep)
 
 
@@ -37,11 +37,12 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
     error.
     """
     total = len(matrices)
-    rows = [{i for i, _ in mat} for mat in matrices]
+    rows = [row_index(mat) for mat in matrices]
     cols = [{j for _, j in mat} for mat in matrices]
     pairs = [(i, j) for i in range(total) for j in range(i + 1, total)
              if not (cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]))]
-    reduced = rref(matrices + [sparse_commutator(matrices[i], matrices[j]) for i, j in pairs])
+    reduced = rref(matrices + [sparse_commutator(matrices[i], matrices[j], rows[i], rows[j])
+                               for i, j in pairs])
     pivots = list(reduced)
     if pivots and pivots[-1] >= total:
         raise ValueError("commutator not in the span of the basis")

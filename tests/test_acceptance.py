@@ -216,8 +216,7 @@ def _tensor_matches(m, rep, expect):
     for xi in range(m.dims[2]):
         x = m.gid(Part.PLUS, xi)
         for y1 in range(n_minus):
-            coeffs = m.zero_coefficients(m.bracket_basis(x, m.gid(Part.MINUS, y1)))
-            rho = rep.act(coeffs)
+            rho = rep.act(m, m.bracket_basis(x, m.gid(Part.MINUS, y1)))
             amat = [[-rho.get((i, j), 0) for j in range(rep.dim)] for i in range(rep.dim)]
             for y2 in range(n_minus):
                 got = [amat[i][y2] for i in range(n_minus)]

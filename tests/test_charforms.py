@@ -69,8 +69,7 @@ def test_tangent_atiyah_tensor_projective_already_symmetric():
         x = m.gid(Part.PLUS, a)
         for b in range(2):
             y = m.gid(Part.MINUS, b)
-            coeffs = m.zero_coefficients(m.bracket_basis(x, y))
-            rho = rep.act(coeffs)
+            rho = rep.act(m, m.bracket_basis(x, y))
             amat = [[-rho.get((i, j), 0) for j in range(rep.dim)] for i in range(rep.dim)]
             for c in range(2):
                 z = m.gid(Part.MINUS, c)

@@ -454,6 +454,40 @@ def _set(path, value):
     return edit
 
 
+def _on_projective2(edit):
+    """``edit`` applied to projective(2)'s model object, in place of the one
+    it is given."""
+    def apply(obj):
+        obj.clear()
+        obj.update(json.loads(emit_model_json(ci.projective(2))))
+        edit(obj)
+    return apply
+
+
+def _write_model(tmp_path, edit) -> str:
+    """The path of a file that holds ``edit`` applied to projective(1)'s
+    model object, or ``edit`` itself when it is bytes."""
+    path = tmp_path / "bad.json"
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    else:
+        obj = json.loads(emit_model_json(ci.projective(1)))
+        edit(obj)
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+# Files that parse but fail a check of ``model validate``: [z1,u1] changed
+# from -2*u1 to -3*u1, then to w1 - 2*u1, and projective(2) with an entry
+# of a tangent matrix changed
+INVALID_MODELS = [
+    pytest.param(_set(["brackets", 2, 2, 0, 1], "-3"), id="jacobi"),
+    pytest.param(_set(["brackets", 2, 2], [[0, "1"], [2, "-2"]]), id="broken-splitting"),
+    pytest.param(_on_projective2(_set(["reps", "tangent", "matrices", 0, 0, 1], "5")),
+                 id="rep-commutator"),
+]
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_set(["brackets", 0, 2, 0, 1], -2), id="int-bracket-coefficient"),
     pytest.param(_set(["reps", "tangent", "matrices", 0, 0, 0], 2), id="int-rep-entry"),
@@ -477,25 +511,35 @@ def _set(path, value):
     pytest.param(_set(["brackets", 0, 2, 0, 1], "1/0"), id="zero-denominator"),
     pytest.param(b'{"dims": [1, 1, 1], "names": ["w\xff"]}', id="not-utf8"),
     pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+    *INVALID_MODELS,
 ])
 def test_bad_model_file_exits_two_with_one_line(tmp_path, edit):
     """``edit`` changes a valid model object, or is the file's raw bytes."""
-    path = tmp_path / "bad.json"
-    if isinstance(edit, bytes):
-        path.write_bytes(edit)
-    else:
-        obj = json.loads(emit_model_json(ci.projective(1)))
-        edit(obj)
-        path.write_text(json.dumps(obj), encoding="utf-8")
-    code, out, err = cli("report", str(path))
+    code, out, err = cli("report", _write_model(tmp_path, edit))
     assert (code, out) == (2, "")
     assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
 
-def _pinned_text():
-    with open(os.path.join(os.path.dirname(__file__), "data", "text_stdout.json"),
-              encoding="utf-8") as fh:
+@pytest.mark.parametrize("edit", INVALID_MODELS)
+def test_model_validate_lists_what_a_query_refuses(tmp_path, edit):
+    """``model validate`` lists every failure and exits 1; any other command
+    on the file stops at the first failure, with exit 2 and one line."""
+    path = _write_model(tmp_path, edit)
+    code, out, err = cli("model", "validate", path)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0] == "FAILED", out
+    check, detail = out.splitlines()[1].strip().split(": ", 1)
+    for argv in (["chern", path, "--rep", "tangent", "--max", "1"], ["model", "build", path]):
+        assert cli(*argv) == (2, "", f"schema error: model fails its {check} check: {detail}\n")
+
+
+def _pinned(name):
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _pinned_text():
+    return _pinned("text_stdout.json")
 
 
 def _pinned_ids(entries):
@@ -514,3 +558,33 @@ def test_text_stdout_pinned(entry):
     The projective ``cs --full`` entry was recorded later, before the
     transgression shared one evaluation between its class and its full form."""
     assert cli(*entry["argv"]) == (0, entry["stdout"], "")
+
+
+@pytest.mark.parametrize("entry", _pinned("help_stdout.json"),
+                         ids=lambda entry: " ".join(entry["argv"]))
+def test_help_text_pinned(monkeypatch, entry):
+    """The --help text of the top level and of every command, recorded when
+    every query built the arguments of all eight commands."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli(*entry["argv"]) == (0, entry["stdout"], "")
+
+
+def test_a_query_builds_the_arguments_of_its_own_command_only(monkeypatch):
+    """The top level registers every command, each with its -h, and only the
+    command queried gets its own arguments."""
+    import argparse
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def record(parser, *flags, **keywords):
+        added.append((parser.prog, flags))
+        return add_argument(parser, *flags, **keywords)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    code, out, err = cli("chern", "projective", "--n", "1", "--rep", "tangent", "--max", "1")
+    assert (code, err) == (0, "")
+    assert sum(flags == ("-h", "--help") for _, flags in added) == 9
+    assert [(prog, flags) for prog, flags in added if flags != ("-h", "--help")] == [
+        ("cartan-invariants chern", flags) for flags in (
+            ("model",), ("--n",), ("--p",), ("--q",), ("--o-weights",), ("--rep",),
+            ("--max",), ("--json",))]

@@ -226,10 +226,13 @@ def test_rep_act_is_the_entrywise_sum_over_the_g0_basis():
     m = projective(2, o_weights=(1, -2))
     for rep in m.reps.values():
         for _ in range(10):
-            coeffs = [F(rng.choice((0, 0, 1, -2, 3)), rng.randint(1, 3)) for _ in rep.matrices]
+            # a sparse vector over all of g: act reads its g0-part alone
+            v = {g: F(rng.choice((1, -2, 3)), rng.randint(1, 3))
+                 for g in range(m.total) if rng.random() < 0.5}
+            coeffs = [v.get(g, 0) for g in m.part_range(Part.ZERO)]
             dense = [[sum((c * mat.get((i, j), 0) for c, mat in zip(coeffs, rep.matrices)), F(0))
                       for j in range(rep.dim)] for i in range(rep.dim)]
-            assert rep.act(coeffs) == _entries(dense), rep.label
+            assert rep.act(m, v) == _entries(dense), rep.label
 
 
 def test_projective_bracket_plus_minus_lands_in_h_complement():

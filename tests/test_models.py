@@ -78,8 +78,7 @@ def test_lagrangian1_isomorphic_to_projective1():
 
 def _atiyah_tensor(m, rep, x, y):
     """a(x, y) as a matrix over the g- basis, from the structure constants."""
-    coeffs = m.zero_coefficients(m.bracket_basis(x, y))
-    rho = rep.act(coeffs)
+    rho = rep.act(m, m.bracket_basis(x, y))
     return [[-rho.get((i, j), 0) for j in range(rep.dim)] for i in range(rep.dim)]
 
 
@@ -370,7 +369,7 @@ def test_model_from_matrices_commutes_only_meeting_supports(monkeypatch, mats, c
     calls = []
     commutator = models.sparse_commutator
     monkeypatch.setattr(models, "sparse_commutator",
-                        lambda a, b: calls.append((a, b)) or commutator(a, b))
+                        lambda a, b, *rows: calls.append((a, b)) or commutator(a, b, *rows))
     m = _model_from_matrices((1, 1, 1), mats, ["w1", "z1", "u1"], {})
     assert m.brackets == brackets
     assert calls == [(mats[i], mats[j]) for i, j in commuted]
