@@ -2,9 +2,10 @@
 
 Conventions.  The Atiyah matrix A of a module V collects the 2-forms
 a(x, y) = -rho_V(proj_0 [x, y]) against the dual monomials x* ^ y* for x in
-g+, y in g-; its entries carry no tau.  Chern forms are c_k = tau^k e_k(A),
-Chern characters ch_j = tau^j tr(A^j)/j!, and the transgression form of an
-invariant f of degree k carries tau^k.
+g+, y in g-; its entries carry no tau.  The form of an invariant f of degree k
+is tau^k f(A): ``chern_forms`` gives c_k = tau^k e_k(A) by Faddeev-LeVerrier,
+and one polarization at A gives the rest, Chern characters tau^j tr(A^j)/j!
+and Todd forms tau^k td_k(A) among them.  CS_f carries tau^k too.
 
 The transgression is normalized so that d CS_f = f(A, ..., A) (tau-scaled)
 holds as an exact exterior identity on models whose g- bracket has no g0
@@ -151,32 +152,14 @@ def chern_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
 
 def chern_character(m: LieModel, rep: Rep, j_max: int) -> list[Form]:
     """ch_1 .. ch_j with ch_j = tau^j tr(A^j)/j!."""
-    a = atiyah_form(m, rep)
-    out = []
-    power = a
-    for j in range(1, j_max + 1):
-        if j > 1:
-            power = power.matwedge(a)
-        out.append(power.trace().scale(Fraction(1, factorial(j))).tau_shift(j))
-    return out
-
-
-# The Todd polynomials td_1 .. td_4 in the Chern forms, {partition: coefficient}.
-TODD = [{(1,): Fraction(1, 2)},
-        {(1, 1): Fraction(1, 12), (2,): Fraction(1, 12)},
-        {(2, 1): Fraction(1, 24)},
-        {(1, 1, 1, 1): Fraction(-1, 720), (2, 1, 1): Fraction(4, 720),
-         (3, 1): Fraction(1, 720), (2, 2): Fraction(3, 720), (4,): Fraction(-1, 720)}]
-TODD_MAX = len(TODD)
+    return _characteristic_forms(m, rep, [InvPoly.chern_character(j) for j in range(1, j_max + 1)])
 
 
 def todd_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
-    """Todd forms through degree 4 from the universal polynomials."""
-    if k_max > TODD_MAX:
+    """td_1 .. td_k through degree 4, from the log-Todd series (``InvPoly.todd``)."""
+    if k_max > 4:
         raise ValueError("todd_forms supports degree <= 4 only")
-    cs = chern_forms(m, rep, min(k_max, rep.dim)) + [Form.zero()] * k_max
-    return [combination((c, wedge_all(cs[q - 1] for q in p)) for p, c in TODD[k].items())
-            for k in range(k_max)]
+    return _characteristic_forms(m, rep, [InvPoly.todd(k) for k in range(1, k_max + 1)])
 
 
 # -- polarization / Chern-Simons ---------------------------------------------
@@ -358,10 +341,16 @@ def cs_class(m: LieModel, rep: Rep, f: InvPoly) -> tuple[Form, Grade]:
     return form, Grade(f.degree - 1, 1, f.degree - 1)
 
 
+def _characteristic_forms(m: LieModel, rep: Rep, fs: list[InvPoly]) -> list[Form]:
+    """tau^k f(A, ..., A) for each f of degree k, from one Atiyah matrix and ``_word`` cache."""
+    a, words = atiyah_form(m, rep), {}
+    return [_polarized(f, [a] * f.degree, [2] * f.degree, words)
+            .scale(Fraction(1, factorial(f.degree))).tau_shift(f.degree) for f in fs]
+
+
 def chern_form_of(m: LieModel, rep: Rep, f: InvPoly) -> Form:
     """tau^k f(A, ..., A), the Chern form associated to an invariant f."""
-    a = atiyah_form(m, rep)
-    return invariant_poly_eval(f, [a] * f.degree, [2] * f.degree).tau_shift(f.degree)
+    return _characteristic_forms(m, rep, [f])[0]
 
 
 def transgression_checks(m: LieModel, rep: Rep, f: InvPoly) -> dict:

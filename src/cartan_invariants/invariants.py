@@ -1,16 +1,15 @@
 """Invariant polynomials on g0 encoded as rational combinations of trace words.
 
 A trace word (k1, ..., ks) stands for the function X -> tr(X^k1) ... tr(X^ks).
-These span all the gl-type invariants needed here; in particular the
-elementary-symmetric (Chern) polynomials are converted to trace words through
-Newton's identities, which gives every invariant one canonical encoding and a
-single polarization rule.
+These span all the gl-type invariants needed here.  The multiplicative ones,
+Chern and Todd, are degree parts of one series exp(sum_j a_j tr(X^j)), which
+gives every invariant one canonical encoding and a single polarization rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 Word = tuple[int, ...]  # parts sorted descending
 
@@ -41,10 +40,6 @@ class InvPoly:
         self.degree = degs.pop() if degs else 0
 
     @classmethod
-    def zero(cls) -> "InvPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "InvPoly":
         return cls({(): Fraction(1)})
 
@@ -54,21 +49,35 @@ class InvPoly:
         return cls({(k,): Fraction(1)})
 
     @classmethod
-    def chern(cls, k: int) -> "InvPoly":
-        """Elementary-symmetric invariant e_k via the Newton recursion
-        k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i."""
+    def _exp_power_sums(cls, k: int, a) -> "InvPoly":
+        """The degree-k part E_k of exp(sum_j a(j) tr(X^j)), by the recursion
+        n E_n = sum_{j=1..n} j a(j) E_{n-j} tr(X^j), over {word: coefficient}."""
         if k < 0:
             raise ValueError("negative degree")
-        es = [cls.one()]
-        for kk in range(1, k + 1):
-            acc = cls.zero()
-            for i in range(1, kk + 1):
-                term = es[kk - i] * cls.trace_power(i)
-                if i % 2 == 0:
-                    term = term.scale(-1)
-                acc = acc + term
-            es.append(acc.scale(Fraction(1, kk)))
-        return es[k]
+        es = [{(): Fraction(1)}]
+        for n in range(1, k + 1):
+            acc: dict[Word, Fraction] = {}
+            for j in range(1, n + 1):
+                if c := j * a(j):
+                    for w, e in es[n - j].items():
+                        w = _canon_word(w + (j,))
+                        acc[w] = acc.get(w, 0) + c * e
+            es.append({w: c / n for w, c in acc.items() if c})
+        return cls(es[k])
+
+    @classmethod
+    def chern(cls, k: int) -> "InvPoly":
+        """Elementary-symmetric e_k, from exp(sum_j (-1)^(j-1) tr(X^j)/j): Newton's identities."""
+        return cls._exp_power_sums(k, lambda j: Fraction((-1) ** (j - 1), j))
+
+    @classmethod
+    def todd(cls, k: int) -> "InvPoly":
+        """Todd invariant td_k, the degree-k part of det(X/(1-e^-X)), from the
+        log-Todd series exp(sum_j -B_j tr(X^j)/(j j!)) with B_1 = -1/2."""
+        b = [Fraction(1)]  # the Bernoulli numbers B_0 .. B_k
+        for n in range(1, k + 1):
+            b.append(-sum(comb(n + 1, i) * x for i, x in enumerate(b)) / (n + 1))
+        return cls._exp_power_sums(k, lambda j: -b[j] / (j * factorial(j)))
 
     @classmethod
     def chern_character(cls, j: int) -> "InvPoly":

@@ -99,7 +99,7 @@ def model_from_obj(obj: dict) -> LieModel:
     _typed(obj, dict, "top level")
     dims = _req(obj, "dims", "model")
     if (not isinstance(dims, list) or len(dims) != 3
-            or any(not isinstance(d, int) or d < 0 for d in dims)):
+            or any(type(d) is not int or d < 0 for d in dims)):
         raise ModelSchemaError("dims must be three non-negative integers")
     names = _req(obj, "names", "model")
     total = sum(dims)
@@ -111,7 +111,7 @@ def model_from_obj(obj: dict) -> LieModel:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ModelSchemaError(f"malformed bracket entry {entry!r}")
         i, j, comp = entry
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < total):
+        if not (type(i) is int and type(j) is int and 0 <= i < j < total):
             raise ModelSchemaError(f"bracket indices ({i},{j}) out of range (0..{total - 1}, i<j)")
         if (i, j) in brackets:
             raise ModelSchemaError(f"duplicate bracket entry ({i},{j})")
@@ -120,7 +120,7 @@ def model_from_obj(obj: dict) -> LieModel:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ModelSchemaError(f"malformed bracket term {pair!r} in ({i},{j})")
             k, coeff = pair
-            if not (isinstance(k, int) and 0 <= k < total):
+            if not (type(k) is int and 0 <= k < total):
                 raise ModelSchemaError(
                     f"bracket ({i},{j}) hits generator {k!r} outside 0..{total - 1}")
             if k in parsed:
@@ -142,7 +142,7 @@ def model_from_obj(obj: dict) -> LieModel:
     for label, rd in _typed(_req(obj, "reps", "model"), dict, "reps").items():
         where = f"rep {label!r}"
         dim = _req(_typed(rd, dict, where), "dim", where)
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ModelSchemaError(f"{where} needs a positive integer dim, got {dim!r}")
         mats = _typed(_req(rd, "matrices", where), list, f"{where} matrices")
         if len(mats) != dims[1]:
@@ -157,8 +157,10 @@ def model_from_obj(obj: dict) -> LieModel:
             parsed_mats.append({(i, j): x for i, row in enumerate(mat) for j, c in enumerate(row)
                                 if c != "0" and (x := _rational(c, where))})
         f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
-        reps[label] = Rep(label, parsed_mats, dim, ghost=bool(f.get("ghost")),
-                          g_module=bool(f.get("g_module")))
+        ghost, g_module = f.get("ghost", False), f.get("g_module", False)
+        if type(ghost) is not bool or type(g_module) is not bool:
+            raise ModelSchemaError(f"meta.flags[{label!r}] flags must be true or false, got {f!r}")
+        reps[label] = Rep(label, parsed_mats, dim, ghost=ghost, g_module=g_module)
     try:
         return LieModel(tuple(dims), names, brackets, reps=reps, meta=meta)
     except ValueError as e:

@@ -162,6 +162,89 @@ def test_todd_forms():
         ci.todd_forms(m, m.reps["tangent"], 5)
 
 
+def _newton_chern(k_max):
+    """e_0 .. e_k by Newton's k e_k = sum_i (-1)^(i-1) e_{k-i} p_i in InvPoly
+    arithmetic, the recursion ``InvPoly.chern`` generalizes."""
+    es = [InvPoly.one()]
+    for k in range(1, k_max + 1):
+        acc = InvPoly()
+        for i in range(1, k + 1):
+            term = es[k - i] * InvPoly.trace_power(i)
+            acc = acc + (term if i % 2 else term.scale(-1))
+        es.append(acc.scale(F(1, k)))
+    return es
+
+
+# The Todd polynomials td_1 .. td_4 in the Chern classes, {partition: coefficient}.
+TODD_TABLE = [{(1,): F(1, 2)},
+              {(1, 1): F(1, 12), (2,): F(1, 12)},
+              {(2, 1): F(1, 24)},
+              {(1, 1, 1, 1): F(-1, 720), (2, 1, 1): F(4, 720), (3, 1): F(1, 720),
+               (2, 2): F(3, 720), (4,): F(-1, 720)}]
+
+
+def test_chern_series_matches_newton_recursion():
+    for k, e in enumerate(_newton_chern(16)):
+        assert InvPoly.chern(k) == e, k
+
+
+def test_todd_series_matches_the_table():
+    assert InvPoly.todd(0) == InvPoly.one()
+    for k, row in enumerate(TODD_TABLE, start=1):
+        table = InvPoly()
+        for part, c in row.items():
+            term = InvPoly.one()
+            for q in part:
+                term = term * InvPoly.chern(q)
+            table = table + term.scale(c)
+        assert InvPoly.todd(k) == table, k
+
+
+def test_log_todd_coefficients():
+    """In exp(sum_j a_j tr(X^j)) the word tr(X^j) arises only from a_j, so
+    its coefficient in td_j is the log-Todd coefficient -B_j/(j j!)."""
+    coeffs = [InvPoly.todd(j).terms.get((j,), 0) for j in range(1, 7)]
+    assert coeffs == [F(1, 2), F(-1, 24), 0, F(1, 2880), 0, F(-1, 181440)]
+
+
+def test_chern_character_matches_matwedge_powers():
+    for m, label in [(ci.projective(3), "tangent"), (ci.grassmannian(2, 2), "tangent"),
+                     (ci.g2_flag(), "graded-tangent")]:
+        a = ci.atiyah_form(m, m.reps[label])
+        power, expected = a, []
+        for j in range(1, 5):
+            expected.append(power.trace().scale(F(1, math.factorial(j))).tau_shift(j))
+            power = power.matwedge(a)
+        assert ci.chern_character(m, m.reps[label], 4) == expected, label
+
+
+# (family, parameters, tangent rep, Euler characteristic of G/P)
+RIEMANN_ROCH = ([("projective", {"n": n}, "tangent", n + 1) for n in (2, 3, 4, 6)]
+                + [("grassmannian", {"p": p, "q": q}, "tangent", math.comb(p + q, p))
+                   for p, q in ((2, 2), (2, 3))]
+                + [("lagrangian", {"n": n}, "tangent", 2 ** n) for n in (2, 3)]
+                + [("conformal", {"n": n}, "tangent", n + 1 if n % 2 else n + 2)
+                   for n in (3, 4, 6)]
+                + [("g2", {}, "graded-tangent", 6)])
+
+
+@pytest.mark.parametrize("family, params, label, euler", RIEMANN_ROCH,
+                         ids=[f + "".join(f"-{v}" for v in p.values())
+                              for f, p, _, _ in RIEMANN_ROCH])
+def test_top_todd_form_is_the_euler_form_over_euler_characteristic(family, params, label,
+                                                                   euler):
+    """Riemann-Roch on the flat model G/P: the Todd genus of a rational
+    homogeneous space is 1 and the top Chern number is its Euler
+    characteristic, so on the top monomial (every g- and g+ bit) the top
+    Todd form is the top Chern form over chi(G/P)."""
+    m = ci.build_model(family, **params)
+    rep = m.reps[label]
+    top = sum(1 << x for part in (Part.MINUS, Part.PLUS) for x in m.part_range(part))
+    td = ci.chern_form_of(m, rep, InvPoly.todd(rep.dim)).terms[top]
+    cn = ci.chern_form_of(m, rep, InvPoly.chern(rep.dim)).terms[top]
+    assert td / cn == F(1, euler)
+
+
 def test_invariant_poly_eval_examples():
     m = ci.projective(2)
     rep = m.reps["tangent"]

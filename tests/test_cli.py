@@ -509,6 +509,12 @@ INVALID_MODELS = [
     pytest.param(_set(["meta", "flags", "module"], True), id="flags-not-object"),
     pytest.param(_set(["names", 0], 1), id="name-not-string"),
     pytest.param(_set(["brackets", 0, 2, 0, 1], "1/0"), id="zero-denominator"),
+    pytest.param(_set(["dims", 0], True), id="boolean-dim"),
+    pytest.param(_set(["brackets", 0, 0], False), id="boolean-bracket-index"),
+    pytest.param(_set(["brackets", 0, 2, 0, 0], False), id="boolean-component-index"),
+    pytest.param(_set(["reps", "tangent", "dim"], True), id="boolean-rep-dim"),
+    pytest.param(_set(["meta", "flags", "trivial"], {"g_module": "false"}), id="string-flag"),
+    pytest.param(_set(["meta", "flags", "module", "g_module"], 1), id="integer-flag"),
     pytest.param(b'{"dims": [1, 1, 1], "names": ["w\xff"]}', id="not-utf8"),
     pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
     *INVALID_MODELS,
