@@ -3,9 +3,9 @@
 Conventions.  The Atiyah matrix A of a module V collects the 2-forms
 a(x, y) = -rho_V(proj_0 [x, y]) against the dual monomials x* ^ y* for x in
 g+, y in g-; its entries carry no tau.  The form of an invariant f of degree k
-is tau^k f(A): ``chern_forms`` gives c_k = tau^k e_k(A) by Faddeev-LeVerrier,
-and one polarization at A gives the rest, Chern characters tau^j tr(A^j)/j!
-and Todd forms tau^k td_k(A) among them.  CS_f carries tau^k too.
+is tau^k f(A), from one polarization at A of the trace words of f: Chern
+forms c_k = tau^k e_k(A), Chern characters tau^j tr(A^j)/j! and Todd forms
+tau^k td_k(A) among them.  CS_f carries tau^k too.
 
 The transgression is normalized so that d CS_f = f(A, ..., A) (tau-scaled)
 holds as an exact exterior identity on models whose g- bracket has no g0
@@ -38,10 +38,6 @@ class MatrixForm:
         for row in grid:
             if len(row) != self.cols:
                 raise ValueError("ragged MatrixForm")
-
-    @classmethod
-    def identity(cls, n: int) -> "MatrixForm":
-        return cls([[Form.unit() if i == j else Form.zero() for j in range(n)] for i in range(n)])
 
     def matwedge(self, other: "MatrixForm") -> "MatrixForm":
         if self.cols != other.rows:
@@ -130,24 +126,10 @@ def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
 
 
 def chern_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
-    """c_1 .. c_k by the Faddeev-LeVerrier recursion over the even-form ring:
-    G_k = A B_{k-1}, e_k = tr(G_k)/k, B_k = e_k I - G_k; c_k = tau^k e_k."""
+    """c_1 .. c_k with c_k = tau^k e_k(A), from the Newton series ``InvPoly.chern``."""
     if k_max > rep.dim:
         raise ValueError("k_max exceeds module dimension")
-    a = atiyah_form(m, rep)
-    out = []
-    b = MatrixForm.identity(rep.dim)
-    for k in range(1, k_max + 1):
-        if k == k_max:  # the last step needs only tr(G_k)
-            out.append(a.trace_wedge(b).scale(Fraction(1, k)).tau_shift(k))
-            break
-        g = a.matwedge(b)
-        ek = g.trace().scale(Fraction(1, k))
-        out.append(ek.tau_shift(k))
-        # B_k = e_k I - G_k
-        b = MatrixForm([[(ek if i == j else Form.zero()) - x for j, x in enumerate(row)]
-                        for i, row in enumerate(g.grid)])
-    return out
+    return _characteristic_forms(m, rep, [InvPoly.chern(k) for k in range(1, k_max + 1)])
 
 
 def chern_character(m: LieModel, rep: Rep, j_max: int) -> list[Form]:
@@ -156,9 +138,7 @@ def chern_character(m: LieModel, rep: Rep, j_max: int) -> list[Form]:
 
 
 def todd_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
-    """td_1 .. td_k through degree 4, from the log-Todd series (``InvPoly.todd``)."""
-    if k_max > 4:
-        raise ValueError("todd_forms supports degree <= 4 only")
+    """td_1 .. td_k from the log-Todd series (``InvPoly.todd``)."""
     return _characteristic_forms(m, rep, [InvPoly.todd(k) for k in range(1, k_max + 1)])
 
 

@@ -90,7 +90,8 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
         raise ValueError("degree exceeds module dimension")
     cforms = chern_forms(m, rep, degree)
     parts = partitions_of(degree)
-    columns = [wedge_all(cforms[q - 1] for q in p).coefficients(degree) for p in parts]
+    monomials = [wedge_all(cforms[q - 1] for q in p) for p in parts]
+    columns = [f.coefficients(degree) for f in monomials]
     if modulo_exact:
         # The Chern monomials carry tau^degree and enter as rational columns,
         # the exact corrections as the integer numerators of their
@@ -102,8 +103,7 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
         coeffs = tuple(row.get(j, 0) for j in range(len(parts)))
         relation = Relation(degree, tuple(parts), coeffs)
-        residual = combination((c, wedge_all(cforms[q - 1] for q in p))
-                               for p, c in relation.nonzero())
+        residual = combination(zip(coeffs, monomials))
         if modulo_exact:
             if not residual.is_zero:
                 check = find_primitive(m, residual, Grade(degree, 0, degree),

@@ -22,6 +22,7 @@ from cartan_invariants.forms import (
 from cartan_invariants.invariants import InvPoly, parse_poly
 from cartan_invariants.relations import partitions_of
 from dense_oracle import in_span, same_span
+from leverrier_oracle import leverrier_chern
 
 
 def _report(number: int, name: str, checks: list[tuple[bool, str]]):
@@ -464,8 +465,11 @@ def test_criterion_10_cross_algorithm_oracle():
                     acc = acc + (term if i % 2 == 1 else term.scale(-1))
                 es.append(acc.scale(F(1, k)))
             ok = all((a - b).is_zero for a, b in zip(direct, es[1:]))
-            checks.append((ok, f"{_model_tag(m)}/{label}: Faddeev-LeVerrier = "
-                               "Newton reconstruction"))
+            checks.append((ok, f"{_model_tag(m)}/{label}: Chern forms = Newton "
+                               "reconstruction from Chern characters"))
+            checks.append((direct == leverrier_chern(m, rep, kmax),
+                           f"{_model_tag(m)}/{label}: Chern forms = Faddeev-LeVerrier "
+                           "recursion"))
     for n in (1, 2):
         m = ci.projective(n)
         rep = m.reps["tangent"]
