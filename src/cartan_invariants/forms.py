@@ -6,11 +6,12 @@ is homogeneous in tau: one tau exponent, one positive integer denominator
 and a map from monomial masks to integer numerators, in lowest terms.
 
 Every operation on forms (sums, scaling, the wedge, the CE differential and
-the coadjoint action) runs on those integers: the structure tables are held
-as numerators over their own LCM, sums accumulate as ``{mask: int}`` over
-the product or LCM of the denominators, and one gcd pass brings each result
-to lowest terms.  d itself is ``model.differential_nums``, which
-``ce_differential`` wraps in a Form.  ``Fraction``s are built only by
+the coadjoint action) runs on those integers: the derivation tables are held
+as numerators over the structure constants' LCM, sums accumulate as
+``{mask: int}`` over the product or LCM of the denominators, and one gcd
+pass brings each result to lowest terms.  d and every coadjoint action are
+applied by ``model.derivation_nums``, which ``ce_differential`` and
+``CoadjointOperator`` wrap in a Form.  ``Fraction``s are built only by
 ``terms`` and ``coefficients``; ``to_json`` and ``pretty`` print each n/den
 reduced by its own gcd.
 
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .linalg import nullspace, row_space_rref
-from .model import FrozenRecord, LieModel, Part, differential_nums, mask_bits, parity_above
+from .model import FrozenRecord, LieModel, Part, derivation_nums, mask_bits, parity_above
 
 
 class Form:
@@ -282,11 +283,12 @@ def ce_differential(m: LieModel, form: Form, plus: int | None = None) -> Form:
     """Chevalley-Eilenberg differential, extended to monomials as an odd derivation.
 
     On dual generators d xi^a = -1/2 sum c^a_bc xi^b xi^c, which over ordered
-    pairs b < c is -sum c^a_bc xi^b ^ xi^c; ``model.differential_nums`` acts
-    on the numerators.  With ``plus``, only ``plus_component(m,
+    pairs b < c is -sum c^a_bc xi^b ^ xi^c; ``model.derivation_nums`` applies
+    its table to the numerators.  With ``plus``, only ``plus_component(m,
     ce_differential(m, form), plus)`` is built.
     """
-    return _form(differential_nums(m, form.nums, plus), form.den * m.dual_d()[0], form.tau)
+    den, d = m.dual_d()
+    return _form(derivation_nums(m, d, form.nums, plus), form.den * den, form.tau)
 
 
 def plus_component(m: LieModel, form: Form, r: int) -> Form:
@@ -314,65 +316,46 @@ def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
 
 class CoadjointOperator:
     """Degree-0 derivation of the exterior algebra induced by a generator u:
-    on dual generators (u . xi)(y) = -xi([u, y]).  ``table[a]`` maps y to the
-    numerator, over ``den``, of the coefficient of xi^y in u . xi^a, and
-    ``moved`` has bit a set when u . xi^a is nonzero."""
+    on dual generators (u . xi)(y) = -xi([u, y]), applied through
+    ``model.derivation_nums`` from ``model.coadjoint_table(u)``, in
+    numerators over ``den``, the ``dual_d`` den."""
 
-    __slots__ = ("model", "u", "den", "table", "moved")
+    __slots__ = ("model", "u", "den", "_table")
 
     def __init__(self, model: LieModel, u: int):
         self.model = model
         self.u = u
-        table = model.coadjoint_dual_table(u)
-        self.den = lcm(*(c.denominator for row in table for c in row.values()))
-        self.table = [{y: c.numerator * (self.den // c.denominator) for y, c in row.items()}
-                      for row in table]
-        self.moved = sum(1 << a for a, row in enumerate(table) if row)
+        self.den = model.dual_d()[0]
+        self._table = model.coadjoint_table(u)
 
     def is_diagonal(self) -> bool:
-        return all(set(row) <= {a} for a, row in enumerate(self.table))
+        return all(image == 1 << a for (a, _), terms in self._table[0].items()
+                   for image, _, _ in terms)
+
+    def weight(self, a: int) -> int:
+        """The numerator, over ``den``, of the coefficient of xi^a in u . xi^a."""
+        return sum(n for image, _, n in self._table[0].get((a, 0), ()) if image == 1 << a)
 
     def image(self, mask: int) -> dict[int, int]:
         """Image of a unit monomial, as mask -> nonzero numerator over ``den``."""
-        out: dict[int, int] = {}
-        above = parity_above(mask)
-        for a in mask_bits(mask & self.moved):
-            rest = mask ^ (1 << a)
-            # y takes the place of a: the sign is the parity of the bits of
-            # rest between them, (bits above y) + (bits above a); rest's
-            # parity_above is above with the bits below a flipped
-            odd = above ^ ((1 << a) - 1) ^ -((above >> a) & 1)
-            for y, c in self.table[a].items():
-                if y == a:
-                    out[mask] = out.get(mask, 0) + c
-                    continue
-                ybit = 1 << y
-                if rest & ybit:
-                    continue
-                new_mask = rest | ybit
-                out[new_mask] = out.get(new_mask, 0) + (-c if (odd >> y) & 1 else c)
-        return {k: v for k, v in out.items() if v}
+        return derivation_nums(self.model, self._table, {mask: 1})
 
     def __call__(self, form: Form) -> Form:
-        acc: dict[int, int] = {}
-        for mask, n in form.nums.items():
-            for new_mask, c in self.image(mask).items():
-                acc[new_mask] = acc.get(new_mask, 0) + n * c
-        return _form(acc, form.den * self.den, form.tau)
+        return _form(derivation_nums(self.model, self._table, form.nums),
+                     form.den * self.den, form.tau)
 
 
 # -- invariant subspaces -------------------------------------------------------
 
 
 def _packed_weights(m: LieModel, torus: list[CoadjointOperator], degree: int) -> list[int]:
-    """Each dual generator's weights under the diagonal operators, as the
-    integer numerators of each operator's table (over its LCM ``den``),
-    packed as sum_i v_i * base**i.  Packing is linear and, as
-    base > 2 * degree * max|v_i|, a sum of up to ``degree`` weights packs to
-    0 exactly when it is zero."""
+    """Each dual generator's weights under the diagonal operators, as integer
+    numerators over their ``den``, packed as sum_i v_i * base**i.  Packing is
+    linear and, as base > 2 * degree * max|v_i|, a sum of up to ``degree``
+    weights packs to 0 exactly when it is zero."""
     if not all(op.is_diagonal() for op in torus):
         raise ValueError("torus operators must act diagonally")
-    cols = [[op.table[a].get(a, 0) for a in range(m.total)] for op in torus]
+    cols = [[op.weight(a) for a in range(m.total)] for op in torus]
     base = 2 * degree * max((abs(w) for col in cols for w in col), default=0) + 1
     return [sum(col[g] * base ** i for i, col in enumerate(cols)) for g in range(m.total)]
 

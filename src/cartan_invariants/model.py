@@ -6,7 +6,9 @@ Langlands decomposition of a homogeneous space: g0 reductive, h = g0 + g+ the
 isotropy subalgebra, g- a complement realizing the tangent space.
 
 Structure constants are stored only for ordered generator pairs i < j in the
-global order (part, index); antisymmetry is structural.
+global order (part, index); antisymmetry is structural.  They are also held
+as integer tables of derivations of the dual exterior algebra, d and each
+generator's coadjoint action, which ``derivation_nums`` applies.
 """
 
 from __future__ import annotations
@@ -109,8 +111,11 @@ BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 # a matrix by its nonzero entries: int or Fraction in a family's basis
 # matrices and their commutators, Fraction in a Rep
 SparseMatrix = dict[tuple[int, int], Fraction | int]
-# LieModel.dual_d: (den, per-generator pairs by rise, generators by rise)
-DualD = tuple[int, list[dict[int, list[tuple[int, int]]]], dict[int, int]]
+# A derivation D of the exterior algebra, in integer numerators over the
+# dual_d den: (groups, risers).  groups[a, rise] lists the terms of D(xi^a)
+# whose plus count exceeds a's by rise, as (image mask, parity_above(image),
+# numerator); risers[rise] is the mask of the generators a with such terms.
+Derivation = tuple[dict[tuple[int, int], list[tuple[int, int, int]]], dict[int, int]]
 
 
 def sparse_sum(*terms: tuple[Fraction | int, SparseMatrix]) -> SparseMatrix:
@@ -224,7 +229,8 @@ class LieModel:
         self.minus_mask = ((1 << dims[0]) - 1)
         self.zero_mask = ((1 << dims[1]) - 1) << dims[0]
         self.plus_mask = ((1 << dims[2]) - 1) << (dims[0] + dims[1])
-        self._dual_d: DualD | None = None
+        self._dual_d: tuple[int, Derivation] | None = None
+        self._coadjoint: list[Derivation] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -253,75 +259,76 @@ class LieModel:
         comp = self.brackets.get((j, i), {})
         return {k: -c for k, c in comp.items()}
 
-    # -- dual differential table -------------------------------------------
+    # -- derivation tables -------------------------------------------------
 
-    def dual_d(self) -> DualD:
-        """(den, table, risers): for each generator a, the terms of
-        d(xi^a) = -sum c^a_bc xi^b xi^c (b<c) as (mask of b and c, numerator),
-        the numerators over den, the LCM of the structure constants'
-        denominators, grouped by their rise: the plus count of b and c less
-        that of a.  ``risers[rise]`` is the mask of the generators that have
-        a group for that rise."""
+    def dual_d(self) -> tuple[int, Derivation]:
+        """(den, table): den is the LCM of the structure constants'
+        denominators, and ``table`` the ``Derivation`` of
+        d(xi^a) = -sum c^a_bc xi^b xi^c (b<c), in numerators over den."""
         if self._dual_d is None:
             den = lcm(*(c.denominator for comp in self.brackets.values() for c in comp.values()))
-            table: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(self.total)]
-            risers: dict[int, int] = {}
+            groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
             for (i, j), comp in self.brackets.items():
-                pair = (1 << i) | (1 << j)
+                # parity_above of the pair: the bits from i up to below j
+                pair, odd = (1 << i) | (1 << j), (1 << j) - (1 << i)
+                plus = (pair & self.plus_mask).bit_count()
                 for k, c in comp.items():
-                    rise = (pair & self.plus_mask).bit_count() - (self.plus_mask >> k & 1)
-                    table[k].setdefault(rise, []).append(
-                        (pair, -c.numerator * (den // c.denominator)))
-                    risers[rise] = risers.get(rise, 0) | 1 << k
-            self._dual_d = (den, table, risers)
+                    groups.setdefault((k, plus - (self.plus_mask >> k & 1)), []).append(
+                        (pair, odd, -c.numerator * (den // c.denominator)))
+            self._dual_d = (den, _derivation(groups))
         return self._dual_d
 
-    # -- coadjoint action ----------------------------------------------------
+    def coadjoint_table(self, u: int) -> Derivation:
+        """The ``Derivation`` of u's coadjoint action (u . xi)(y) = -xi([u, y]),
+        over the ``dual_d`` den.  On 1-forms it is Cartan's i_u d, so each
+        term n xi^b ^ xi^c (b<c) of d xi^a gives n xi^c to u = b and -n xi^b
+        to u = c; the first call builds every generator's table in one pass,
+        with one shared term per image and numerator."""
+        if self._coadjoint is None:
+            tables: list[dict] = [{} for _ in range(self.total)]
+            terms: dict[tuple[int, int], tuple[int, int, int]] = {}
+            for (a, _), pairs in self.dual_d()[1][0].items():
+                plus_a = self.plus_mask >> a & 1
+                for pair, _, n in pairs:
+                    low = pair & -pair
+                    for ubit, ybit, c in ((low, pair ^ low, n), (pair ^ low, low, -n)):
+                        rise = (self.plus_mask & ybit != 0) - plus_a
+                        tables[ubit.bit_length() - 1].setdefault((a, rise), []).append(
+                            terms.setdefault((ybit, c), (ybit, ybit - 1, c)))
+            self._coadjoint = [_derivation(t) for t in tables]
+        return self._coadjoint[u]
 
-    def coadjoint_dual_table(self, u: int) -> list[dict[int, Fraction]]:
-        """For generator u, the map xi^a -> sum_y c^a_{y,u} xi^y on dual generators.
 
-        This is (u . xi)(y) = -xi([u, y]) extended over the dual basis.
-        """
-        table: list[dict[int, Fraction]] = [{} for _ in range(self.total)]
-        for y in range(self.total):
-            # each (a, y) is met once, and bracket entries are nonzero
-            for a, c in self.bracket_basis(u, y).items():
-                table[a][y] = -c
-        return table
+def _derivation(groups: dict[tuple[int, int], list[tuple[int, int, int]]]) -> Derivation:
+    risers: dict[int, int] = {}
+    for a, rise in groups:
+        risers[rise] = risers.get(rise, 0) | 1 << a
+    return groups, risers
 
 
-def differential_nums(m: LieModel, nums: dict[int, int],
-                      plus: int | None = None) -> dict[int, int]:
-    """d of sum_mask nums[mask] xi^mask, as nonzero numerators over the
-    ``dual_d`` den; with ``plus``, only its plus-count-``plus`` part, read off
-    the one ``dual_d`` group per factor that reaches it.  d is the odd
-    derivation with d xi^a = -sum_{b<c} c^a_bc xi^b ^ xi^c."""
-    _, table, risers = m.dual_d()
+def derivation_nums(m: LieModel, table: Derivation, nums: dict[int, int],
+                    plus: int | None = None) -> dict[int, int]:
+    """D of sum_mask nums[mask] xi^mask, for the derivation D of ``table``,
+    as nonzero numerators over the ``dual_d`` den; with ``plus``, only its
+    plus-count-``plus`` part, from the one group per factor that reaches it.
+    D(xi^mask) = sum_a (-1)^t D(xi^a) ^ rest over the factors a, t of them
+    below a, for d (odd) and for a coadjoint action (even, which moves the
+    1-form D(xi^a) past t factors) alike."""
+    groups, risers = table
     acc: dict[int, int] = {}
     for mask, n in nums.items():
-        if plus is None:
-            live = mask
-        else:
-            rise = plus - (mask & m.plus_mask).bit_count()
-            live = mask & risers.get(rise, 0)
-        above = parity_above(mask)
-        for a in mask_bits(live):
-            rest = mask ^ (1 << a)
-            below = (1 << a) - 1
-            # past the t bits below a, then the pair sorts into rest, whose
-            # parity_above is above with the bits below a flipped
-            t = (mask & below).bit_count()
-            odd = above ^ below
-            for pairs in table[a].values() if plus is None else (table[a][rise],):
-                for pair_mask, c in pairs:
-                    if pair_mask & rest:
+        for rise in risers if plus is None else (plus - (mask & m.plus_mask).bit_count(),):
+            for a in mask_bits(mask & risers.get(rise, 0)):
+                rest = mask ^ (1 << a)
+                na = -n if (mask & ((1 << a) - 1)).bit_count() & 1 else n
+                for image, odd, c in groups[a, rise]:
+                    if image & rest:
                         continue
-                    new_mask = rest | pair_mask
-                    if ((odd & pair_mask).bit_count() + t) & 1:
-                        acc[new_mask] = acc.get(new_mask, 0) - n * c
+                    new_mask = rest | image
+                    if (odd & rest).bit_count() & 1:
+                        acc[new_mask] = acc.get(new_mask, 0) - na * c
                     else:
-                        acc[new_mask] = acc.get(new_mask, 0) + n * c
+                        acc[new_mask] = acc.get(new_mask, 0) + na * c
     return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
 
 
@@ -391,10 +398,10 @@ def validate_model(m: LieModel) -> ValidationReport:
                             f"{c}*{m.names[k]}",
                         )
 
-    den = m.dual_d()[0]
+    den, d = m.dual_d()
     jacobi: dict[int, dict[int, Fraction]] = {}
     for t in range(m.total):
-        for mask, n in differential_nums(m, differential_nums(m, {1 << t: 1})).items():
+        for mask, n in derivation_nums(m, d, derivation_nums(m, d, {1 << t: 1})).items():
             jacobi.setdefault(mask, {})[t] = Fraction(-n, den * den)
     for mask in sorted(jacobi, key=mask_bits):
         i, j, k = mask_bits(mask)

@@ -62,6 +62,9 @@ def _model_from_matrices(dims, matrices: list[SparseMatrix], names: list[str],
 # 0.05-0.15 s on a 2-vCPU Xeon VM (projective(16), grassmannian(8, 9),
 # lagrangian(12), conformal(23)).
 MAX_GENERATORS = 300
+# The most O(d) line modules projective() builds: one Rep per entry of
+# o_weights, repeats included, whether or not a query reads it.
+MAX_O_WEIGHTS = 64
 
 
 def _dims(minus: int, zero: int, plus: int) -> tuple[int, int, int]:
@@ -92,6 +95,8 @@ def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
     """
     if n < 1:
         raise ValueError("n >= 1")
+    if len(o_weights) > MAX_O_WEIGHTS:
+        raise ValueError(f"{len(o_weights)} o_weights, more than the {MAX_O_WEIGHTS} it builds")
     dims = _dims(n, n * n, n)
     N = n + 1
     minus = [_E(i, 0) for i in range(1, N)]

@@ -14,12 +14,14 @@ error.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .charforms import chern_forms
 from .forms import (Form, Grade, ce_differential, combination, invariant_basis, is_at_grade,
                     monomial_masks, plus_component, quotient_d, wedge_all)
 from .linalg import (Vector, fredholm_witness, is_fredholm_witness, nullspace, row_space_rref,
                      solve)
-from .model import LieModel, Record, Rep, differential_nums
+from .model import LieModel, Record, Rep, derivation_nums
 
 Partition = tuple[int, ...]
 
@@ -92,27 +94,26 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     parts = partitions_of(degree)
     monomials = [wedge_all(cforms[q - 1] for q in p) for p in parts]
     columns = [f.coefficients(degree) for f in monomials]
-    if modulo_exact:
-        # The Chern monomials carry tau^degree and enter as rational columns,
-        # the exact corrections as the integer numerators of their
-        # differentials; the kernel is then cut back to the Chern monomials.
-        sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree)
-        columns += [differential_nums(m, b.nums, degree) for b in sources]
-    null = nullspace(columns)
+    # The Chern monomials carry tau^degree and enter as rational columns, the
+    # exact corrections b_j as D den_j d(b_j) in integers, D the dual_d den.
+    # A kernel row x with a monomial pivot is g times a relation, g its
+    # content there, and psi = -sum_j x_j D den_j b_j (zero when strict) has
+    # d(psi) = g times the relation's residual.
+    n, (den, d) = len(parts), m.dual_d()
+    sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree) if modulo_exact else []
+    columns += [derivation_nums(m, d, b.nums, degree) for b in sources]
     out = []
-    for row in row_space_rref({j: c for j, c in v.items() if j < len(parts)} for v in null):
-        coeffs = tuple(row.get(j, 0) for j in range(len(parts)))
-        relation = Relation(degree, tuple(parts), coeffs)
+    for row in row_space_rref(nullspace(columns)):
+        if min(row) >= n:
+            continue
+        g = gcd(*(row.get(j, 0) for j in range(n)))
+        coeffs = tuple(row.get(j, 0) // g for j in range(n))
+        psi = combination((-x * den * sources[j - n].den, sources[j - n])
+                          for j, x in row.items() if j >= n).tau_shift(degree)
         residual = combination(zip(coeffs, monomials))
-        if modulo_exact:
-            if not residual.is_zero:
-                check = find_primitive(m, residual, Grade(degree, 0, degree),
-                                       invariant_only=True, min_minus=degree)
-                if not check.exact:
-                    raise AssertionError("class relation failed exactness re-check")
-        elif not residual.is_zero:
+        if plus_component(m, ce_differential(m, psi), degree) != residual.scale(g):
             raise AssertionError("relation failed independent re-evaluation")
-        out.append(relation)
+        out.append(Relation(degree, tuple(parts), coeffs))
     return out
 
 
@@ -142,7 +143,7 @@ def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) 
     j is d(b_j) times den_j and the ``dual_d`` den, so x gives sum x_j den_j b_j."""
     min_minus = grade.p if min_minus is None else min_minus
     basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
-    cols = [differential_nums(m, b.nums, grade.r + 1) for b in basis]
+    cols = [derivation_nums(m, m.dual_d()[1], b.nums, grade.r + 1) for b in basis]
     return [combination((c * basis[j].den, basis[j]) for j, c in combo.items())
             for combo in nullspace(cols)]
 
@@ -183,7 +184,7 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     itself invariant.  The search is one ``solve`` of [A | b], with b the
     tau^e coefficients of xi and e its tau exponent, which also gives the
     certificate ranks; a ``not_exact`` result costs one more, for its witness.
-    Column j of A is ``differential_nums`` of b_j's numerators, so with D the
+    Column j of A is ``derivation_nums`` of d on b_j's numerators, so with D the
     ``dual_d`` den and den_j b_j's (1 for a monomial), psi = sum_j x_j D den_j
     b_j, and no ``Form`` is built per column.  Either result is re-verified:
     psi by its differential, a witness exactly.
@@ -192,13 +193,13 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
         raise ValueError("primitive search needs plus count >= 1")
     if not is_at_grade(m, xi, grade):
         raise ValueError(f"target not at grade {grade.as_tuple()}")
-    deg, den = grade.degree() - 1, m.dual_d()[0]
+    deg, (den, d) = grade.degree() - 1, m.dual_d()
     if invariant_only:
         basis = invariant_basis(m, deg, grade.r - 1, min_minus)
-        columns = [differential_nums(m, b.nums, grade.r) for b in basis]
+        columns = [derivation_nums(m, d, b.nums, grade.r) for b in basis]
     else:
         masks = monomial_masks(m, deg, grade.r - 1, min_minus)
-        columns = [differential_nums(m, {mask: 1}, grade.r) for mask in masks]
+        columns = [derivation_nums(m, d, {mask: 1}, grade.r) for mask in masks]
     n = len(columns)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)

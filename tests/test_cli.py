@@ -310,6 +310,8 @@ def test_cli_usage_errors_exit_two():
     ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "0"],
     ["chern", "projective", "--n", "2", "--o-weights", "a,b", "--rep", "tangent"],
     ["chern", "projective", "--n", "2", "--o-weights", "1,,2", "--rep", "tangent"],
+    ["chern", "projective", "--n", "16", "--o-weights", ",".join(map(str, range(1, 20001))),
+     "--rep", "tangent", "--max", "1"],
     ["primitive", "projective", "--n", "2", "--rep", "tangent", "--target", "c2",
      "--min-minus", "-1"],
     ["conformal-coeffs", "--n", "1001"],

@@ -13,7 +13,7 @@ from cartan_invariants.charforms import MatrixForm
 from cartan_invariants import forms as forms_module
 from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits,
                                      parity_above)
-from cartan_invariants.model import LieModel, differential_nums
+from cartan_invariants.model import LieModel, derivation_nums
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
 
 ALL_MODELS = None
@@ -312,8 +312,18 @@ def _reference_differential(m, terms):
     return {k: v for k, v in out.items() if v}
 
 
+def _coadjoint_table(m, u):
+    """For generator u, the map xi^a -> sum_y table[a][y] xi^y on dual
+    generators, read off the brackets: (u . xi)(y) = -xi([u, y])."""
+    table = [{} for _ in range(m.total)]
+    for y in range(m.total):
+        for a, c in m.bracket_basis(u, y).items():
+            table[a][y] = -c
+    return table
+
+
 def _reference_action(table, terms):
-    """The coadjoint derivation of a ``coadjoint_dual_table`` Fraction by
+    """The coadjoint derivation of a ``_coadjoint_table`` Fraction by
     Fraction: u . xi^a = sum_y table[a][y] xi^y put in place of each factor."""
     out = {}
     for mask, coeff in terms.items():
@@ -324,13 +334,19 @@ def _reference_action(table, terms):
     return {k: v for k, v in out.items() if v}
 
 
-def test_derivations_match_fraction_references():
+def _models_of_every_family():
+    """One model of each family, then one with fractional structure constants."""
     import cartan_invariants as ci
-    fractional = _rescaled_zero_block(ci.projective(2))
     models = [ci.projective(2), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
               ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
-              ci.g2_flag(), fractional, _coprime_weight_model()]
-    assert len({m.meta.get("family") for m in models[:-2]}) == len(ci.FAMILIES)
+              ci.g2_flag()]
+    assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
+    return models + [_rescaled_zero_block(ci.projective(2))]
+
+
+def test_derivations_match_fraction_references():
+    models = _models_of_every_family() + [_coprime_weight_model()]
+    fractional = models[-2]
     # fractional structure constants: the tables need their LCMs
     assert fractional.dual_d()[0] > 1
     assert any(CoadjointOperator(fractional, u).den > 1 for u in range(fractional.total))
@@ -338,7 +354,7 @@ def test_derivations_match_fraction_references():
     checked = 0
     for m in models:
         us = list(m.part_range(Part.ZERO)) + [0, m.total - 1]
-        ops = [(CoadjointOperator(m, u), m.coadjoint_dual_table(u)) for u in us]
+        ops = [(CoadjointOperator(m, u), _coadjoint_table(m, u)) for u in us]
         for _ in range(40):
             f = _random_rational_form(rng, m.total, rng.randint(0, 3))
             d = ce_differential(m, f)
@@ -360,6 +376,51 @@ def test_derivations_match_fraction_references():
                         table, {mask: F(1)})
             checked += 1
     assert checked >= 300
+
+
+def _interior(u, form):
+    """i_u of a form: the factor xi^u is taken out of each monomial holding
+    it, with the sign (-1)^(factors below u)."""
+    out = {}
+    for mask, c in form.terms.items():
+        if mask >> u & 1:
+            out[mask ^ 1 << u] = (-1) ** (mask & ((1 << u) - 1)).bit_count() * c
+    return out
+
+
+def test_coadjoint_action_is_cartans_formula_on_dual_generators():
+    """u . xi^a = i_u d xi^a for every generator u and a, on every family and
+    a model with fractional structure constants."""
+    checked = 0
+    for m in _models_of_every_family():
+        for u in range(m.total):
+            op = CoadjointOperator(m, u)
+            for a in range(m.total):
+                xi = Form.dual(a)
+                assert op(xi).terms == _interior(u, ce_differential(m, xi))
+                checked += bool(op(xi).nums)
+    assert checked > 400
+
+
+def test_restricted_coadjoint_image_is_the_filtered_full_image():
+    """derivation_nums on a coadjoint table with ``plus`` r is the full image
+    cut to plus count r, for u inside and outside g0; the cut keeps some
+    terms and drops others in over 100 cases."""
+    rng = random.Random(31)
+    cases = cut = 0
+    for m in _models_of_every_family():
+        for u in list(m.part_range(Part.ZERO)) + [0, m.total - 1]:
+            table = m.coadjoint_table(u)
+            for _ in range(15):
+                nums = _random_rational_form(rng, m.total, 0).nums
+                full = derivation_nums(m, table, nums)
+                for r in range(-1, m.dims[2] + 2):
+                    got = derivation_nums(m, table, nums, r)
+                    assert got == {k: c for k, c in full.items()
+                                   if (k & m.plus_mask).bit_count() == r}
+                    cut += 0 < len(got) < len(full)
+                cases += bool(full)
+    assert cases > 500 and cut > 100
 
 
 def test_ce_differential_sl2_examples(sl2):
@@ -598,7 +659,7 @@ def _oracle_basis(m, degree, plus, min_minus):
     """invariant_basis as it was: plain masks, a Fraction weight filter per
     diagonal operator, the Fraction kernel of the others, then the canonical
     rref."""
-    tables = [m.coadjoint_dual_table(u) for u in m.part_range(Part.ZERO)]
+    tables = [_coadjoint_table(m, u) for u in m.part_range(Part.ZERO)]
     diagonal = [t for t in tables if all(set(row) <= {a} for a, row in enumerate(t))]
     masks = [mask for mask in _plain_masks(m, degree, plus, min_minus)
              if all(sum((t[a].get(a, F(0)) for a in mask_bits(mask)), F(0)) == 0
@@ -645,11 +706,11 @@ def test_invariant_basis_matches_plain_enumeration():
     assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
     rotation, fractional = _rotation_model(), _rescaled_zero_block(ci.projective(2))
     ops = [CoadjointOperator(fractional, u) for u in fractional.part_range(Part.ZERO)]
-    assert any(F(op.table[0].get(0, 0), op.den).denominator > 1 for op in ops)
+    assert any(F(op.weight(0), op.den).denominator > 1 for op in ops)
     coprime = _coprime_weight_model()
     (h,) = (CoadjointOperator(coprime, u) for u in coprime.part_range(Part.ZERO))
     assert h.is_diagonal()
-    assert {F(h.table[a].get(a, 0), h.den).denominator for a in (0, 1)} == {2, 3}
+    assert {F(h.weight(a), h.den).denominator for a in (0, 1)} == {2, 3}
     models += [rotation, fractional, coprime]
     cases = 0
     for m in models:
@@ -665,7 +726,7 @@ def test_invariant_basis_matches_plain_enumeration():
                     zero_weight = monomial_masks(m, degree, plus, min_minus, diagonal)
                     assert zero_weight == [
                         mask for mask in plain
-                        if all(sum(F(op.table[a].get(a, 0), op.den) for a in mask_bits(mask)) == 0
+                        if all(sum(F(op.weight(a), op.den) for a in mask_bits(mask)) == 0
                                for op in diagonal)]
                     got = [{mask: c for mask, c in b.terms.items()}
                            for b in invariant_basis(m, degree, plus, min_minus)]
@@ -700,7 +761,7 @@ def test_monomial_masks_walks_only_subsets_meeting_min_minus(monkeypatch):
 
 
 def test_differential_nums_matches_the_fraction_reference():
-    """differential_nums of an integer vector is the Fraction reference
+    """derivation_nums of d on an integer vector is the Fraction reference
     differential over the dual_d den, restricted to the plus count when one
     is given: on every family and a model with fractional structure
     constants, for unit and multi-mask vectors of masks at several (degree,
@@ -725,7 +786,7 @@ def test_differential_nums_matches_the_fraction_reference():
                     for nums in [{mask: 1} for mask in masks] + sums:
                         full = _reference_differential(m, nums)
                         for target in (plus, plus + 1, plus + 2, None):
-                            got = differential_nums(m, nums, target)
+                            got = derivation_nums(m, m.dual_d()[1], nums, target)
                             assert got == {k: c * den for k, c in full.items()
                                            if target is None or (k & m.plus_mask).bit_count()
                                            == target}

@@ -299,6 +299,10 @@ def test_builder_params_validated():
                   lambda: ci.foliated_projective(1, 17), lambda: ci.split_projective(12, 12)):
         with pytest.raises(ValueError, match="generators, more than the 300"):
             build()
+    # o_weights up to MAX_O_WEIGHTS, repeats included, and not one more
+    assert len(ci.projective(1, o_weights=(2,) * 64).reps) == 5
+    with pytest.raises(ValueError, match="65 o_weights, more than the 64"):
+        ci.projective(1, o_weights=(2,) * 65)
 
 
 # -- oracle: the sparse structure-constant solve against the dense one ---------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import cartan_invariants as ci
-from cartan_invariants.forms import Form, Grade
+from cartan_invariants.forms import Form, Grade, combination, wedge_all
 from cartan_invariants.invariants import InvPoly, parse_poly
 from cartan_invariants.linalg import is_fredholm_witness
 from cartan_invariants.relations import partition_label, partitions_of
@@ -56,6 +56,33 @@ def test_find_relations_g2_class_level():
     ]
     # at strict form level the degree-2 classes are independent
     assert ci.find_relations(m, m.reps["graded-tangent"], 2) == []
+
+
+def test_class_relations_check_the_kernel_primitive_without_a_new_search(monkeypatch):
+    """With modulo_exact, each relation's primitive comes from its kernel row:
+    one invariant_basis and no find_primitive per relation.  Each residual is
+    still exact by an independent primitive search."""
+    from cartan_invariants import relations
+    m = ci.g2_flag()
+    rep = m.reps["graded-tangent"]
+    calls = []
+    invariant_basis = relations.invariant_basis
+
+    def counted(*args):
+        calls.append(args[1:])
+        return invariant_basis(*args)
+
+    monkeypatch.setattr(relations, "invariant_basis", counted)
+    monkeypatch.setattr(relations, "find_primitive", None)
+    rels = ci.find_relations(m, rep, 4, modulo_exact=True)
+    assert calls == [(7, 3, 4)] and len(rels) == 4
+    monkeypatch.undo()
+    monomials = [wedge_all(ci.chern_forms(m, rep, 4)[q - 1] for q in p)
+                 for p in rels[0].partitions]
+    for r in rels:
+        residual = combination(zip(r.coefficients, monomials))
+        assert not residual.is_zero
+        assert ci.find_primitive(m, residual, Grade(4, 0, 4), min_minus=4).exact
 
 
 def test_find_relations_conformal4():
