@@ -18,8 +18,8 @@ _EXPORTS = {
     "linalg": ("nullspace", "rank", "rref", "solve"),
     "model": ("Generator", "LieModel", "Part", "Rep", "ValidationReport", "tangent_rep",
               "validate_model", "validate_rep"),
-    "forms": ("CoadjointOperator", "Form", "Grade", "GradeError", "ce_differential",
-              "invariant_basis", "is_at_grade", "monomial_masks", "plus_component", "quotient_d"),
+    "forms": ("Form", "Grade", "GradeError", "ce_differential", "invariant_basis",
+              "is_at_grade", "monomial_masks", "plus_component", "quotient_d"),
     "invariants": ("InvPoly", "PolyParseError", "parse_poly"),
     "charforms": ("MatrixForm", "atiyah_form", "chern_character", "chern_form_of", "chern_forms",
                   "chern_simons_form", "cs_class", "cs_coefficients", "invariant_poly_eval",

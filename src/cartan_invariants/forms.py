@@ -5,15 +5,15 @@ equality, wedge signs and trigrade counts are all bit arithmetic.  A Form
 is homogeneous in tau: one tau exponent, one positive integer denominator
 and a map from monomial masks to integer numerators, in lowest terms.
 
-Every operation on forms (sums, scaling, the wedge, the CE differential and
-the coadjoint action) runs on those integers: the derivation tables are held
-as numerators over the structure constants' LCM, sums accumulate as
+Every operation on forms (sums, scaling, the wedge and the CE
+differential) runs on those integers: the derivation tables are held as
+numerators over the structure constants' LCM, sums accumulate as
 ``{mask: int}`` over the product or LCM of the denominators, and one gcd
 pass brings each result to lowest terms.  d and every coadjoint action are
-applied by ``model.derivation_nums``, which ``ce_differential`` and
-``CoadjointOperator`` wrap in a Form.  ``Fraction``s are built only by
-``terms`` and ``coefficients``; ``to_json`` and ``pretty`` print each n/den
-reduced by its own gcd.
+applied by ``model.derivation_nums``; ``ce_differential`` wraps it in a
+Form, and the invariant subspaces read g0's coadjoint tables as plain data.
+``Fraction``s are built only by ``terms`` and ``coefficients``; ``to_json``
+and ``pretty`` print each n/den reduced by its own gcd.
 
 The trigrade (p, q, r) of a monomial counts its g-*, g0*, g+* factors.  The
 differential induced on the quotient of the plus-count filtration keeps, of
@@ -29,7 +29,8 @@ from math import gcd, lcm
 from typing import Iterable
 
 from .linalg import nullspace, row_space_rref
-from .model import FrozenRecord, LieModel, Part, derivation_nums, mask_bits, parity_above
+from .model import (Derivation, FrozenRecord, LieModel, Part, derivation_nums, mask_bits,
+                    parity_above)
 
 
 class Form:
@@ -311,61 +312,40 @@ def quotient_d(m: LieModel, form: Form, grade: Grade) -> Form:
     return ce_differential(m, form, grade.r + 1)
 
 
-# -- coadjoint action --------------------------------------------------------
-
-
-class CoadjointOperator:
-    """Degree-0 derivation of the exterior algebra induced by a generator u:
-    on dual generators (u . xi)(y) = -xi([u, y]), applied through
-    ``model.derivation_nums`` from ``model.coadjoint_table(u)``, in
-    numerators over ``den``, the ``dual_d`` den."""
-
-    __slots__ = ("model", "u", "den", "_table")
-
-    def __init__(self, model: LieModel, u: int):
-        self.model = model
-        self.u = u
-        self.den = model.dual_d()[0]
-        self._table = model.coadjoint_table(u)
-
-    def is_diagonal(self) -> bool:
-        return all(image == 1 << a for (a, _), terms in self._table[0].items()
-                   for image, _, _ in terms)
-
-    def weight(self, a: int) -> int:
-        """The numerator, over ``den``, of the coefficient of xi^a in u . xi^a."""
-        return sum(n for image, _, n in self._table[0].get((a, 0), ()) if image == 1 << a)
-
-    def image(self, mask: int) -> dict[int, int]:
-        """Image of a unit monomial, as mask -> nonzero numerator over ``den``."""
-        return derivation_nums(self.model, self._table, {mask: 1})
-
-    def __call__(self, form: Form) -> Form:
-        return _form(derivation_nums(self.model, self._table, form.nums),
-                     form.den * self.den, form.tau)
-
-
 # -- invariant subspaces -------------------------------------------------------
 
 
-def _packed_weights(m: LieModel, torus: list[CoadjointOperator], degree: int) -> list[int]:
-    """Each dual generator's weights under the diagonal operators, as integer
-    numerators over their ``den``, packed as sum_i v_i * base**i.  Packing is
-    linear and, as base > 2 * degree * max|v_i|, a sum of up to ``degree``
-    weights packs to 0 exactly when it is zero."""
-    if not all(op.is_diagonal() for op in torus):
-        raise ValueError("torus operators must act diagonally")
-    cols = [[op.weight(a) for a in range(m.total)] for op in torus]
+def is_diagonal(table: Derivation) -> bool:
+    """Whether the coadjoint ``table`` maps each xi^a to a multiple of itself."""
+    return all(image == 1 << a for (a, _), terms in table[0].items() for image, _, _ in terms)
+
+
+def diagonal_weights(m: LieModel, table: Derivation) -> list[int]:
+    """The numerator, over the ``dual_d`` den, of the coefficient of xi^a in
+    the image of xi^a under ``table``, for each generator a."""
+    groups = table[0]
+    return [sum(n for image, _, n in groups.get((a, 0), ()) if image == 1 << a)
+            for a in range(m.total)]
+
+
+def _packed_weights(m: LieModel, torus: list[Derivation], degree: int) -> list[int]:
+    """Each dual generator's weights under the diagonal tables, as integer
+    numerators over the ``dual_d`` den, packed as sum_i v_i * base**i.
+    Packing is linear and, as base > 2 * degree * max|v_i|, a sum of up to
+    ``degree`` weights packs to 0 exactly when it is zero."""
+    if not all(is_diagonal(table) for table in torus):
+        raise ValueError("torus tables must act diagonally")
+    cols = [diagonal_weights(m, table) for table in torus]
     base = 2 * degree * max((abs(w) for col in cols for w in col), default=0) + 1
     return [sum(col[g] * base ** i for i, col in enumerate(cols)) for g in range(m.total)]
 
 
 def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
-                   torus: list[CoadjointOperator] = ()) -> list[int]:
+                   torus: list[Derivation] = ()) -> list[int]:
     """All monomial masks of the stated degree with plus count exactly ``plus``
     and minus count at least ``min_minus``, in canonical order.
 
-    With ``torus``, diagonal coadjoint operators, only masks of total weight
+    With ``torus``, diagonal coadjoint tables, only masks of total weight
     zero under each are built: plus subsets are grouped by weight and each
     minus/zero subset takes the group that cancels its weight.  Canonical
     order compares the minus/zero bits first, so looping over those subsets
@@ -391,17 +371,18 @@ def monomial_masks(m: LieModel, degree: int, plus: int, min_minus: int = 0,
     return masks
 
 
-def _joint_kernel(masks: list[int], operators: list[CoadjointOperator]) -> list[dict[int, int]]:
-    """A basis of the vectors annihilated by every operator, as primitive
-    integer dicts mask -> coefficient.
+def _joint_kernel(m: LieModel, masks: list[int],
+                  tables: list[Derivation]) -> list[dict[int, int]]:
+    """A basis of the vectors annihilated by every coadjoint table, as
+    primitive integer dicts mask -> coefficient.
 
-    Each operator's image of a mask is built once, in numerators over its
-    ``den`` (a common factor the kernel does not see); ``nullspace`` returns
-    each kernel combination in integers, and the basis vectors are
-    recombined by it.
+    Each table's image of a mask is built once, by ``derivation_nums``, in
+    numerators over the ``dual_d`` den (a common factor the kernel does not
+    see); ``nullspace`` returns each kernel combination in integers, and the
+    basis vectors are recombined by it.
     """
     basis: list[dict[int, int]] = [{mask: 1} for mask in masks]
-    for op in operators:
+    for table in tables:
         if not basis:
             return []
         memo: dict[int, dict[int, int]] = {}
@@ -411,7 +392,7 @@ def _joint_kernel(masks: list[int], operators: list[CoadjointOperator]) -> list[
             for mask, c in v.items():
                 im = memo.get(mask)
                 if im is None:
-                    im = memo[mask] = op.image(mask)
+                    im = memo[mask] = derivation_nums(m, table, {mask: 1})
                 for new_mask, c2 in im.items():
                     img[new_mask] = img.get(new_mask, 0) + c * c2
             images.append(img)
@@ -431,17 +412,17 @@ def invariant_basis(m: LieModel, degree: int, plus: int, min_minus: int = 0) -> 
     """Basis of the constant cochains with the stated monomial constraints that
     are annihilated by the coadjoint action of every g0 generator.
 
-    The diagonal (Cartan) operators act by enumeration: only monomials of
+    The diagonal (Cartan) tables act by enumeration: only monomials of
     weight zero under them are built; the others by a joint kernel.
 
     The result is canonical: each form is a ``row_space_rref`` row of the
     coefficients over the monomial list, divided by its pivot entry.
     """
-    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
-    masks = monomial_masks(m, degree, plus, min_minus, [op for op in ops if op.is_diagonal()])
+    tables = [m.coadjoint_table(u) for u in m.part_range(Part.ZERO)]
+    masks = monomial_masks(m, degree, plus, min_minus, [t for t in tables if is_diagonal(t)])
     if not masks:
         return []
-    vecs = _joint_kernel(masks, [op for op in ops if not op.is_diagonal()])
+    vecs = _joint_kernel(m, masks, [t for t in tables if not is_diagonal(t)])
     index = {mask: i for i, mask in enumerate(masks)}
     canon = row_space_rref({index[mask]: c for mask, c in v.items()} for v in vecs)
     return [_form({masks[i]: c for i, c in row.items()}, row[min(row)], 0) for row in canon]

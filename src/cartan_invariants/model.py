@@ -7,8 +7,9 @@ isotropy subalgebra, g- a complement realizing the tangent space.
 
 Structure constants are stored only for ordered generator pairs i < j in the
 global order (part, index); antisymmetry is structural.  They are also held
-as integer tables of derivations of the dual exterior algebra, d and each
-generator's coadjoint action, which ``derivation_nums`` applies.
+as integer tables of derivations of the dual exterior algebra, d and the
+coadjoint action of each generator (built per part, on first use), which
+``derivation_nums`` applies.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ SparseMatrix = dict[tuple[int, int], Fraction | int]
 # A derivation D of the exterior algebra, in integer numerators over the
 # dual_d den: (groups, risers).  groups[a, rise] lists the terms of D(xi^a)
 # whose plus count exceeds a's by rise, as (image mask, parity_above(image),
-# numerator); risers[rise] is the mask of the generators a with such terms.
-Derivation = tuple[dict[tuple[int, int], list[tuple[int, int, int]]], dict[int, int]]
+# numerator), and groups[a, None] all of them; risers[rise] is the mask of
+# the generators a with such terms, risers[None] of those with any.
+Derivation = tuple[dict[tuple[int, int | None], list[tuple[int, int, int]]], dict[int | None, int]]
 
 
 def sparse_sum(*terms: tuple[Fraction | int, SparseMatrix]) -> SparseMatrix:
@@ -230,7 +232,7 @@ class LieModel:
         self.zero_mask = ((1 << dims[1]) - 1) << dims[0]
         self.plus_mask = ((1 << dims[2]) - 1) << (dims[0] + dims[1])
         self._dual_d: tuple[int, Derivation] | None = None
-        self._coadjoint: list[Derivation] | None = None
+        self._coadjoint: dict[int, Derivation] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -282,27 +284,39 @@ class LieModel:
         """The ``Derivation`` of u's coadjoint action (u . xi)(y) = -xi([u, y]),
         over the ``dual_d`` den.  On 1-forms it is Cartan's i_u d, so each
         term n xi^b ^ xi^c (b<c) of d xi^a gives n xi^c to u = b and -n xi^b
-        to u = c; the first call builds every generator's table in one pass,
-        with one shared term per image and numerator."""
-        if self._coadjoint is None:
-            tables: list[dict] = [{} for _ in range(self.total)]
+        to u = c; the first call for a part builds the tables of that part's
+        generators in one pass, with one shared term per image and numerator."""
+        if not 0 <= u < self.total:
+            raise IndexError(f"no generator {u}")
+        if u not in self._coadjoint:
+            tables: dict[int, dict] = {g: {} for g in self.part_range(self.part_of(u))}
             terms: dict[tuple[int, int], tuple[int, int, int]] = {}
-            for (a, _), pairs in self.dual_d()[1][0].items():
+            groups, risers = self.dual_d()[1]
+            for a in mask_bits(risers[None]):
                 plus_a = self.plus_mask >> a & 1
-                for pair, _, n in pairs:
+                for pair, _, n in groups[a, None]:
                     low = pair & -pair
                     for ubit, ybit, c in ((low, pair ^ low, n), (pair ^ low, low, -n)):
-                        rise = (self.plus_mask & ybit != 0) - plus_a
-                        tables[ubit.bit_length() - 1].setdefault((a, rise), []).append(
-                            terms.setdefault((ybit, c), (ybit, ybit - 1, c)))
-            self._coadjoint = [_derivation(t) for t in tables]
+                        table = tables.get(ubit.bit_length() - 1)
+                        if table is not None:
+                            rise = (self.plus_mask & ybit != 0) - plus_a
+                            table.setdefault((a, rise), []).append(
+                                terms.setdefault((ybit, c), (ybit, ybit - 1, c)))
+            self._coadjoint.update((g, _derivation(t)) for g, t in tables.items())
         return self._coadjoint[u]
 
 
 def _derivation(groups: dict[tuple[int, int], list[tuple[int, int, int]]]) -> Derivation:
-    risers: dict[int, int] = {}
-    for a, rise in groups:
+    """(groups, risers), with each a's group (a, None) of all its terms: the
+    (a, rise) list itself when a has one rise."""
+    risers: dict[int | None, int] = {}
+    by_a: dict[int, list] = {}
+    for (a, rise), terms in groups.items():
         risers[rise] = risers.get(rise, 0) | 1 << a
+        by_a.setdefault(a, []).append(terms)
+    for a, lists in by_a.items():
+        groups[a, None] = lists[0] if len(lists) == 1 else [t for ts in lists for t in ts]
+    risers[None] = sum(1 << a for a in by_a)
     return groups, risers
 
 
@@ -310,25 +324,26 @@ def derivation_nums(m: LieModel, table: Derivation, nums: dict[int, int],
                     plus: int | None = None) -> dict[int, int]:
     """D of sum_mask nums[mask] xi^mask, for the derivation D of ``table``,
     as nonzero numerators over the ``dual_d`` den; with ``plus``, only its
-    plus-count-``plus`` part, from the one group per factor that reaches it.
+    plus-count-``plus`` part.  Each factor reads one group: the one that
+    reaches ``plus``, or the group of all its terms.
     D(xi^mask) = sum_a (-1)^t D(xi^a) ^ rest over the factors a, t of them
     below a, for d (odd) and for a coadjoint action (even, which moves the
     1-form D(xi^a) past t factors) alike."""
     groups, risers = table
     acc: dict[int, int] = {}
     for mask, n in nums.items():
-        for rise in risers if plus is None else (plus - (mask & m.plus_mask).bit_count(),):
-            for a in mask_bits(mask & risers.get(rise, 0)):
-                rest = mask ^ (1 << a)
-                na = -n if (mask & ((1 << a) - 1)).bit_count() & 1 else n
-                for image, odd, c in groups[a, rise]:
-                    if image & rest:
-                        continue
-                    new_mask = rest | image
-                    if (odd & rest).bit_count() & 1:
-                        acc[new_mask] = acc.get(new_mask, 0) - na * c
-                    else:
-                        acc[new_mask] = acc.get(new_mask, 0) + na * c
+        rise = None if plus is None else plus - (mask & m.plus_mask).bit_count()
+        for a in mask_bits(mask & risers.get(rise, 0)):
+            rest = mask ^ (1 << a)
+            na = -n if (mask & ((1 << a) - 1)).bit_count() & 1 else n
+            for image, odd, c in groups[a, rise]:
+                if image & rest:
+                    continue
+                new_mask = rest | image
+                if (odd & rest).bit_count() & 1:
+                    acc[new_mask] = acc.get(new_mask, 0) - na * c
+                else:
+                    acc[new_mask] = acc.get(new_mask, 0) + na * c
     return acc if all(acc.values()) else {k: v for k, v in acc.items() if v}
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import settings
 
-from cartan_invariants.model import LieModel
+from cartan_invariants.forms import Form, _form
+from cartan_invariants.model import LieModel, derivation_nums
 
 # Every run draws the same examples, so a failure found once is found again.
 settings.register_profile("replayable", derandomize=True)
@@ -30,6 +31,13 @@ def sl2_corrupted() -> LieModel:
         (1, 2): {2: F(2)},
     }
     return LieModel((1, 1, 1), ["f*", "h*", "e*"], brackets)
+
+
+def coadjoint(m: LieModel, u: int, form: Form) -> Form:
+    """The coadjoint action of generator u on a form: ``derivation_nums`` of
+    u's table, over the ``dual_d`` den."""
+    nums = derivation_nums(m, m.coadjoint_table(u), form.nums)
+    return _form(nums, form.den * m.dual_d()[0], form.tau)
 
 
 @pytest.fixture

@@ -11,9 +11,10 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                monomial_masks, plus_component, projective, quotient_d)
 from cartan_invariants.charforms import MatrixForm
 from cartan_invariants import forms as forms_module
-from cartan_invariants.forms import (CoadjointOperator, Form, _wedge_sums, mask_bits,
-                                     parity_above)
+from cartan_invariants.forms import (Form, _wedge_sums, diagonal_weights, is_diagonal,
+                                     mask_bits, parity_above)
 from cartan_invariants.model import LieModel, derivation_nums
+from conftest import coadjoint
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
 
 ALL_MODELS = None
@@ -244,7 +245,6 @@ def test_every_operation_returns_the_canonical_form():
     models = [ci.projective(2), _rescaled_zero_block(ci.projective(2))]
     checked = 0
     for m in models:
-        ops = [CoadjointOperator(m, u) for u in range(m.total)]
         for _ in range(60):
             a = _random_rational_form(rng, m.total, rng.randint(0, 2))
             b = _random_rational_form(rng, m.total, a.tau)
@@ -252,7 +252,7 @@ def test_every_operation_returns_the_canonical_form():
             results = [a + b, a - b, b - b, -a, a.scale(rng.randint(-4, 4)), a.scale(q),
                        a.scale(0), a.tau_shift(2), a.wedge(b),
                        *_wedge_sums([[(a, b), (b, a)], [(a, a.scale(q))], []]),
-                       ce_differential(m, a), rng.choice(ops)(a)]
+                       ce_differential(m, a), coadjoint(m, rng.randrange(m.total), a)]
             results += [ce_differential(m, a, r) for r in range(m.dims[2] + 2)]
             results += [plus_component(m, a, r) for r in range(m.dims[2] + 1)]
             for f in results:
@@ -348,13 +348,16 @@ def test_derivations_match_fraction_references():
     models = _models_of_every_family() + [_coprime_weight_model()]
     fractional = models[-2]
     # fractional structure constants: the tables need their LCMs
-    assert fractional.dual_d()[0] > 1
-    assert any(CoadjointOperator(fractional, u).den > 1 for u in range(fractional.total))
+    den = fractional.dual_d()[0]
+    assert den > 1
+    assert any(n % den for u in range(fractional.total)
+               for terms in fractional.coadjoint_table(u)[0].values() for _, _, n in terms)
     rng = random.Random(23)
     checked = 0
     for m in models:
         us = list(m.part_range(Part.ZERO)) + [0, m.total - 1]
-        ops = [(CoadjointOperator(m, u), _coadjoint_table(m, u)) for u in us]
+        den = m.dual_d()[0]
+        ops = [(u, _coadjoint_table(m, u)) for u in us]
         for _ in range(40):
             f = _random_rational_form(rng, m.total, rng.randint(0, 3))
             d = ce_differential(m, f)
@@ -365,14 +368,14 @@ def test_derivations_match_fraction_references():
                 assert part == plus_component(m, d, r) and part.tau == f.tau
                 assert part.terms == {mask: c for mask, c in d.terms.items()
                                       if (mask & m.plus_mask).bit_count() == r}
-            for op, table in ops:
-                g = op(f)
+            for u, table in ops:
+                g = coadjoint(m, u, f)
                 assert g.terms == _reference_action(table, f.terms)
                 assert g.tau == f.tau and _fractions_only(g)
                 for mask in f.terms:
-                    image = op.image(mask)
+                    image = derivation_nums(m, m.coadjoint_table(u), {mask: 1})
                     assert all(type(n) is int and n for n in image.values())
-                    assert {k: F(n, op.den) for k, n in image.items()} == _reference_action(
+                    assert {k: F(n, den) for k, n in image.items()} == _reference_action(
                         table, {mask: F(1)})
             checked += 1
     assert checked >= 300
@@ -394,11 +397,10 @@ def test_coadjoint_action_is_cartans_formula_on_dual_generators():
     checked = 0
     for m in _models_of_every_family():
         for u in range(m.total):
-            op = CoadjointOperator(m, u)
             for a in range(m.total):
                 xi = Form.dual(a)
-                assert op(xi).terms == _interior(u, ce_differential(m, xi))
-                checked += bool(op(xi).nums)
+                assert coadjoint(m, u, xi).terms == _interior(u, ce_differential(m, xi))
+                checked += bool(coadjoint(m, u, xi).nums)
     assert checked > 400
 
 
@@ -421,6 +423,36 @@ def test_restricted_coadjoint_image_is_the_filtered_full_image():
                     cut += 0 < len(got) < len(full)
                 cases += bool(full)
     assert cases > 500 and cut > 100
+
+
+def test_coadjoint_tables_are_built_per_part_on_first_use():
+    """invariant_basis leaves g0's tables alone on the model; a model that
+    builds g+'s first holds those alone, and its g0 tables then give the
+    images of a model that built g0's first, full and restricted, on seeded
+    random vectors, and the Fraction reference's."""
+    import cartan_invariants as ci
+    m = ci.grassmannian(3, 3)
+    assert invariant_basis(m, 6, 2)
+    assert set(m._coadjoint) == set(m.part_range(Part.ZERO))
+    plus_first, zero_first = ci.grassmannian(3, 3), ci.grassmannian(3, 3)
+    plus_first.coadjoint_table(plus_first.total - 1)
+    assert set(plus_first._coadjoint) == set(plus_first.part_range(Part.PLUS))
+    den = m.dual_d()[0]
+    rng = random.Random(26)
+    images = 0
+    for u in m.part_range(Part.ZERO):
+        table = _coadjoint_table(m, u)
+        for _ in range(10):
+            nums = _random_rational_form(rng, m.total, 0).nums
+            full = derivation_nums(plus_first, plus_first.coadjoint_table(u), nums)
+            assert full == {k: c * den for k, c in _reference_action(table, nums).items()}
+            for r in (None, 0, 1, 2):
+                assert (derivation_nums(plus_first, plus_first.coadjoint_table(u), nums, r)
+                        == derivation_nums(zero_first, zero_first.coadjoint_table(u), nums, r))
+            images += bool(full)
+    assert images > 50
+    assert set(plus_first._coadjoint) == set(m.part_range(Part.ZERO)) | set(
+        m.part_range(Part.PLUS))
 
 
 def test_ce_differential_sl2_examples(sl2):
@@ -514,15 +546,15 @@ def test_quotient_d_squared_zero_random_grades():
 def test_quotient_d_equivariant():
     m = projective(2)
     rng = random.Random(7)
-    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
     for _ in range(20):
         masks = monomial_masks(m, 2, 1, 0)
         xi = Form.monomial(rng.choice(masks), rng.randint(1, 3))
         grade = Grade(min((mask & m.minus_mask).bit_count() for mask in xi.terms),
                       0, 1)
         grade = Grade(grade.p, 2 - grade.p - 1, 1)
-        for op in ops:
-            assert op(quotient_d(m, xi, grade)) == quotient_d(m, op(xi), grade)
+        for u in m.part_range(Part.ZERO):
+            assert (coadjoint(m, u, quotient_d(m, xi, grade))
+                    == quotient_d(m, coadjoint(m, u, xi), grade))
 
 
 def test_invariant_basis_projective1():
@@ -545,8 +577,8 @@ def test_closedness_criterion_at_plus_zero_matches_gplus_invariance():
                 continue
             dcols = [plus_component(m, ce_differential(m, Form.monomial(mask)), 1)
                      for mask in masks]
-            ops = [CoadjointOperator(m, u) for u in m.part_range(Part.PLUS)]
-            ocols = [[op(Form.monomial(mask)) for op in ops] for mask in masks]
+            ocols = [[coadjoint(m, u, Form.monomial(mask)) for u in m.part_range(Part.PLUS)]
+                     for mask in masks]
 
             def kernel(column_forms):
                 support = sorted({mk for forms in column_forms for f in forms
@@ -705,17 +737,21 @@ def test_invariant_basis_matches_plain_enumeration():
               ci.split_projective(1, 2), ci.g2_flag()]
     assert len({m.meta["family"] for m in models}) == len(ci.FAMILIES)
     rotation, fractional = _rotation_model(), _rescaled_zero_block(ci.projective(2))
-    ops = [CoadjointOperator(fractional, u) for u in fractional.part_range(Part.ZERO)]
-    assert any(F(op.weight(0), op.den).denominator > 1 for op in ops)
+    assert any(F(diagonal_weights(fractional, fractional.coadjoint_table(u))[0],
+                 fractional.dual_d()[0]).denominator > 1
+               for u in fractional.part_range(Part.ZERO))
     coprime = _coprime_weight_model()
-    (h,) = (CoadjointOperator(coprime, u) for u in coprime.part_range(Part.ZERO))
-    assert h.is_diagonal()
-    assert {F(h.weight(a), h.den).denominator for a in (0, 1)} == {2, 3}
+    (h,) = (coprime.coadjoint_table(u) for u in coprime.part_range(Part.ZERO))
+    assert is_diagonal(h)
+    assert {F(diagonal_weights(coprime, h)[a], coprime.dual_d()[0]).denominator
+            for a in (0, 1)} == {2, 3}
     models += [rotation, fractional, coprime]
     cases = 0
     for m in models:
-        diagonal = [op for op in (CoadjointOperator(m, u) for u in m.part_range(Part.ZERO))
-                    if op.is_diagonal()]
+        den = m.dual_d()[0]
+        diagonal = [t for t in (m.coadjoint_table(u) for u in m.part_range(Part.ZERO))
+                    if is_diagonal(t)]
+        weights = [diagonal_weights(m, t) for t in diagonal]
         assert bool(diagonal) == (m is not rotation)
         for degree in range(6):
             for plus in range(min(degree, m.dims[2]) + 2):
@@ -726,8 +762,8 @@ def test_invariant_basis_matches_plain_enumeration():
                     zero_weight = monomial_masks(m, degree, plus, min_minus, diagonal)
                     assert zero_weight == [
                         mask for mask in plain
-                        if all(sum(F(op.weight(a), op.den) for a in mask_bits(mask)) == 0
-                               for op in diagonal)]
+                        if all(sum(F(w[a], den) for a in mask_bits(mask)) == 0
+                               for w in weights)]
                     got = [{mask: c for mask, c in b.terms.items()}
                            for b in invariant_basis(m, degree, plus, min_minus)]
                     assert got == _oracle_basis(m, degree, plus, min_minus), (
@@ -797,6 +833,6 @@ def test_differential_nums_matches_the_fraction_reference():
 
 def test_monomial_masks_rejects_a_non_diagonal_torus():
     m = projective(2)
-    ops = [CoadjointOperator(m, u) for u in m.part_range(Part.ZERO)]
+    tables = [m.coadjoint_table(u) for u in m.part_range(Part.ZERO)]
     with pytest.raises(ValueError):
-        monomial_masks(m, 2, 1, 0, [op for op in ops if not op.is_diagonal()])
+        monomial_masks(m, 2, 1, 0, [t for t in tables if not is_diagonal(t)])

@@ -3,17 +3,17 @@ import os
 import pickle
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from cartan_invariants import (CoadjointOperator, Part, projective, validate_model,
-                               validate_rep)
+from cartan_invariants import Part, projective, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, ce_differential
 from cartan_invariants.model import (LANGLANDS_CONDITIONS, Generator, LieModel, Rep,
                                      ValidationReport, sparse_commutator)
 from cartan_invariants.modelio import parse_model_file
 from cartan_invariants.relations import PrimitiveResult, Relation
-from conftest import sl2_corrupted
+from conftest import coadjoint, sl2_corrupted
 
 
 def test_sl2_validates(sl2):
@@ -138,18 +138,17 @@ def test_bracket_examples(sl2):
 
 
 def test_coadjoint_on_duals(sl2):
-    h_action = CoadjointOperator(sl2, 1)
     eta = Form.dual(1)
     chi = Form.dual(2)
     omega = Form.dual(0)
-    assert h_action(eta).is_zero
-    assert h_action(chi) == chi.scale(-2)
-    assert h_action(omega) == omega.scale(2)
+    assert coadjoint(sl2, 1, eta).is_zero
+    assert coadjoint(sl2, 1, chi) == chi.scale(-2)
+    assert coadjoint(sl2, 1, omega) == omega.scale(2)
 
 
 def test_coadjoint_is_derivation(sl2):
     rng = random.Random(5)
-    op = CoadjointOperator(sl2, 1)
+    op = partial(coadjoint, sl2, 1)
     gens = [Form.dual(i) for i in range(3)]
     for _ in range(20):
         xi = gens[rng.randrange(3)].scale(F(rng.randint(-3, 3)))
@@ -162,10 +161,18 @@ def test_coadjoint_is_derivation(sl2):
 def test_coadjoint_commutes_with_ce_differential():
     m = projective(2)
     for u in m.part_range(Part.ZERO):
-        op = CoadjointOperator(m, u)
         for g in range(m.total):
             xi = Form.dual(g)
-            assert op(ce_differential(m, xi)) == ce_differential(m, op(xi))
+            assert (coadjoint(m, u, ce_differential(m, xi))
+                    == ce_differential(m, coadjoint(m, u, xi)))
+
+
+def test_coadjoint_table_refuses_a_generator_out_of_range():
+    m = projective(2)
+    assert m.coadjoint_table(0) and m.coadjoint_table(m.total - 1)
+    for u in (-1, m.total, -m.total - 1):
+        with pytest.raises(IndexError, match=f"no generator {u}"):
+            m.coadjoint_table(u)
 
 
 def test_rep_consistency_all_builtin():
