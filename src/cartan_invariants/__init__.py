@@ -16,8 +16,8 @@ from importlib import import_module
 _EXPORTS = {
     "scalars": ("parse_rational",),
     "linalg": ("nullspace", "rank", "rref", "solve"),
-    "model": ("Generator", "LieModel", "Part", "Rep", "ValidationReport", "tangent_rep",
-              "validate_model", "validate_rep"),
+    "model": ("LieModel", "Part", "Rep", "ValidationReport", "tangent_rep", "validate_model",
+              "validate_rep"),
     "forms": ("Form", "Grade", "GradeError", "ce_differential", "invariant_basis",
               "is_at_grade", "monomial_masks", "plus_component", "quotient_d"),
     "invariants": ("InvPoly", "PolyParseError", "parse_poly"),

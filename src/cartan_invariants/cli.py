@@ -30,19 +30,20 @@ NATURAL_GRADE = {Part.MINUS: (1, 0, 0), Part.ZERO: (0, 1, 0), Part.PLUS: (0, 0, 
 
 
 def _natural_differentials(m: LieModel):
-    """Each generator, the differential d of its dual, and the quotient
-    differential at its natural grade: the plus-count r+1 part of d."""
-    for gen in m.generators:
-        d = ce_differential(m, Form.dual(gen.gid))
-        yield gen, d, plus_component(m, d, NATURAL_GRADE[gen.part][2] + 1)
+    """Each generator's id and part, the differential d of its dual, and the
+    quotient differential at its natural grade: the plus-count r+1 part of d."""
+    for gid in range(m.total):
+        part = m.part_of(gid)
+        d = ce_differential(m, Form.dual(gid))
+        yield gid, part, d, plus_component(m, d, NATURAL_GRADE[part][2] + 1)
 
 
 def structure_report(m: LieModel) -> dict:
     """Full and quotient differentials of every dual generator at its natural
     grade."""
-    rows = [{"name": gen.name, "part": gen.part.name.lower(), "index": gen.index,
+    rows = [{"name": m.names[gid], "part": part.name.lower(), "index": gid - m.offsets[part],
              "d": d.to_json(m), "quotient_d": dq.to_json(m)}
-            for gen, d, dq in _natural_differentials(m)]
+            for gid, part, d, dq in _natural_differentials(m)]
     return {"dims": list(m.dims), "generators": rows}
 
 
@@ -153,8 +154,9 @@ def cmd_model(args) -> int:
 def cmd_report(args) -> int:
     m = _load_model(args)
     _emit(args, lambda: structure_report(m), lambda: [
-        line for gen, d, dq in _natural_differentials(m)
-        for line in (f"d({gen.name}) = {d.pretty(m)}", f"dq({gen.name}) = {dq.pretty(m)}")])
+        line for gid, _, d, dq in _natural_differentials(m)
+        for line in (f"d({m.names[gid]}) = {d.pretty(m)}",
+                     f"dq({m.names[gid]}) = {dq.pretty(m)}")])
     return 0
 
 

@@ -249,6 +249,8 @@ def parse_poly(text: str) -> InvPoly:
         poly = parser.expr()
     except PolyParseError:
         raise
+    except RecursionError:
+        raise PolyParseError("polynomial nested too deeply")
     except ValueError as e:  # e.g. inhomogeneous sums
         raise PolyParseError(str(e))
     if parser.peek() is not None:

@@ -51,9 +51,6 @@ class Part(IntEnum):
     PLUS = 2
 
 
-PART_NAMES = {Part.MINUS: "minus", Part.ZERO: "zero", Part.PLUS: "plus"}
-
-
 class Record:
     """Base of the package's small value classes, in place of dataclasses,
     whose import would cost every CLI process about 12 ms.  The fields are
@@ -98,14 +95,6 @@ class FrozenRecord(Record):
         # copy and pickle rebuild through __init__: their default sets each slot,
         # which __setattr__ refuses
         return type(self), self._fields()
-
-
-class Generator(FrozenRecord):
-    __slots__ = ("part", "index", "name", "gid")
-
-    def __init__(self, part: Part, index: int, name: str, gid: int):
-        # gid: the position in the global (part, index) order
-        self._init(part, index, name, gid)
 
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
@@ -209,11 +198,6 @@ class LieModel:
             raise ValueError("generator names must be unique")
         self.names = list(names)
         self.offsets = (0, dims[0], dims[0] + dims[1])
-        self.generators: list[Generator] = []
-        for part in Part:
-            for idx in range(dims[part]):
-                gid = self.offsets[part] + idx
-                self.generators.append(Generator(part, idx, names[gid], gid))
         self.brackets: BracketTable = {}
         for (i, j), comp in brackets.items():
             if not (0 <= i < j < self.total):
@@ -245,7 +229,7 @@ class LieModel:
 
     def gid(self, part: Part, index: int) -> int:
         if not 0 <= index < self.dims[part]:
-            raise IndexError(f"no generator {index} in part {PART_NAMES[part]}")
+            raise IndexError(f"no generator {index} in part {Part(part).name.lower()}")
         return self.offsets[part] + index
 
     def part_range(self, part: Part) -> range:
@@ -409,7 +393,7 @@ def validate_model(m: LieModel) -> ValidationReport:
                     if c and m.part_of(k) == pbad:
                         report.add(
                             "langlands",
-                            f"[{m.names[i]},{m.names[j]}] has {PART_NAMES[pbad]}-component "
+                            f"[{m.names[i]},{m.names[j]}] has {pbad.name.lower()}-component "
                             f"{c}*{m.names[k]}",
                         )
 

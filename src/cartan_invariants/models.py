@@ -83,66 +83,22 @@ def _names(dims) -> list[str]:
     return out
 
 
-# -- projective space --------------------------------------------------------
+# -- projective space and Grassmannians ------------------------------------------
 
 
-def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
-    """Projective model: g = sl(n+1), g- the first column below the corner,
-    g0 = gl(n) embedded tracelessly, g+ the first row.
-
-    Reps: tangent; module (the restricted C^{n+1}); euler (module twisted by
-    the weight-one ghost line); O(d) ghost lines for each requested weight d.
-    """
-    if n < 1:
-        raise ValueError("n >= 1")
-    if len(o_weights) > MAX_O_WEIGHTS:
-        raise ValueError(f"{len(o_weights)} o_weights, more than the {MAX_O_WEIGHTS} it builds")
-    dims = _dims(n, n * n, n)
-    N = n + 1
-    minus = [_E(i, 0) for i in range(1, N)]
-    zero = []
-    for i in range(1, N):
-        for j in range(1, N):
-            zij = _E(i, j)
-            if i == j:
-                zij = sparse_sum((1, zij), (-1, _E(0, 0)))
-            zero.append(zij)
-    plus = [_E(0, j) for j in range(1, N)]
-    meta = {"family": "projective", "params": {"n": n, "o_weights": list(o_weights)}}
-    m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
-
-    m.reps["tangent"] = tangent_rep(m)
-    m.reps["module"] = Rep("module", zero, N, g_module=True)
-    ident = {(i, i): 1 for i in range(N)}
-    diagonal = [int(i == j) for i in range(1, N) for j in range(1, N)]
-    m.reps["euler"] = Rep("euler", [sparse_sum((1, z), (d, ident))
-                                    for z, d in zip(zero, diagonal)], N)
-    m.reps["trivial"] = Rep("trivial", [{} for _ in zero], 1)
-    for d in o_weights:
-        m.reps[f"O({d})"] = Rep(f"O({d})", [{(0, 0): d * t} for t in diagonal], 1,
-                                ghost=(d % (n + 1) != 0))
-    return m
-
-
-# -- Grassmannians ------------------------------------------------------------
-
-
-def grassmannian(p: int, q: int) -> LieModel:
-    """Grassmannian model: g = sl(p+q), g- the lower-left q x p block, g0 the
-    block-diagonal traceless pairs, g+ the upper-right p x q block.
-
-    The g0 basis is chosen so that grassmannian(1, n) reproduces the
-    projective(n) bracket table verbatim.
-    """
-    if p < 1 or q < 1:
-        raise ValueError("p, q >= 1")
+def _sl_blocks(p: int, q: int, meta: dict) -> tuple[LieModel, list[SparseMatrix]]:
+    """sl(p+q) with g- the lower-left q x p block, g0 the block-diagonal
+    traceless pairs and g+ the upper-right p x q block: the model, with its
+    tangent and module (the restricted C^{p+q}) reps, and its g0 matrices.
+    At p = 1 the trace correction is the int -1, so P^n = Gr(1, n+1) keeps
+    an integral realization."""
     dims = _dims(p * q, p * p + q * q - 1, p * q)
     N = p + q
     u_range = range(0, p)
     q_range = range(p, N)
     minus = [_E(I, j) for I in q_range for j in u_range]
     zero = []
-    inv_p = Fraction(1, p)
+    inv_p = Fraction(1, p) if p > 1 else 1
     for I in q_range:
         for J in q_range:
             mat = _E(I, J)
@@ -156,13 +112,46 @@ def grassmannian(p: int, q: int) -> LieModel:
     for i in range(p - 1):
         zero.append(sparse_sum((1, _E(i, i)), (-1, _E(i + 1, i + 1))))
     plus = [_E(i, J) for i in u_range for J in q_range]
-    meta = {"family": "grassmannian", "params": {"p": p, "q": q}}
     m = _model_from_matrices(dims, minus + zero + plus, _names(dims), meta)
-
     m.reps["tangent"] = tangent_rep(m)
     m.reps["module"] = Rep("module", zero, N, g_module=True)
+    return m, zero
+
+
+def projective(n: int, o_weights: tuple[int, ...] = (1,)) -> LieModel:
+    """Projective model: the p = 1 Grassmannian algebra, g = sl(n+1) with g-
+    the first column below the corner, g0 = gl(n), g+ the first row.
+
+    Reps: tangent; module; euler (module twisted by the weight-one ghost
+    line); trivial; O(d) ghost lines for each requested weight d.
+    """
+    if n < 1:
+        raise ValueError("n >= 1")
+    if len(o_weights) > MAX_O_WEIGHTS:
+        raise ValueError(f"{len(o_weights)} o_weights, more than the {MAX_O_WEIGHTS} it builds")
+    meta = {"family": "projective", "params": {"n": n, "o_weights": list(o_weights)}}
+    m, zero = _sl_blocks(1, n, meta)
+    N = n + 1
+    ident = {(i, i): 1 for i in range(N)}
+    diagonal = [int(i == j) for i in range(1, N) for j in range(1, N)]
+    m.reps["euler"] = Rep("euler", [sparse_sum((1, z), (d, ident))
+                                    for z, d in zip(zero, diagonal)], N)
+    m.reps["trivial"] = Rep("trivial", [{} for _ in zero], 1)
+    for d in o_weights:
+        m.reps[f"O({d})"] = Rep(f"O({d})", [{(0, 0): d * t} for t in diagonal], 1,
+                                ghost=(d % (n + 1) != 0))
+    return m
+
+
+def grassmannian(p: int, q: int) -> LieModel:
+    """Grassmannian model on the ``_sl_blocks`` algebra.  Reps: tangent;
+    module; U and Q, the module's two diagonal blocks."""
+    if p < 1 or q < 1:
+        raise ValueError("p, q >= 1")
+    meta = {"family": "grassmannian", "params": {"p": p, "q": q}}
+    m, zero = _sl_blocks(p, q, meta)
     m.reps["U"] = Rep("U", [diagonal_block(mat, 0, p) for mat in zero], p, ghost=True)
-    m.reps["Q"] = Rep("Q", [diagonal_block(mat, p, N) for mat in zero], q, ghost=True)
+    m.reps["Q"] = Rep("Q", [diagonal_block(mat, p, p + q) for mat in zero], q, ghost=True)
     return m
 
 

@@ -86,10 +86,10 @@ def test_criterion_1_validation_suite():
         rep_ok = all(ci.validate_rep(m, rep).ok for rep in m.reps.values())
         checks.append((rep_ok, f"{_model_tag(m)}: module commutator checks"))
         gen_ok = True
-        for gen in m.generators:
-            xi = Form.dual(gen.gid)
-            r = 1 if gen.part == Part.PLUS else 0
-            p_max = 1 if gen.part == Part.MINUS else 0
+        for gid in range(m.total):
+            xi = Form.dual(gid)
+            r = 1 if m.part_of(gid) == Part.PLUS else 0
+            p_max = 1 if m.part_of(gid) == Part.MINUS else 0
             for p in range(p_max + 1):
                 q = 1 - p - r
                 if q < 0:

@@ -13,6 +13,7 @@ import pytest
 import cartan_invariants as ci
 from cartan_invariants.linalg import rank
 from cartan_invariants.model import derivation_nums
+from cartan_invariants.relations import find_relations, partitions_of
 from test_charforms import RIEMANN_ROCH
 
 
@@ -93,6 +94,23 @@ def test_basic_cohomology_is_the_cohomology_of_the_flat_model(family, params, po
     assert betti == poincare
     euler = EULER.get((family, tuple(params.items())))
     assert euler is None or sum(betti) == euler
+
+
+GRADED_1 = [case for case in CASES if case[0] != "g2"]
+
+
+@pytest.mark.parametrize("family, params, poincare", GRADED_1,
+                         ids=[f + "".join(f"-{v}" for v in p.values()) for f, p, _ in GRADED_1])
+def test_strict_relations_meet_the_partition_bound(family, params, poincare):
+    """On a |1|-graded model the Chern forms of the tangent module live in
+    the basic cochains, where d is zero, so the p(k) Chern monomials of
+    degree k span at most b_2k dimensions: at least p(k) - b_2k of them are
+    strict relations."""
+    m = ci.build_model(family, **params)
+    tangent = m.reps["tangent"]
+    for k in range(1, min(tangent.dim, 6) + 1):
+        betti = poincare[2 * k] if 2 * k < len(poincare) else 0
+        assert len(find_relations(m, tangent, k)) >= len(partitions_of(k)) - betti, k
 
 
 def test_d_is_not_zero_on_the_basic_cochains_of_g2():

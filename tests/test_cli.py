@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -323,9 +324,16 @@ def test_cli_usage_errors_exit_two():
     ["report", os.path.join(os.path.dirname(__file__), "data", "projective1.json"), "--n", "2"],
     # an empty value is not the default
     ["report", "projective", "--n", "2", "--o-weights", ""],
+    # nested past the recursion limit
+    *(["cs", "projective", "--n", "2", "--rep", "tangent", f"--poly={'(' * k}c2{')' * k}"]
+      for k in (260, 10_000)),
+    *(["primitive", "projective", "--n", "2", "--rep", "tangent", f"--target={'(' * k}c2{')' * k}"]
+      for k in (260, 10_000)),
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
+    start = time.perf_counter()
     code, out, err = cli(*argv)
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -9,8 +9,8 @@ import pytest
 
 from cartan_invariants import Part, projective, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, ce_differential
-from cartan_invariants.model import (LANGLANDS_CONDITIONS, Generator, LieModel, Rep,
-                                     ValidationReport, sparse_commutator)
+from cartan_invariants.model import (LANGLANDS_CONDITIONS, LieModel, Rep, ValidationReport,
+                                     sparse_commutator)
 from cartan_invariants.modelio import parse_model_file
 from cartan_invariants.relations import PrimitiveResult, Relation
 from conftest import coadjoint, sl2_corrupted
@@ -251,26 +251,23 @@ def test_projective_bracket_plus_minus_lands_in_h_complement():
 
 
 def test_frozen_value_classes():
-    """Grade and Generator compare and hash by their fields, refuse
-    assignment, and are not plain tuples."""
-    for cls, fields, other in ((Grade, (1, 0, 2), (1, 0, 3)),
-                               (Generator, (Part.MINUS, 0, "w1", 0), (Part.MINUS, 0, "w1", 1))):
-        value = cls(*fields)
-        assert value == cls(*fields) and hash(value) == hash(cls(*fields))
-        assert value != cls(*other) and value != fields and fields != value
-        assert {value: 1}[cls(*fields)] == 1
-        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
-        with pytest.raises(AttributeError):
-            value.name = "x"
-        with pytest.raises(AttributeError):
-            del value.name
+    """Grade compares and hashes by its fields, refuses assignment, and is
+    not a plain tuple."""
+    fields = (1, 0, 2)
+    value = Grade(*fields)
+    assert value == Grade(*fields) and hash(value) == hash(Grade(*fields))
+    assert value != Grade(1, 0, 3) and value != fields and fields != value
+    assert {value: 1}[Grade(*fields)] == 1
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    with pytest.raises(AttributeError):
+        value.name = "x"
+    with pytest.raises(AttributeError):
+        del value.name
     grade = Grade(p=1, q=0, r=2)
     with pytest.raises(AttributeError):
         grade.r = 3
     assert grade.as_tuple() == (1, 0, 2) and grade.raised() == Grade(1, 0, 3)
     assert repr(grade) == "Grade(p=1, q=0, r=2)"
-    assert repr(Generator(Part.PLUS, 2, "u3", 9)) == \
-        "Generator(part=<Part.PLUS: 2>, index=2, name='u3', gid=9)"
 
 
 def test_mutable_value_classes():
