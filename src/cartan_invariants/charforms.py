@@ -171,28 +171,6 @@ def _distinct_orders(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield (x, *tail)
 
 
-def _sequence_weights(ids: list[int], degrees: list[int]) -> dict[tuple[int, ...], int]:
-    """sum_{sigma in S_k} of the Koszul signs, grouped by the argument
-    sequence (ids[sigma(1)], ..., ids[sigma(k)]), each sequence built once.
-
-    Permuting equal arguments among themselves keeps the sequence; for even
-    ones it keeps the sign, so a sequence weighs prod m_i! times the sign of
-    one permutation that realizes it.  Swapping two equal odd arguments flips
-    the sign, so when one repeats every weight is 0.
-    """
-    slots: dict[int, list[int]] = {}
-    for pos, i in enumerate(ids):
-        slots.setdefault(i, []).append(pos)
-    if any(len(p) > 1 and degrees[p[0]] % 2 for p in slots.values()):
-        return {}
-    mult = prod(factorial(len(p)) for p in slots.values())
-    weights = {}
-    for seq in _distinct_orders(tuple(ids)):
-        unused = {i: iter(p) for i, p in slots.items()}
-        weights[seq] = mult * _koszul_sign(tuple(next(unused[i]) for i in seq), degrees)
-    return weights
-
-
 def _word(cache: dict, word: tuple[MatrixForm, ...], traced: bool):
     """The product of a word of argument matrices, or with ``traced`` its trace, from
     ``cache``, keyed by the matrices' identities (each entry holds its word, so none
@@ -213,35 +191,30 @@ def _word(cache: dict, word: tuple[MatrixForm, ...], traced: bool):
     return out
 
 
-def _trace_class(seq: tuple[int, ...], word: tuple[int, ...], deg: list[int]):
+def _trace_class(seq: tuple[int, ...], word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The canonical key of the wedge of traces that a trace word cuts from a
-    sequence of argument ids, and the sign that takes the wedge to it.  Each
-    trace becomes its least rotation, as tr(P Q) = (-1)^(|P||Q|) tr(Q P); the
-    traces, forms that graded-commute, are then sorted, with the Koszul sign
-    of the odd ones."""
+    sequence of argument ids: each trace becomes its least rotation, as
+    tr(P Q) = (-1)^(|P||Q|) tr(Q P), and the traces, forms that
+    graded-commute, are sorted.  Both moves are Koszul moves of the
+    arguments, so their sign is the key's own (see ``_polarized``)."""
     factors, pos = [], 0
     for part in word:
         seg = seq[pos:pos + part]
         pos += part
-        r = min(range(part), key=lambda r: seg[r:] + seg[:r])
-        p, q = sum(deg[i] for i in seg[:r]), sum(deg[i] for i in seg[r:])
-        factors.append((seg[r:] + seg[:r], p + q, (-1) ** (p * q)))
-    order = sorted(range(len(factors)), key=factors.__getitem__)
-    sign = prod(f[2] for f in factors) * _koszul_sign(tuple(order), [f[1] for f in factors])
-    return tuple(factors[i][0] for i in order), sign
+        factors.append(min(seg[r:] + seg[:r] for r in range(part)))
+    return tuple(sorted(factors))
 
 
 def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None,
                words: dict | None = None) -> Form:
     """Unnormalized graded symmetrization sum_{sigma in S_k} of the trace words.
 
-    Arguments with the same identity are collapsed first, so each distinct
-    argument sequence comes with its summed Koszul weight.  Each pair of a
-    sequence and a trace word of f goes to its ``_trace_class``; the integer
-    weights (f's coefficients over their common denominator) are summed per
-    class, and each class with a nonzero weight is evaluated once.  Traces
-    come from the ``_word`` cache ``words``, which callers share across
-    polarizations.
+    Arguments with the same identity are collapsed, and each distinct
+    argument sequence is visited once.  f's coefficients, over their common
+    denominator, are summed per ``_trace_class`` of a sequence and a trace
+    word; each class with a nonzero sum is evaluated once, from the ``_word``
+    cache ``words`` that callers share, with the weight prod m_i! and one
+    sign: zero when an odd argument repeats, else the Koszul sign of the key.
     """
     k = len(args)
     if f.degree != k:
@@ -254,16 +227,24 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
     ids = [seen.setdefault(id(a), len(seen)) for a in args]
     uniq = {i: a for a, i in zip(args, ids)}
     deg = [degrees[ids.index(i)] for i in range(len(uniq))]
+    if any(deg[i] % 2 and ids.count(i) > 1 for i in uniq):
+        return Form.zero()  # swapping two copies of an odd argument negates each term
     den = lcm(*(c.denominator for c in f.terms.values()))
     ints = {word: c.numerator * (den // c.denominator) for word, c in f.terms.items()}
     totals: dict[tuple, int] = {}
-    for seq, weight in _sequence_weights(ids, degrees).items():
+    for seq in _distinct_orders(tuple(ids)):
         for word, c in ints.items():
-            key, sign = _trace_class(seq, word, deg)
-            totals[key] = totals.get(key, 0) + sign * weight * c
+            key = _trace_class(seq, word)
+            totals[key] = totals.get(key, 0) + c
+    # Permuting the arguments, rotating a trace and sorting the traces are all
+    # Koszul moves, so a term's sign is that of its key read as one sequence:
+    # the odd ids, unique and numbered by first appearance, stand in increasing
+    # order in ``ids``, so the sign _koszul_sign(tuple(ids), deg) is always +1.
+    weight = prod(factorial(ids.count(i)) for i in uniq)
     return combination(
-        (c, wedge_all(_word(words, tuple(uniq[i] for i in seg), True) for seg in key))
-        for key, c in totals.items() if c).scale(Fraction(1, den))
+        (_koszul_sign(sum(key, ()), deg) * c,
+         wedge_all(_word(words, tuple(uniq[i] for i in seg), True) for seg in key))
+        for key, c in totals.items() if c).scale(Fraction(weight, den))
 
 
 def invariant_poly_eval(f: InvPoly, args: list[MatrixForm],
@@ -284,7 +265,10 @@ def cs_coefficients(k: int) -> list[Fraction]:
 
 
 def _transgression_terms(m: LieModel, rep: Rep, f: InvPoly, count: int) -> list[Form]:
-    """a_j f~(u, v^j, a^(k-1-j)) for j < count, without tau, from one ``_word`` cache."""
+    """a_j f~(u, v^j, a^(k-1-j)) for j < count, without tau, from one ``_word`` cache.
+    A term is zero, and not evaluated, when its 2j + 1 g0 factors (u's entries
+    are g0 1-forms, v's g0 2-forms) pass dim g0, or its k - 1 - j copies of a
+    (each entry with one g- and one g+ factor) pass dim g- or dim g+."""
     k = f.degree
     if k < 1:
         raise ValueError("need a positive-degree invariant")
@@ -292,7 +276,9 @@ def _transgression_terms(m: LieModel, rep: Rep, f: InvPoly, count: int) -> list[
     v = u.matwedge(u) if count > 1 else None
     words: dict = {}
     degrees = [1] + [2] * (k - 1)
-    return [_polarized(f, [u] + [v] * j + [a] * (k - 1 - j), degrees, words).scale(c)
+    room = min(m.dims[Part.MINUS], m.dims[Part.PLUS])
+    return [Form.zero() if k - 1 - j > room or 2 * j + 1 > m.dims[Part.ZERO]
+            else _polarized(f, [u] + [v] * j + [a] * (k - 1 - j), degrees, words).scale(c)
             for j, c in enumerate(cs_coefficients(k)[:count])]
 
 

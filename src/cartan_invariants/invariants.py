@@ -140,9 +140,11 @@ class InvPoly:
 # (deg c_k = deg ch_k = k); integers are degree 0.  Indices, exponents and
 # product degrees are capped at MAX_DEGREE before the product is formed, so
 # parsing stays bounded (c16 has 231 trace words; a degree-k Chern form needs
-# k generators in each of g- and g+).
+# k generators in each of g- and g+).  Integers are capped at MAX_DIGITS digits
+# as read, and coefficients' numerators and denominators after each product and power.
 
 MAX_DEGREE = 16
+MAX_DIGITS = 1000
 
 
 class PolyParseError(ValueError):
@@ -166,6 +168,9 @@ def _tokenize(text: str) -> list[str]:
                 j += 1
             if j == start:
                 raise PolyParseError(f"expected index after {text[i:start]!r}")
+            if j - start > MAX_DIGITS:
+                raise PolyParseError(f"an integer of {j - start} digits exceeds the cap of "
+                                     f"{MAX_DIGITS} digits")
             tokens.append(text[i:j])
             i = j
         else:
@@ -177,6 +182,13 @@ def _cap(value: int, what: str) -> int:
     if value > MAX_DEGREE:
         raise PolyParseError(f"{what} {value} exceeds the cap {MAX_DEGREE}")
     return value
+
+
+def _cap_digits(poly: InvPoly) -> InvPoly:
+    bound = 10 ** MAX_DIGITS
+    if any(max(abs(c.numerator), c.denominator) >= bound for c in poly.terms.values()):
+        raise PolyParseError(f"a coefficient exceeds the cap of {MAX_DIGITS} digits")
+    return poly
 
 
 class _Parser:
@@ -211,7 +223,7 @@ class _Parser:
             self.take()
             f = self.factor()
             _cap(acc.degree + f.degree, "degree")
-            acc = acc * f
+            acc = _cap_digits(acc * f)
         return acc
 
     def factor(self) -> InvPoly:
@@ -223,7 +235,7 @@ class _Parser:
                 raise PolyParseError(f"expected integer exponent, got {tok!r}")
             _cap(int(tok), "exponent")
             _cap(base.degree * int(tok), "degree")
-            base = base ** int(tok)
+            base = _cap_digits(base ** int(tok))
         return base
 
     def atom(self) -> InvPoly:

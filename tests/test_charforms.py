@@ -7,8 +7,7 @@ import pytest
 
 import cartan_invariants as ci
 from cartan_invariants import Part
-from cartan_invariants.charforms import (MatrixForm, _koszul_sign, _polarized,
-                                         _sequence_weights)
+from cartan_invariants.charforms import MatrixForm, _koszul_sign, _polarized
 from cartan_invariants.forms import (Form, Grade, ce_differential, is_at_grade,
                                      minus_count, plus_count)
 from cartan_invariants.invariants import InvPoly, parse_poly
@@ -268,6 +267,16 @@ def test_invariant_poly_eval_symmetric_in_even_args():
     b = a.matwedge(a)
     f = InvPoly.chern(2)
     assert ci.invariant_poly_eval(f, [a, b]) == ci.invariant_poly_eval(f, [b, a])
+    # odd arguments: swapping the distinct 1-form matrices u and w negates
+    # the polarization, and moving the even c past them does not
+    rep = m.reps["module"]
+    u, c = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
+    w = _graded_matrix(random.Random(5), 3, 1, m.total)
+    for f in (InvPoly.chern(3), InvPoly.trace_power(3), parse_poly("c1*c2")):
+        out = _polarized(f, [u, w, c], [1, 1, 2])
+        assert not out.is_zero
+        assert _polarized(f, [w, u, c], [1, 1, 2]) == -out
+        assert _polarized(f, [c, u, w], [2, 1, 1]) == _polarized(f, [u, c, w], [1, 2, 1]) == out
 
 
 def test_invariant_poly_eval_arity_checked():
@@ -456,20 +465,6 @@ def _walk_weights(ids, degrees):
     return {seq: w for seq, w in weights.items() if w}
 
 
-def test_sequence_weights_match_permutation_walk():
-    rng = random.Random(23)
-    cases = [([0, 1, 1, 1], [1, 2, 2, 2]), ([0, 0], [1, 1]), ([0, 1, 0], [1, 2, 1]),
-             ([0, 1, 0, 2, 1, 0], [2, 1, 2, 1, 1, 2]), ([0, 1, 2, 3, 4, 5], [1, 2, 1, 1, 2, 1])]
-    for _ in range(60):
-        k = rng.randint(1, 6)
-        parity = [rng.choice((1, 2)) for _ in range(k)]
-        ids = [rng.randrange(rng.randint(1, k)) for _ in range(k)]
-        cases.append((ids, [parity[i] for i in ids]))
-    for ids, degrees in cases:
-        assert _sequence_weights(ids, degrees) == _walk_weights(ids, degrees), (ids, degrees)
-    assert _sequence_weights([0, 1, 0], [1, 2, 1]) == {}
-
-
 def _walk_polarized(f, args, degrees, memo=None):
     """The k! walk: for every permutation and trace word, the wedge of the
     traces of the full products.  Products and wedges of traces are memoized
@@ -590,7 +585,7 @@ def _per_call_polarized(f, args, degrees):
         return trace_cache[seq]
 
     result = Form.zero()
-    for seq, weight in _sequence_weights(ids, degrees).items():
+    for seq, weight in _walk_weights(ids, degrees).items():
         for word, coeff in f.terms.items():
             pos, acc = 0, None
             for part in word:
@@ -644,6 +639,32 @@ def test_transgression_matches_separate_evaluations():
             assert ci.chern_simons_form(m, rep, f) == ref_full
             nonzero_tails += not (full - t_form).is_zero
     assert nonzero_tails >= 10  # the j >= 1 terms are exercised
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("projective", dict(n=1), "module"), ("projective", dict(n=2), "module"),
+    ("grassmannian", dict(p=2, q=2), "tangent"), ("lagrangian", dict(n=2), "tangent"),
+    ("conformal", dict(n=3), "tangent"), ("foliated", dict(p=1, q=1), "tangent"),
+    ("split", dict(p=1, q=1), "tangent"), ("g2", dict(), "graded-tangent"),
+])
+def test_skipped_transgression_terms_are_zero(family, params, name):
+    """Every term a_j f~(u, v^j, a^(k-1-j)) that ``_transgression_terms``
+    does not evaluate, with 2j + 1 > dim g0 or k - 1 - j > min(dim g-,
+    dim g+), polarizes to zero, for c_k with k <= 7."""
+    m = ci.build_model(family, **params)
+    rep = m.reps[name]
+    u, a = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
+    v = u.matwedge(u)
+    room = min(m.dims[Part.MINUS], m.dims[Part.PLUS])
+    skipped = 0
+    for k in range(1, 8):
+        words = {}
+        for j in range(k):
+            if k - 1 - j > room or 2 * j + 1 > m.dims[Part.ZERO]:
+                args = [u] + [v] * j + [a] * (k - 1 - j)
+                assert _polarized(InvPoly.chern(k), args, [1] + [2] * (k - 1), words).is_zero
+                skipped += 1
+    assert skipped >= 9
 
 
 def test_transgression_evaluates_each_trace_class_once(monkeypatch):

@@ -281,6 +281,17 @@ def test_cli_cs_full():
     assert obj["cs_class"] and obj["chern_simons_form"]
 
 
+def test_cli_cs_full_past_the_model_is_empty():
+    """c12 on projective(2) has no term that can be nonzero: each is skipped."""
+    start = time.perf_counter()
+    code, out, err = cli("cs", "projective", "--n", "2", "--rep", "tangent",
+                         "--poly", "c12", "--full", "--json")
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"poly": "c12", "grade": [11, 1, 11], "cs_class": [],
+                               "chern_simons_form": []}
+
+
 def test_cli_usage_errors_exit_two():
     code, out, err = cli("frobnicate")
     assert code == 2
@@ -329,6 +340,11 @@ def test_cli_usage_errors_exit_two():
       for k in (260, 10_000)),
     *(["primitive", "projective", "--n", "2", "--rep", "tangent", f"--target={'(' * k}c2{')' * k}"]
       for k in (260, 10_000)),
+    # nested integer powers past the coefficient digit cap
+    *(["cs", "projective", "--n", "2", "--rep", "tangent", f"--poly={'(' * k}9{'^16)' * k}*c1"]
+      for k in (4, 6)),
+    *(["primitive", "projective", "--n", "2", "--rep", "tangent",
+       f"--target={'(' * k}9{'^16)' * k}*c1"] for k in (4, 6)),
 ])
 def test_cli_bad_input_exits_two_with_one_line(argv):
     start = time.perf_counter()

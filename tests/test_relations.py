@@ -298,6 +298,20 @@ def test_parse_poly_degree_cap(text):
         parse_poly(text)
 
 
+def test_parse_poly_digit_cap():
+    """Coefficients of up to 1,000 digits parse; one more digit, from a
+    literal, a product or a power, is refused, and so is an index or an
+    exponent past Python's 4,300-digit int conversion limit."""
+    assert parse_poly("9" * 1000 + "*c1") == InvPoly.chern(1).scale(10 ** 1000 - 1)
+    assert parse_poly("((10^10)^10)^9*c1") == InvPoly.chern(1).scale(10 ** 900)
+    half = "1" + "0" * 500
+    for text in ("1" + "0" * 1000 + "*c1", "((10^10)^10)^10*c1", f"{half}*{half}*c1",
+                 "((9^16)^16)^16*c1", "(((9^16)^16)^16)^16*c1", "9" * 5000 + "*c1",
+                 "c" + "1" * 5000, "c1^" + "1" * 5000):
+        with pytest.raises(ci.PolyParseError, match="cap of 1000 digits"):
+            parse_poly(text)
+
+
 def _searched_columns(m, grade, invariant_only, min_minus=0):
     """Induced differentials of the cochains a primitive search spans,
     recomputed apart from find_primitive."""
@@ -454,3 +468,4 @@ def test_monomial_search_builds_no_form_per_monomial(monkeypatch, exact):
     res = ci.find_primitive(m, xi, grade)
     assert res.exact == exact and res.searched_dimension > 1
     assert calls == {"monomial": 0, "ce_differential": int(exact)}
+
