@@ -156,10 +156,6 @@ def _koszul_sign(perm: tuple[int, ...], degrees: list[int]) -> int:
     return sign
 
 
-def _infer_degrees(args: list[MatrixForm]) -> list[int]:
-    return [2 if (d := a.entry_degree()) is None else d for a in args]
-
-
 def _distinct_orders(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Each distinct ordering of a multiset, once."""
     if not items:
@@ -205,28 +201,28 @@ def _trace_class(seq: tuple[int, ...], word: tuple[int, ...]) -> tuple[tuple[int
     return tuple(sorted(factors))
 
 
-def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = None,
-               words: dict | None = None) -> Form:
+def _polarized(f: InvPoly, args: list[MatrixForm], words: dict | None = None) -> Form:
     """Unnormalized graded symmetrization sum_{sigma in S_k} of the trace words.
 
     Arguments with the same identity are collapsed, and each distinct
-    argument sequence is visited once.  f's coefficients, over their common
-    denominator, are summed per ``_trace_class`` of a sequence and a trace
-    word; each class with a nonzero sum is evaluated once, from the ``_word``
-    cache ``words`` that callers share, with the weight prod m_i! and one
-    sign: zero when an odd argument repeats, else the Koszul sign of the key.
+    argument sequence is visited once.  Each distinct argument has the
+    degree of its entries, and a zero one counts as even (every term is then
+    zero).  f's coefficients, over their common denominator, are summed per
+    ``_trace_class`` of a sequence and a trace word; each class with a
+    nonzero sum is evaluated once, from the ``_word`` cache ``words`` that
+    callers share, with the weight prod m_i! and one sign: zero when an odd
+    argument repeats, else the Koszul sign of the key.
     """
     k = len(args)
     if f.degree != k:
         raise ValueError(f"invariant of degree {f.degree} applied to {k} arguments")
     if k == 0:
         return Form.zero()
-    degrees = degrees or _infer_degrees(args)
     words = {} if words is None else words
     seen: dict[int, int] = {}
     ids = [seen.setdefault(id(a), len(seen)) for a in args]
     uniq = {i: a for a, i in zip(args, ids)}
-    deg = [degrees[ids.index(i)] for i in range(len(uniq))]
+    deg = [2 if (d := a.entry_degree()) is None else d for a in uniq.values()]
     if any(deg[i] % 2 and ids.count(i) > 1 for i in uniq):
         return Form.zero()  # swapping two copies of an odd argument negates each term
     den = lcm(*(c.denominator for c in f.terms.values()))
@@ -247,10 +243,9 @@ def _polarized(f: InvPoly, args: list[MatrixForm], degrees: list[int] | None = N
         for key, c in totals.items() if c).scale(Fraction(weight, den))
 
 
-def invariant_poly_eval(f: InvPoly, args: list[MatrixForm],
-                        degrees: list[int] | None = None) -> Form:
+def invariant_poly_eval(f: InvPoly, args: list[MatrixForm]) -> Form:
     """Symmetric multilinear evaluation; at equal arguments it recovers f."""
-    return _polarized(f, args, degrees).scale(Fraction(1, factorial(len(args))))
+    return _polarized(f, args).scale(Fraction(1, factorial(len(args))))
 
 
 def cs_coefficients(k: int) -> list[Fraction]:
@@ -275,10 +270,9 @@ def _transgression_terms(m: LieModel, rep: Rep, f: InvPoly, count: int) -> list[
     u, a = omega0_matrix(m, rep), atiyah_form(m, rep)
     v = u.matwedge(u) if count > 1 else None
     words: dict = {}
-    degrees = [1] + [2] * (k - 1)
     room = min(m.dims[Part.MINUS], m.dims[Part.PLUS])
     return [Form.zero() if k - 1 - j > room or 2 * j + 1 > m.dims[Part.ZERO]
-            else _polarized(f, [u] + [v] * j + [a] * (k - 1 - j), degrees, words).scale(c)
+            else _polarized(f, [u] + [v] * j + [a] * (k - 1 - j), words).scale(c)
             for j, c in enumerate(cs_coefficients(k)[:count])]
 
 
@@ -310,7 +304,7 @@ def cs_class(m: LieModel, rep: Rep, f: InvPoly) -> tuple[Form, Grade]:
 def _characteristic_forms(m: LieModel, rep: Rep, fs: list[InvPoly]) -> list[Form]:
     """tau^k f(A, ..., A) for each f of degree k, from one Atiyah matrix and ``_word`` cache."""
     a, words = atiyah_form(m, rep), {}
-    return [_polarized(f, [a] * f.degree, [2] * f.degree, words)
+    return [_polarized(f, [a] * f.degree, words)
             .scale(Fraction(1, factorial(f.degree))).tau_shift(f.degree) for f in fs]
 
 

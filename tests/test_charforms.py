@@ -273,10 +273,10 @@ def test_invariant_poly_eval_symmetric_in_even_args():
     u, c = ci.omega0_matrix(m, rep), ci.atiyah_form(m, rep)
     w = _graded_matrix(random.Random(5), 3, 1, m.total)
     for f in (InvPoly.chern(3), InvPoly.trace_power(3), parse_poly("c1*c2")):
-        out = _polarized(f, [u, w, c], [1, 1, 2])
+        out = _polarized(f, [u, w, c])
         assert not out.is_zero
-        assert _polarized(f, [w, u, c], [1, 1, 2]) == -out
-        assert _polarized(f, [c, u, w], [2, 1, 1]) == _polarized(f, [u, c, w], [1, 2, 1]) == out
+        assert _polarized(f, [w, u, c]) == -out
+        assert _polarized(f, [c, u, w]) == _polarized(f, [u, c, w]) == out
 
 
 def test_invariant_poly_eval_arity_checked():
@@ -290,7 +290,7 @@ def test_odd_repeated_argument_antisymmetry():
     # polarizing tr(X^2) at two copies of an odd matrix must cancel
     m = ci.projective(2)
     u = ci.omega0_matrix(m, m.reps["tangent"])
-    out = _polarized(InvPoly.trace_power(2), [u, u], [1, 1])
+    out = _polarized(InvPoly.trace_power(2), [u, u])
     assert out.is_zero
 
 
@@ -525,7 +525,7 @@ def test_polarized_matches_permutation_walk():
                     args[p], degrees[p] = u, 1
                     cases.append((args, degrees))
             for args, degrees in cases:
-                out = _polarized(f, args, degrees)
+                out = _polarized(f, args)
                 assert out == _walk_polarized(f, args, degrees, memo), (m.meta, f.terms, degrees)
                 nonzero += not out.is_zero
     assert nonzero > 100
@@ -541,7 +541,7 @@ def test_polarized_matches_permutation_walk_on_random_matrices():
         for _ in range(3):
             picks = [rng.choice(letters) for _ in range(f.degree)]
             args, degrees = [x for x, _ in picks], [d for _, d in picks]
-            out = _polarized(f, args, degrees)
+            out = _polarized(f, args)
             assert out == _walk_polarized(f, args, degrees), (f.terms, degrees)
 
 
@@ -662,7 +662,7 @@ def test_skipped_transgression_terms_are_zero(family, params, name):
         for j in range(k):
             if k - 1 - j > room or 2 * j + 1 > m.dims[Part.ZERO]:
                 args = [u] + [v] * j + [a] * (k - 1 - j)
-                assert _polarized(InvPoly.chern(k), args, [1] + [2] * (k - 1), words).is_zero
+                assert _polarized(InvPoly.chern(k), args, words).is_zero
                 skipped += 1
     assert skipped >= 9
 

@@ -115,6 +115,32 @@ def test_model_validate_checks_every_rep(tmp_path):
                                "failures": [{"check": "rep", "detail": d} for d in expected]}
 
 
+def test_model_validate_reports_each_splitting_fault_once(tmp_path):
+    """A w1 component in [z1,z2] and a z1 component in [u1,u2] of projective(2)
+    are one ``langlands`` failure each, under ``model validate`` as text and
+    as JSON, though the walk over ordered pairs meets each bracket twice; a
+    query refuses the file naming the first."""
+    path = tmp_path / "p2.json"
+    obj = json.loads(emit_model_json(ci.projective(2)))
+    names = obj["names"]
+    w1, z1, z2, u1, u2 = (names.index(name) for name in ("w1", "z1", "z2", "u1", "u2"))
+    [z_bracket] = [b for b in obj["brackets"] if b[:2] == [z1, z2]]
+    z_bracket[2].append([w1, "1"])
+    obj["brackets"].append([u1, u2, [[z1, "1"]]])
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    expected = ["[z1,z2] has minus-component 1*w1", "[u1,u2] has zero-component 1*z1"]
+    code, out, err = cli("model", "validate", str(path))
+    assert (code, err) == (1, "")
+    assert [line.strip().split(": ", 1)[1] for line in out.splitlines()
+            if line.startswith("  langlands: ")] == expected
+    code, out, err = cli("model", "validate", str(path), "--json")
+    assert (code, err) == (1, "")
+    assert [f["detail"] for f in json.loads(out)["failures"]
+            if f["check"] == "langlands"] == expected
+    assert cli("chern", str(path), "--rep", "tangent", "--max", "1") == (
+        2, "", f"schema error: model fails its langlands check: {expected[0]}\n")
+
+
 def test_model_without_g0_keeps_rep_dim(tmp_path):
     path = tmp_path / "nog0.json"
     path.write_text(json.dumps({"dims": [1, 0, 1], "names": ["w1", "u1"], "brackets": [],

@@ -796,7 +796,7 @@ def test_monomial_masks_walks_only_subsets_meeting_min_minus(monkeypatch):
     assert masks == _plain_masks(m, 7, 3, 4)
 
 
-def test_differential_nums_matches_the_fraction_reference():
+def test_derivation_nums_matches_the_fraction_reference():
     """derivation_nums of d on an integer vector is the Fraction reference
     differential over the dual_d den, restricted to the plus count when one
     is given: on every family and a model with fractional structure

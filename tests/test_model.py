@@ -9,8 +9,7 @@ import pytest
 
 from cartan_invariants import Part, projective, validate_model, validate_rep
 from cartan_invariants.forms import Form, Grade, ce_differential
-from cartan_invariants.model import (LANGLANDS_CONDITIONS, LieModel, Rep, ValidationReport,
-                                     sparse_commutator)
+from cartan_invariants.model import LieModel, Rep, ValidationReport, sparse_commutator
 from cartan_invariants.modelio import parse_model_file
 from cartan_invariants.relations import PrimitiveResult, Relation
 from conftest import coadjoint, sl2_corrupted
@@ -57,9 +56,36 @@ def _triple_loop_jacobi(m):
     return failures
 
 
+def _table_walk_langlands(m):
+    """The Langlands faults as the eight bracket-vanishing conditions find
+    them, each over every ordered generator pair of its two parts: (i, j, k, c)
+    for a component c*e_k of [e_i, e_j] in the part the condition forbids."""
+    conditions = [
+        (Part.ZERO, Part.ZERO, Part.MINUS),
+        (Part.ZERO, Part.PLUS, Part.MINUS),
+        (Part.PLUS, Part.PLUS, Part.MINUS),
+        (Part.PLUS, Part.PLUS, Part.ZERO),
+        (Part.ZERO, Part.MINUS, Part.ZERO),
+        (Part.ZERO, Part.MINUS, Part.PLUS),
+        (Part.ZERO, Part.ZERO, Part.PLUS),
+        (Part.ZERO, Part.PLUS, Part.ZERO),
+    ]
+    return [(i, j, k, c) for pa, pb, bad in conditions
+            for i in m.part_range(pa) for j in m.part_range(pb)
+            for k, c in m.bracket_basis(i, j).items() if m.part_of(k) == bad]
+
+
 def _assert_jacobi_matches_oracle(m):
+    """validate_model's failures are the table walk's Langlands faults, each
+    pair in stored order (i < j) and once, in pair order, then the triple
+    loop's Jacobi failures."""
     report = validate_model(m)
-    langlands = [f for f in report.failures if f["check"] == "langlands"]
+    faults = {(min(i, j), max(i, j), k, c if i < j else -c)
+              for i, j, k, c in _table_walk_langlands(m)}
+    faults = sorted(faults, key=lambda t: (t[0], t[1], list(m.brackets[t[:2]]).index(t[2])))
+    langlands = [{"check": "langlands", "detail": f"[{m.names[i]},{m.names[j]}] has "
+                  f"{m.part_of(k).name.lower()}-component {c}*{m.names[k]}"}
+                 for i, j, k, c in faults]
     assert report.failures == langlands + _triple_loop_jacobi(m)
     assert report.ok == (not report.failures)
     return report
@@ -83,9 +109,11 @@ def _corrupted(m, rng):
 
 
 def test_jacobi_check_matches_the_triple_loop_oracle():
-    """validate_model's failures equal those of the bracket-by-bracket triple
-    loop, text and order alike: on a model of every family, on 240 seeded
-    corruptions of them, and on the projective(1) file with [z1,u1] = -3*u1."""
+    """validate_model's failures equal those of the eight-condition table walk
+    and the bracket-by-bracket triple loop, text and order alike: on a model
+    of every family, on 240 seeded corruptions of them, which break the
+    splitting in each constrained part pair, and on the projective(1) file
+    with [z1,u1] = -3*u1."""
     import cartan_invariants as ci
     models = [ci.projective(3), ci.grassmannian(2, 2), ci.lagrangian_grassmannian(2),
               ci.conformal(3), ci.foliated_projective(1, 1), ci.split_projective(1, 2),
@@ -95,11 +123,17 @@ def test_jacobi_check_matches_the_triple_loop_oracle():
         assert _assert_jacobi_matches_oracle(m).ok
     rng = random.Random(2048)
     failing = fractional = 0
+    split_pairs = set()
     for seed in range(240):
-        report = _assert_jacobi_matches_oracle(_corrupted(models[seed % len(models)], rng))
+        m = _corrupted(models[seed % len(models)], rng)
+        report = _assert_jacobi_matches_oracle(m)
         failing += any(f["check"] == "jacobi" for f in report.failures)
         fractional += any("/" in f["detail"] for f in report.failures if f["check"] == "jacobi")
+        split_pairs |= {frozenset((m.part_of(i), m.part_of(j)))
+                        for i, j, _, _ in _table_walk_langlands(m)}
     assert failing >= 200 and fractional >= 20, (failing, fractional)
+    assert split_pairs == {frozenset(pair) for pair in (
+        (Part.ZERO,), (Part.ZERO, Part.PLUS), (Part.PLUS,), (Part.MINUS, Part.ZERO))}
     path = os.path.join(os.path.dirname(__file__), "data", "projective1.json")
     file_model = parse_model_file(path)
     z1, u1 = (file_model.names.index(name) for name in ("z1", "u1"))
@@ -110,8 +144,8 @@ def test_jacobi_check_matches_the_triple_loop_oracle():
 
 
 def test_validate_model_reads_brackets_only_for_the_splitting_checks(monkeypatch):
-    """The Jacobi check reads the dual_d table, not bracket_basis: the only
-    bracket_basis calls are the Langlands pairs, once each per condition."""
+    """validate_model makes no bracket_basis call: the splitting check walks
+    the stored brackets, and the Jacobi check reads the dual_d table."""
     m = projective(8)
     calls = []
     bracket_basis = LieModel.bracket_basis
@@ -122,8 +156,7 @@ def test_validate_model_reads_brackets_only_for_the_splitting_checks(monkeypatch
 
     monkeypatch.setattr(LieModel, "bracket_basis", counted)
     assert validate_model(m).ok
-    assert calls == [(i, j) for pa, pb, _ in LANGLANDS_CONDITIONS
-                     for i in m.part_range(pa) for j in m.part_range(pb)]
+    assert calls == []
 
 
 def test_bracket_examples(sl2):
