@@ -54,9 +54,10 @@ class MatrixForm:
                              for k in range(self.cols)]])[0]
 
     def trace(self) -> Form:
+        """The ``combination`` of the diagonal entries."""
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")
-        return sum((self.grid[i][i] for i in range(self.rows)), Form.zero())
+        return combination((1, row[i]) for i, row in enumerate(self.grid))
 
     def is_zero(self) -> bool:
         return all(f.is_zero for row in self.grid for f in row)
@@ -281,7 +282,8 @@ def transgression(m: LieModel, rep: Rep, f: InvPoly) -> tuple[Form, Grade, Form]
     the class is its j = 0 term."""
     k = f.degree
     terms = _transgression_terms(m, rep, f, k)
-    return terms[0].tau_shift(k), Grade(k - 1, 1, k - 1), sum(terms, Form.zero()).tau_shift(k)
+    return (terms[0].tau_shift(k), Grade(k - 1, 1, k - 1),
+            combination((1, t) for t in terms).tau_shift(k))
 
 
 def chern_simons_form(m: LieModel, rep: Rep, f: InvPoly) -> Form:
@@ -328,7 +330,7 @@ def transgression_checks(m: LieModel, rep: Rep, f: InvPoly) -> dict:
 
 def verify_multiplicativity(m: LieModel, sub: Rep, total: Rep, quot: Rep,
                             k_max: int) -> dict:
-    """Check the block-triangular splitting and c(sub)^c(quot) = c(total).
+    """Check the block-triangular splitting and the Whitney sum c(sub)^c(quot) = c(total).
 
     ``total`` must act block-triangularly with ``sub`` in the top-left and
     ``quot`` in the bottom-right corner of the given basis.
@@ -346,11 +348,8 @@ def verify_multiplicativity(m: LieModel, sub: Rep, total: Rep, quot: Rep,
     c_sub = [Form.unit()] + chern_forms(m, sub, min(k_max, ds))
     c_quot = [Form.unit()] + chern_forms(m, quot, min(k_max, dq))
     c_tot = [Form.unit()] + chern_forms(m, total, min(k_max, ds + dq))
-    results = {}
-    for k in range(1, min(k_max, ds + dq) + 1):
-        acc = Form.zero()
-        for i in range(0, k + 1):
-            if i < len(c_sub) and (k - i) < len(c_quot):
-                acc = acc + c_sub[i].wedge(c_quot[k - i])
-        results[k] = acc == c_tot[k]
+    whitney = _wedge_sums(
+        [[(c_sub[i], c_quot[k - i]) for i in range(max(0, k - dq), min(k, ds) + 1)]
+         for k in range(1, len(c_tot))])
+    results = {k: w == c_tot[k] for k, w in enumerate(whitney, start=1)}
     return {"ok": all(results.values()), "by_degree": results}

@@ -7,11 +7,14 @@ and a map from monomial masks to integer numerators, in lowest terms.
 
 Every operation on forms (sums, scaling, the wedge and the CE
 differential) runs on those integers: the derivation tables are held as
-numerators over the structure constants' LCM, sums accumulate as
-``{mask: int}`` over the product or LCM of the denominators, and one gcd
-pass brings each result to lowest terms.  d and every coadjoint action are
-applied by ``model.derivation_nums``; ``ce_differential`` wraps it in a
-Form, and the invariant subspaces read g0's coadjoint tables as plain data.
+numerators over the structure constants' LCM, and one gcd pass brings each
+result to lowest terms.  Sums of forms have one accumulator, ``_wedge_sums``:
+a sum of wedges a ^ b accumulates ``{mask: int}`` over the LCM of the pairs'
+denominator products, and ``combination``, ``+``, ``-`` and the traces of
+``charforms`` are such sums, c * f being the wedge (c * 1) ^ f.  d and every
+coadjoint action are applied by ``model.derivation_nums``; ``ce_differential``
+wraps it in a Form, and the invariant subspaces read g0's coadjoint tables as
+plain data.
 ``Fraction``s are built only by ``terms`` and ``coefficients``; ``to_json``
 and ``pretty`` print each n/den reduced by its own gcd.
 
@@ -41,8 +44,10 @@ class Form:
     integer numerators ``nums``, kept canonical: no zero numerator,
     ``gcd(den, *nums) == 1`` and ``den == 1`` for the zero form, so equal
     forms have equal ``den`` and ``nums``.  The zero form is equal to every
-    other zero form and neutral under ``+`` whatever its exponent.  The
-    read-only ``terms`` builds the coefficients as reduced ``Fraction``s.
+    other zero form and neutral under ``+`` whatever its exponent.  Every sum
+    of forms follows the rule of ``_wedge_sums``: its nonzero terms share
+    one exponent, and a sum with none keeps the exponent of its first term.
+    The read-only ``terms`` builds the coefficients as reduced ``Fraction``s.
     """
 
     __slots__ = ("nums", "den", "tau", "_left")
@@ -84,21 +89,10 @@ class Form:
         return {mask: Fraction(n, den) for mask, n in self.nums.items()}
 
     def __add__(self, other: "Form") -> "Form":
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        if self.tau != other.tau:
-            raise ValueError(f"sum of forms at tau^{self.tau} and tau^{other.tau}")
-        d = lcm(self.den, other.den)
-        fa, fb = d // self.den, d // other.den
-        out = {mask: n * fa for mask, n in self.nums.items()}
-        for mask, n in other.nums.items():
-            out[mask] = out.get(mask, 0) + n * fb
-        return _form(out, d, self.tau)
+        return combination(((1, self), (1, other)))
 
     def __neg__(self) -> "Form":
-        return _form({mask: -n for mask, n in self.nums.items()}, self.den, self.tau)
+        return self.scale(-1)
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
@@ -183,17 +177,18 @@ def _form(acc: dict[int, int], den: int, tau: int) -> Form:
 
 
 def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
-    """For each list of pairs (a, b), the form sum of a ^ b, in integers.
+    """For each list of pairs (a, b), the form sum of a ^ b, in integers:
+    the one accumulator of the form layer.
 
     A left operand is read through the view it keeps (``left_view``), a
     right one through its numerators; a sum accumulates ``{mask: int}`` over
     the LCM of its pairs' denominator products.  Pairs with a zero operand
-    are skipped; the others must agree in tau.
+    are skipped; the others must agree in tau, and a sum with none is the
+    zero form at the exponent of its first pair (tau^0 for no pairs).
     """
     out = []
     for pairs in sums:
         live = [(a, b) for a, b in pairs if a.nums and b.nums]
-        # a zero sum keeps the exponent of its first pair
         taus = {a.tau + b.tau for a, b in live} or {sum(f.tau for f in pairs[0]) if pairs else 0}
         if len(taus) > 1:
             raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
@@ -217,20 +212,9 @@ def _wedge_sums(sums: list[list[tuple[Form, Form]]]) -> list[Form]:
 
 
 def combination(terms: Iterable[tuple[Fraction | int, Form]]) -> Form:
-    """sum c * f over the pairs (c, f), accumulated once as integer
-    numerators over the LCM of the denominators; the nonzero terms must
-    agree in tau."""
-    live = [(c, f) for c, f in terms if c and f.nums]
-    taus = {f.tau for _, f in live} or {0}
-    if len(taus) > 1:
-        raise ValueError(f"sum of forms at tau exponents {sorted(taus)}")
-    d = lcm(*(c.denominator * f.den for c, f in live))
-    acc: dict[int, int] = {}
-    for c, f in live:
-        k = c.numerator * (d // (c.denominator * f.den))
-        for mask, n in f.nums.items():
-            acc[mask] = acc.get(mask, 0) + k * n
-    return _form(acc, d, taus.pop())
+    """sum c * f over the pairs (c, f), as the ``_wedge_sums`` sum of the
+    wedges (c * 1) ^ f."""
+    return _wedge_sums([[(Form.unit().scale(c), f) for c, f in terms]])[0]
 
 
 def wedge_all(factors: Iterable[Form]) -> Form:

@@ -12,9 +12,9 @@ the echelon rows and back-substitutes nothing.
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
 ``nullspace`` and ``solve`` take such columns and ``row_space_rref`` takes
-sparse rows; these five are what the solvers call.  An echelon row or a
-kernel vector is a primitive integer vector, positive at its pivot or free
-column; a solution or a witness holds ``Fraction`` entries.
+sparse rows; ``rank`` serves callers of the package, and no solver calls it.
+An echelon row or a kernel vector is a primitive integer vector, positive
+at its pivot or free column; a solution or a witness holds ``Fraction`` entries.
 """
 
 from __future__ import annotations

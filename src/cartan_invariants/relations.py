@@ -224,11 +224,13 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
 def exactness_audit(m: LieModel, rep: Rep, k_max: int | None = None) -> dict:
     """For a module that restricts a representation of the whole algebra,
     test each Chern form for exactness at grade (k, 0, k) in the quotient
-    differential, with the full (min_minus = 0) search space."""
+    differential, with the full (min_minus = 0) search space, in degrees 1 to
+    ``k_max`` (every degree up to ``rep.dim`` by default)."""
     if not rep.g_module:
         raise ValueError("exactness audit applies to g-module restrictions only")
-    k_max = k_max or rep.dim
-    cforms = chern_forms(m, rep, min(k_max, rep.dim))
+    if k_max is not None and k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    cforms = chern_forms(m, rep, rep.dim if k_max is None else min(k_max, rep.dim))
     rows = []
     for k, ck in enumerate(cforms, start=1):
         if ck.is_zero:

@@ -11,8 +11,8 @@ from cartan_invariants import (Grade, GradeError, Part, ce_differential,
                                monomial_masks, plus_component, projective, quotient_d)
 from cartan_invariants.charforms import MatrixForm
 from cartan_invariants import forms as forms_module
-from cartan_invariants.forms import (Form, _wedge_sums, diagonal_weights, is_diagonal,
-                                     mask_bits, parity_above)
+from cartan_invariants.forms import (Form, _wedge_sums, combination, diagonal_weights,
+                                     is_diagonal, mask_bits, parity_above)
 from cartan_invariants.model import LieModel, derivation_nums
 from conftest import coadjoint
 from dense_oracle import fraction_eliminate, oracle_nullspace, span_rref
@@ -191,6 +191,52 @@ def _reference_sum(pairs):
     return {mask: c for mask, c in out.items() if c}
 
 
+def _reference_combination(terms):
+    out = {}
+    for c, f in terms:
+        for mask, x in f.terms.items():
+            out[mask] = out.get(mask, F(0)) + c * x
+    return {mask: c for mask, c in out.items() if c}
+
+
+def test_sums_match_fraction_reference():
+    """``combination``, ``+`` and ``-`` against the sum Fraction by Fraction,
+    with int, Fraction and zero coefficients and zero forms among the terms."""
+    rng = random.Random(31)
+    for _ in range(300):
+        width, tau = rng.choice((6, 12, 70)), rng.randint(0, 3)
+        fs = [_random_rational_form(rng, width, tau) for _ in range(rng.randint(2, 6))]
+        coeffs = [rng.choice((0, rng.randint(-5, 5), F(rng.randint(-30, 30), rng.randint(1, 12))))
+                  for _ in fs]
+        got = combination(zip(coeffs, fs))
+        assert got.terms == _reference_combination(list(zip(coeffs, fs)))
+        assert got.tau == tau and all(type(c) is F for c in got.terms.values())
+        a, b = fs[:2]
+        assert (a + b).terms == _reference_combination([(1, a), (1, b)])
+        assert (a - b).terms == _reference_combination([(1, a), (-1, b)])
+        assert (-a).terms == _reference_combination([(-1, a)])
+
+
+def test_an_all_zero_sum_keeps_the_exponent_of_its_first_term():
+    """Every sum of forms follows one rule: its nonzero terms share one
+    exponent, and a sum with none is the zero form at its first term's."""
+    a = Form({0b11: F(2, 3), 0b101: -1}, 2)
+    z, w = a.scale(0), Form({}, 2)
+    sums = [combination([(1, z), (F(1, 2), w)]), combination([(0, a), (3, z)]),
+            combination([(0, a), (F(-2, 7), a.scale(0))]), z + w, z - w, -z,
+            *_wedge_sums([[(Form.unit(), z), (Form.unit().scale(0), a)],
+                          [(z.tau_shift(-1), a.tau_shift(-1))]]),
+            MatrixForm([[z, a], [a, w]]).trace(), MatrixForm([[w]]).trace()]
+    assert [f.tau for f in sums] == [2] * len(sums) and all(f.is_zero for f in sums)
+    # a zero term at another exponent is neutral; nonzero terms must agree
+    assert combination([(1, a), (1, a.tau_shift(1).scale(0)), (0, a.tau_shift(3))]) == a
+    assert combination([(0, a.tau_shift(1)), (1, a)]).tau == 2
+    with pytest.raises(ValueError):
+        combination([(1, a), (F(1, 2), a.tau_shift(1))])
+    with pytest.raises(ValueError):
+        MatrixForm([[a, z], [z, a.tau_shift(1)]]).trace()
+
+
 def test_kept_views_serve_reused_operands():
     """Forms reused many times as left and right operands of the wedge kernel,
     through ``_wedge_sums``, ``matwedge`` and ``trace_wedge``, against the
@@ -252,6 +298,11 @@ def test_every_operation_returns_the_canonical_form():
             results = [a + b, a - b, b - b, -a, a.scale(rng.randint(-4, 4)), a.scale(q),
                        a.scale(0), a.tau_shift(2), a.wedge(b),
                        *_wedge_sums([[(a, b), (b, a)], [(a, a.scale(q))], []]),
+                       combination([(rng.randint(-4, 4), a), (q, b), (0, a), (3, b.scale(0)),
+                                    (F(1, 3), Form.zero().tau_shift(a.tau))]),
+                       combination([(0, a), (q, b.scale(0))]), combination([]),
+                       MatrixForm([[a, b], [b, b.scale(q)]]).trace(),
+                       MatrixForm([[a.scale(0), a], [b, Form.zero()]]).trace(),
                        ce_differential(m, a), coadjoint(m, rng.randrange(m.total), a)]
             results += [ce_differential(m, a, r) for r in range(m.dims[2] + 2)]
             results += [plus_component(m, a, r) for r in range(m.dims[2] + 1)]
@@ -261,7 +312,9 @@ def test_every_operation_returns_the_canonical_form():
             # the same value built another way is equal and hashes alike
             for f, g in [(a + b - b, a), (a.scale(q).scale(1 / q) if q else a, a),
                          (a.scale(2).scale(F(1, 2)), a), (a.wedge(b.scale(q)), a.wedge(b).scale(q)),
-                         (ce_differential(m, a.scale(6)), ce_differential(m, a).scale(6))]:
+                         (ce_differential(m, a.scale(6)), ce_differential(m, a).scale(6)),
+                         (combination([(q, a), (-1, b)]), a.scale(q) - b),
+                         (MatrixForm([[a, a], [b, b]]).trace(), a + b)]:
                 assert f == g and hash(f) == hash(g) and (f.den, f.nums) == (g.den, g.nums)
             # a different value is a different form, also when only den differs
             if a.nums:

@@ -192,6 +192,12 @@ def test_exactness_audit_projective_module():
         assert row["exact"] in (True, False)
         if row["exact"] and not row["chern_form_zero"]:
             assert row["primitive"] is not None
+    # k_max bounds the degrees; 0 and below are refused, not read as "all"
+    assert report == ci.exactness_audit(m, m.reps["module"], None)
+    assert [row["k"] for row in ci.exactness_audit(m, m.reps["module"], 2)["degrees"]] == [1, 2]
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max"):
+            ci.exactness_audit(m, m.reps["module"], k_max)
 
 
 def test_exactness_audit_traceless_c1_vacuous():
