@@ -6,15 +6,16 @@ tau = i/(2*pi), the Atiyah, Chern, Chern-character, Todd and transgression
 discovers the exact polynomial relations among Chern forms, and solves for
 transgression primitives in the trigraded quotient complex.
 
-The namespace is lazy: a name's home module is imported, and the name
-bound here, on first access, so a process compiles only what it uses.
+The namespace is lazy (PEP 562): a name's home module is imported, and the
+name bound here, on first access, so a process compiles only what it uses,
+most of an import when no bytecode cache is written.  A model build loads
+linalg, model and models; a model-file parse loads model and modelio.
 """
 
 from importlib import import_module
 
 # home module -> the names the package exports from it
 _EXPORTS = {
-    "scalars": ("parse_rational",),
     "linalg": ("nullspace", "rank", "rref", "solve"),
     "model": ("LieModel", "Part", "Rep", "ValidationReport", "tangent_rep", "validate_model",
               "validate_rep"),
@@ -24,7 +25,7 @@ _EXPORTS = {
     "charforms": ("MatrixForm", "atiyah_form", "chern_character", "chern_form_of", "chern_forms",
                   "chern_simons_form", "cs_class", "cs_coefficients", "invariant_poly_eval",
                   "omega0_matrix", "tangent_atiyah_form", "todd_forms", "transgression",
-                  "transgression_checks", "verify_multiplicativity"),
+                  "verify_multiplicativity"),
     "relations": ("PrimitiveResult", "Relation", "conformal_coefficients", "exactness_audit",
                   "find_primitive", "find_relations", "invariant_cocycles", "is_closed",
                   "partitions_of"),

@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterator
 
-from .forms import (Form, Grade, _wedge_sums, ce_differential, combination, plus_component,
-                    wedge_all)
+from .forms import Form, Grade, _wedge_sums, combination, wedge_all
 from .invariants import InvPoly
 from .model import LieModel, Part, Rep, diagonal_block, tangent_rep
 
@@ -98,19 +97,11 @@ def tangent_atiyah_form(m: LieModel, rep: Rep | None = None):
     rep = rep or tangent_rep(m)
     if rep.dim != m.dims[0]:
         raise ValueError("tangent Atiyah tensor needs the g- action")
-    minus = list(m.part_range(Part.MINUS))
-    out: dict[int, dict[int, dict[int, list[Fraction]]]] = {}
-    rho = {(x, y): rep.act(m, m.bracket_basis(x, y))
-           for x in m.part_range(Part.PLUS) for y in minus}
-    for x in m.part_range(Part.PLUS):
-        out[x] = {}
-        for y in minus:
-            out[x][y] = {}
-            for z in minus:
-                # a(x,y) = -rho(proj0[x,y]); minus gids are the g- row indices
-                out[x][y][z] = [-Fraction(rho[(x, y)].get((i, z), 0)
-                                          + rho[(x, z)].get((i, y), 0), 2) for i in minus]
-    return out
+    minus, plus = m.part_range(Part.MINUS), m.part_range(Part.PLUS)
+    rho = {(x, y): rep.act(m, m.bracket_basis(x, y)) for x in plus for y in minus}
+    # a(x,y) = -rho(proj0[x,y]); minus gids are the g- row indices
+    return {x: {y: {z: [-Fraction(rho[(x, y)].get((i, z), 0) + rho[(x, z)].get((i, y), 0), 2)
+                        for i in minus] for z in minus} for y in minus} for x in plus}
 
 
 def omega0_matrix(m: LieModel, rep: Rep) -> MatrixForm:
@@ -147,14 +138,9 @@ def todd_forms(m: LieModel, rep: Rep, k_max: int) -> list[Form]:
 
 
 def _koszul_sign(perm: tuple[int, ...], degrees: list[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        if degrees[perm[i]] % 2 == 0:
-            continue
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j] and degrees[perm[j]] % 2 == 1:
-                sign = -sign
-    return sign
+    """-1 to the number of inversions among the odd entries of ``perm``."""
+    odd = [p for p in perm if degrees[p] % 2]
+    return (-1) ** sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
 
 
 def _distinct_orders(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -315,19 +301,6 @@ def chern_form_of(m: LieModel, rep: Rep, f: InvPoly) -> Form:
     return _characteristic_forms(m, rep, [f])[0]
 
 
-def transgression_checks(m: LieModel, rep: Rep, f: InvPoly) -> dict:
-    """Convenience bundle: d CS_f vs the Chern form, and the quotient identity
-    quotient_d(cs_class) = Chern form."""
-    t_form, _, cs = transgression(m, rep, f)
-    target = chern_form_of(m, rep, f)
-    return {
-        "d_cs_equals_chern": ce_differential(m, cs) == target,
-        "class_is_projection": plus_component(m, cs, f.degree - 1) == t_form,
-        "quotient_d_equals_chern": plus_component(m, ce_differential(m, t_form), f.degree)
-        == target,
-    }
-
-
 def verify_multiplicativity(m: LieModel, sub: Rep, total: Rep, quot: Rep,
                             k_max: int) -> dict:
     """Check the block-triangular splitting and the Whitney sum c(sub)^c(quot) = c(total).
@@ -335,6 +308,8 @@ def verify_multiplicativity(m: LieModel, sub: Rep, total: Rep, quot: Rep,
     ``total`` must act block-triangularly with ``sub`` in the top-left and
     ``quot`` in the bottom-right corner of the given basis.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     ds, dq = sub.dim, quot.dim
     if total.dim != ds + dq:
         raise ValueError("dimension mismatch in exact sequence")

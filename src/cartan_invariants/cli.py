@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: model build | model validate, report, chern, cs, relations,
-primitive, audit, conformal-coeffs.  Every pathway is a thin composition of
-library calls; reports go to stdout (JSON under --json), diagnostics to
-stderr.  Exit codes: 0 success, 1 mathematical not-exact under
---expect-exact, 2 usage or schema errors.
+primitive, audit, conformal-coeffs, one entry each of ``COMMANDS``.  Every
+pathway is a thin composition of library calls; reports go to stdout (JSON
+under --json), diagnostics to stderr.  Exit codes: 0 success; 1 a not-exact
+result under --expect-exact, or a failed check under model validate; 2 a
+usage, parameter or schema error, with one "error:" or "schema error:" line.
+The package modules are imported eagerly: perfbench/layers.py patches them
+in every loaded module once a query has imported this one.
 """
 
 from __future__ import annotations

@@ -116,9 +116,6 @@ class InvPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, InvPoly) and self.terms == other.terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "InvPoly(0)"

@@ -16,10 +16,16 @@ so emit(parse(text)) round-trips byte-identically for canonical files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import isfinite
 
 from .model import LieModel, Rep
-from .scalars import parse_rational
+
+# the cap of a --poly integer (invariants.MAX_DIGITS), below Python's int() limit
+MAX_LITERAL_DIGITS = 1000
+# a sign, the numerator's digits, and a denominator with a nonzero digit
+_LITERAL = re.compile(r"[+-]?([0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
 
 
 class ModelSchemaError(ValueError):
@@ -41,10 +47,23 @@ def _typed(value, kind: type, what: str):
 
 
 def _rational(value, what: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError:
-        raise ModelSchemaError(f"{what} has non-rational coefficient {value!r}")
+    """The value of a literal such as "-3/4" or "17": ASCII digits, at most
+    MAX_LITERAL_DIGITS to an integer; an error quotes its first 40 characters."""
+    literal = isinstance(value, str) and _LITERAL.fullmatch(value.strip())
+    if not literal:
+        problem = "non-rational coefficient"
+    elif max(len(digits or "") for digits in literal.groups()) > MAX_LITERAL_DIGITS:
+        problem = f"a coefficient over the cap of {MAX_LITERAL_DIGITS} digits:"
+    else:
+        return Fraction(literal[0])
+    raise ModelSchemaError(f"{what} has {problem} {repr(value)[:40]}")
+
+
+def _finite(text: str) -> float:
+    """A JSON float or NaN or infinity constant, refused unless finite."""
+    if not isfinite(x := float(text)):
+        raise ModelSchemaError(f"invalid JSON: {text} is not a finite number")
+    return x
 
 
 def model_to_obj(m: LieModel) -> dict:
@@ -169,7 +188,7 @@ def model_from_obj(obj: dict) -> LieModel:
 
 def parse_model_json(text: str) -> LieModel:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ModelSchemaError(f"invalid JSON: {e}")
     except RecursionError:

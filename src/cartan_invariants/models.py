@@ -77,10 +77,7 @@ def _dims(minus: int, zero: int, plus: int) -> tuple[int, int, int]:
 
 
 def _names(dims) -> list[str]:
-    out = []
-    for prefix, count in zip(("w", "z", "u"), dims):
-        out.extend(f"{prefix}{i + 1}" for i in range(count))
-    return out
+    return [f"{prefix}{i + 1}" for prefix, count in zip("wzu", dims) for i in range(count)]
 
 
 # -- projective space and Grassmannians ------------------------------------------

@@ -312,12 +312,17 @@ def test_cs_form_projective_line():
 
 
 def test_transgression_identities():
+    """d CS_f is the Chern form of f, the class is the plus-count-(k-1)
+    component of CS_f, and its quotient differential is the Chern form."""
     for n in (1, 2):
         m = ci.projective(n)
         rep = m.reps["tangent"]
         for f in (InvPoly.chern(1), InvPoly.chern_character(2)):
-            checks = ci.transgression_checks(m, rep, f)
-            assert all(checks.values()), (n, f, checks)
+            t_form, _, cs = ci.transgression(m, rep, f)
+            target = ci.chern_form_of(m, rep, f)
+            assert ce_differential(m, cs) == target, (n, f)
+            assert ci.plus_component(m, cs, f.degree - 1) == t_form, (n, f)
+            assert ci.plus_component(m, ce_differential(m, t_form), f.degree) == target, (n, f)
 
 
 def test_cs_class_t_c1_is_trace_of_connection():
@@ -360,6 +365,17 @@ def test_multiplicativity_euler_sequence():
     report = ci.verify_multiplicativity(m, m.reps["trivial"], m.reps["euler"],
                                         m.reps["tangent"], 3)
     assert report["ok"]
+
+
+def test_multiplicativity_refuses_k_max_below_one():
+    """k_max bounds the degrees checked; 0 and below check none, so they are
+    refused rather than reported as a pass."""
+    m = ci.projective(2)
+    sequence = (m.reps["trivial"], m.reps["euler"], m.reps["tangent"])
+    assert list(ci.verify_multiplicativity(m, *sequence, 1)["by_degree"]) == [1]
+    for k_max in (0, -3):
+        with pytest.raises(ValueError, match="k_max"):
+            ci.verify_multiplicativity(m, *sequence, k_max)
 
 
 def test_multiplicativity_trivial_sum():

@@ -443,8 +443,7 @@ def test_start_up_imports():
                        "cartan_invariants.models"}
     text = json.dumps({"dims": [1, 0, 1], "names": ["w1", "u1"], "brackets": [], "reps": {}})
     _, modules = package_modules(f"import cartan_invariants as ci; ci.parse_model_json({text!r})")
-    assert modules == {"cartan_invariants.model", "cartan_invariants.modelio",
-                       "cartan_invariants.scalars"}
+    assert modules == {"cartan_invariants.model", "cartan_invariants.modelio"}
     cli_path, modules = package_modules("from cartan_invariants.cli import main")
     assert not cli_path & {"dataclasses", "inspect", "cartan_invariants.chevalley"}
     assert {f"cartan_invariants.{name}" for name in (
@@ -576,6 +575,26 @@ def test_bad_model_file_exits_two_with_one_line(tmp_path, edit):
     code, out, err = cli("report", _write_model(tmp_path, edit))
     assert (code, out) == (2, "")
     assert err.startswith("schema error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_model_build_refuses_a_non_finite_number(tmp_path, number):
+    """``json.loads`` reads these as floats, which, emitted again, are not JSON."""
+    obj = json.loads(emit_model_json(ci.projective(1)))
+    obj["meta"]["params"]["x"] = "number"
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj).replace('"number"', number), encoding="utf-8")
+    assert cli("model", "build", str(path)) == (
+        2, "", f"schema error: invalid JSON: {number} is not a finite number\n")
+
+
+def test_a_wide_literal_is_one_short_line(tmp_path):
+    """A 5,000-digit coefficient passes Python's int() digit limit; it is
+    refused at the literal cap, and the message quotes a prefix of it."""
+    path = _write_model(tmp_path, _set(["brackets", 0, 2, 0, 1], "7" * 5000))
+    code, out, err = cli("model", "validate", path)
+    assert (code, out) == (2, "") and err.count("\n") == 1 and len(err) < 150, err
+    assert err.startswith("schema error: ") and "over the cap of 1000 digits" in err
 
 
 @pytest.mark.parametrize("edit", INVALID_MODELS)
