@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Callable
 
@@ -50,9 +51,19 @@ def structure_report(m: LieModel) -> dict:
     return {"dims": list(m.dims), "generators": rows}
 
 
-def _reject_flags(what: str, names: list[str]):
-    _require(not names, f"{what} takes no "
-             + ", ".join("--" + name.replace("_", "-") for name in names))
+def integer(text: str) -> int:
+    """A command-line integer: ASCII digits after an optional sign, as in a model file."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(text)
+    return int(text)
+
+
+def integers(text: str) -> tuple[int, ...]:  # comma-separated
+    return tuple(integer(x) for x in text.split(","))
+
+
+def _flags(names) -> str:
+    return " and ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _load_model(args, check: bool = True) -> LieModel:
@@ -60,37 +71,25 @@ def _load_model(args, check: bool = True) -> LieModel:
     ``model validate``, unless ``check`` is false: the first failure is a
     schema error."""
     token = args.model
-    given = [name for name in ("n", "p", "q", "o_weights") if getattr(args, name) is not None]
+    given = {name: getattr(args, name) for name in ("n", "p", "q", "o_weights")
+             if getattr(args, name) is not None}
     if token in FAMILIES:
-        # the builder's parameters say which of --n, --p/--q, --o-weights
-        # apply; a functools.wraps wrapper hides them behind __wrapped__
+        # the builder's parameters are the flags that apply, those with no
+        # default required; a functools.wraps wrapper hides them behind __wrapped__
         builder = FAMILIES[token]
         while hasattr(builder, "__wrapped__"):
             builder = builder.__wrapped__
-        code = builder.__code__
-        takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-        _reject_flags(f"family {token!r}", [name for name in given if name not in takes])
-        params = {}
-        if "n" in takes:
-            if args.n is None:
-                raise SystemExit2(f"family {token!r} needs --n")
-            params["n"] = args.n
-        if "p" in takes:
-            if args.p is None or args.q is None:
-                raise SystemExit2(f"family {token!r} needs --p and --q")
-            params["p"], params["q"] = args.p, args.q
-        if "o_weights" in takes and args.o_weights is not None:
-            try:
-                params["o_weights"] = tuple(int(x) for x in args.o_weights.split(","))
-            except ValueError:
-                raise SystemExit2(f"--o-weights must be comma-separated integers, "
-                                  f"not {args.o_weights!r}")
+        takes = builder.__code__.co_varnames[:builder.__code__.co_argcount]
+        needs = takes[:len(takes) - len(builder.__defaults__ or ())]
+        extra = [name for name in given if name not in takes]
+        _require(not extra, f"family {token!r} takes no {_flags(extra)}")
+        _require(all(name in given for name in needs), f"family {token!r} needs {_flags(needs)}")
         try:
-            return build_model(token, **params)
+            return build_model(token, **given)
         except ValueError as e:
             raise SystemExit2(f"family {token!r}: {e}")
     if os.path.isfile(token):
-        _reject_flags("a model file", given)
+        _require(not given, f"a model file takes no {_flags(given)}")
         m = parse_model_file(token)
         if check and not (report := _validation(m)).ok:
             first = report.failures[0]
@@ -273,10 +272,11 @@ def cmd_conformal_coeffs(args) -> int:
 # command takes --json, after its other arguments.
 MODEL = [
     ("model", {"help": "family name (%s) or a model JSON file path" % "|".join(sorted(FAMILIES))}),
-    ("--n", {"type": int, "help": "rank parameter for projective/conformal/lagrangian"}),
-    ("--p", {"type": int, "help": "first block size"}),
-    ("--q", {"type": int, "help": "second block size"}),
-    ("--o-weights", {"help": "comma-separated line-module weights (projective only)"}),
+    ("--n", {"type": integer, "help": "rank parameter for projective/conformal/lagrangian"}),
+    ("--p", {"type": integer, "help": "first block size"}),
+    ("--q", {"type": integer, "help": "second block size"}),
+    ("--o-weights", {"type": integers,
+                     "help": "comma-separated line-module weights (projective only)"}),
 ]
 REP = ("--rep", {"required": True})
 JSON = ("--json", {"action": "store_true"})
@@ -289,12 +289,12 @@ COMMANDS = {
         ("-o", "--output", {})]),
     "report": ("structure equations of a model", cmd_report, MODEL),
     "chern": ("Chern forms of a module", cmd_chern, [
-        *MODEL, REP, ("--max", {"type": int, "default": 5})]),
+        *MODEL, REP, ("--max", {"type": integer, "default": 5})]),
     "cs": ("transgression class of an invariant polynomial", cmd_cs, [
         *MODEL, REP, ("--poly", {"required": True}),
         ("--full", {"action": "store_true", "help": "also emit the full transgression form"})]),
     "relations": ("exact relations among Chern forms", cmd_relations, [
-        *MODEL, REP, ("--degree", {"type": int, "required": True}),
+        *MODEL, REP, ("--degree", {"type": integer, "required": True}),
         ("--modulo-exact", {"action": "store_true",
                             "help": "relations in the quotient cohomology instead of "
                                     "strict form equality"})]),
@@ -304,12 +304,12 @@ COMMANDS = {
         ("--chern-form", {"action": "store_true",
                           "help": "target the Chern form of the polynomial instead of "
                                   "its transgression class"}),
-        ("--min-minus", {"type": int, "default": 0}),
+        ("--min-minus", {"type": integer, "default": 0}),
         ("--no-invariant", {"action": "store_true"}), EXPECT_EXACT]),
     "audit": ("exactness audit of a g-module restriction", cmd_audit, [
-        *MODEL, REP, ("--max", {"type": int}), EXPECT_EXACT]),
+        *MODEL, REP, ("--max", {"type": integer}), EXPECT_EXACT]),
     "conformal-coeffs": ("coefficients of the conformal generating function",
-                         cmd_conformal_coeffs, [("--n", {"type": int, "required": True})]),
+                         cmd_conformal_coeffs, [("--n", {"type": integer, "required": True})]),
 }
 
 
@@ -318,9 +318,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     top-level help and an unknown command need, and the arguments of
     ``command`` alone."""
     import argparse  # at the top it precedes the package modules: ~0.1-0.2 MB more peak RSS
-    ap = argparse.ArgumentParser(prog="cartan-invariants",
-                                 description="Exact characteristic forms of "
-                                             "homogeneous Cartan-geometry models")
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # one line, as every other refusal
+            self.exit(2, f"error: {message}\n")
+
+    ap = Parser(prog="cartan-invariants",
+                description="Exact characteristic forms of homogeneous Cartan-geometry models")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, arguments) in COMMANDS.items():
         parser = sub.add_parser(name, help=help_text)

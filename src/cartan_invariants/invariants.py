@@ -158,10 +158,10 @@ def _tokenize(text: str) -> list[str]:
         elif ch in "+-*^()":
             tokens.append(ch)
             i += 1
-        elif ch.isdigit() or ch == "c":
+        elif "0" <= ch <= "9" or ch == "c":  # ASCII digits, as in a model file
             # an integer, or 'c' or 'ch' and the integer index after it
             start = j = i + (2 if text.startswith("ch", i) else ch == "c")
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j == start:
                 raise PolyParseError(f"expected index after {text[i:start]!r}")

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
-All of it runs on one sparse fraction-free forward elimination, ``_echelon``,
-of rows ``{column: Fraction or int}`` scaled to integers; the systems here
-(Chevalley-Eilenberg differentials on monomial bases) are well under 1%
-nonzero, so only nonzero entries are stored or touched.  ``eliminate``
-back-substitutes all of it to the rref, in integers; ``solve`` and
-``fredholm_witness`` back-substitute only their right-hand side column, one
-``Fraction`` per solution entry, and touch no free column; ``rank`` counts
-the echelon rows and back-substitutes nothing.
+The work is in integers: one sparse fraction-free forward elimination,
+``_echelon``, of rows ``{column: Fraction or int}`` scaled to integers (the
+Chevalley-Eilenberg systems here are well under 1% nonzero, so only nonzero
+entries are stored or touched), ``eliminate``'s back-substitution to the
+rref, and ``nullspace``'s kernel vectors.  The answer of a search is plain
+``Fraction`` arithmetic: ``solve`` and ``fredholm_witness`` back-substitute
+only their right-hand side column and touch no free column, and
+``is_fredholm_witness`` sums its pairings.  ``rank`` counts echelon rows.
 
 A matrix is passed as its list of sparse columns, each a map from a hashable
 row key (a monomial mask, a matrix cell) to its entries.  ``rref``, ``rank``,
@@ -42,7 +42,8 @@ def sparse_rows(columns: Iterable[Column]) -> dict[Hashable, dict[int, Scalar]]:
 
 def _clear(r: dict[int, int], c: int, pivot_row: dict[int, int]) -> None:
     """r <- (p/g) r - (a/g) R in place, with R = pivot_row, p = R[c] > 0,
-    a = r[c] and g = gcd(p, a): column c of r becomes zero."""
+    a = r[c] and g = gcd(p, a): column c of r becomes zero; if p/g != 1, r
+    is then divided by its content, so that wide constants keep it narrow."""
     a = r[c]
     p = pivot_row[c]
     g = gcd(p, a)
@@ -58,6 +59,9 @@ def _clear(r: dict[int, int], c: int, pivot_row: dict[int, int]) -> None:
             r[j] = x
         else:
             del r[j]
+    if p != 1 and r and (g := gcd(*r.values())) != 1:
+        for j in r:
+            r[j] //= g
 
 
 def _primitive(r: dict[int, int], pivot: int) -> dict[int, int]:
@@ -150,19 +154,14 @@ def nullspace(columns: Sequence[Column]) -> list[Row]:
 def _back_substitute(echelon: dict[int, dict[int, int]], c: int) -> Vector:
     """The nonzero entries x_p, by increasing pivot p, of the solution with
     free entries zero of the system with ``_echelon`` form ``echelon`` and
-    right-hand side column c, its largest column and not a pivot.  From the
-    largest pivot down, x_p = (r_c - sum_j r_j x_j) / r_p over the pivots j
-    of its row r, each x_j a reduced integer pair, summed over their LCM."""
-    x: dict[int, tuple[int, int]] = {}
-    for p in sorted(echelon, reverse=True):
-        r = echelon[p]
-        terms = [(v, x[j]) for j, v in r.items() if j in x]
-        d = lcm(*(q for _, (_, q) in terms))
-        s = r.get(c, 0) * d - sum(v * n * (d // q) for v, (n, q) in terms)
+    right-hand side column c (its largest column, not a pivot): from the
+    largest pivot down, x_p = (r_c - sum_j r_j x_j) / r_p over row r's pivots j."""
+    x: Vector = {}
+    for p, r in sorted(echelon.items(), reverse=True):
+        s = r.get(c, 0) - sum(v * x[j] for j, v in r.items() if j in x)
         if s:
-            g = gcd(s, d * r[p])
-            x[p] = (s // g, d * r[p] // g)
-    return {p: Fraction(*x[p]) for p in sorted(x)}
+            x[p] = Fraction(s, r[p])
+    return dict(sorted(x.items()))
 
 
 def solve(columns: Sequence[Column], b: Column) -> tuple[Vector | None, int]:
@@ -202,12 +201,8 @@ def fredholm_witness(columns: Sequence[Mapping[int, Scalar]], b: Mapping[int, Sc
 
 def is_fredholm_witness(columns: Iterable[Mapping[int, Scalar]], b: Mapping[int, Scalar],
                         y: Mapping[int, Fraction]) -> bool:
-    """Exact check, in integers, that y.a = 0 for every column a and y.b != 0."""
-    d = lcm(*(v.denominator for v in y.values()))
-    yn = {k: v.numerator * (d // v.denominator) for k, v in y.items()}
-
-    def pair(vec: Mapping[int, Scalar]) -> int:  # over the LCM of vec's denominators
-        s = lcm(*(c.denominator for c in vec.values()))
-        return sum(c.numerator * (s // c.denominator) * yn[k] for k, c in vec.items() if k in yn)
+    """Exact check that y.a = 0 for every column a and y.b != 0."""
+    def pair(vec: Mapping[int, Scalar]) -> Scalar:
+        return sum(c * y[k] for k, c in vec.items() if k in y)
 
     return all(not pair(a) for a in columns) and pair(b) != 0

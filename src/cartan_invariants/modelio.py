@@ -38,17 +38,22 @@ def _req(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _quote(value) -> str:
+    """A value from the file as an error shows it: its repr, cut to 40 characters."""
+    return repr(value)[:40]
+
+
 def _typed(value, kind: type, what: str):
     """``value`` if it is a ``kind`` (list or dict), else a schema error."""
     if not isinstance(value, kind):
         article = "a list" if kind is list else "an object"
-        raise ModelSchemaError(f"{what} must be {article}, got {value!r}")
+        raise ModelSchemaError(f"{what} must be {article}, got {_quote(value)}")
     return value
 
 
 def _rational(value, what: str) -> Fraction:
     """The value of a literal such as "-3/4" or "17": ASCII digits, at most
-    MAX_LITERAL_DIGITS to an integer; an error quotes its first 40 characters."""
+    MAX_LITERAL_DIGITS to an integer."""
     literal = isinstance(value, str) and _LITERAL.fullmatch(value.strip())
     if not literal:
         problem = "non-rational coefficient"
@@ -56,7 +61,7 @@ def _rational(value, what: str) -> Fraction:
         problem = f"a coefficient over the cap of {MAX_LITERAL_DIGITS} digits:"
     else:
         return Fraction(literal[0])
-    raise ModelSchemaError(f"{what} has {problem} {repr(value)[:40]}")
+    raise ModelSchemaError(f"{what} has {problem} {_quote(value)}")
 
 
 def _finite(text: str) -> float:
@@ -128,20 +133,20 @@ def model_from_obj(obj: dict) -> LieModel:
     brackets = {}
     for entry in _typed(_req(obj, "brackets", "model"), list, "brackets"):
         if not (isinstance(entry, list) and len(entry) == 3):
-            raise ModelSchemaError(f"malformed bracket entry {entry!r}")
+            raise ModelSchemaError(f"malformed bracket entry {_quote(entry)}")
         i, j, comp = entry
         if not (type(i) is int and type(j) is int and 0 <= i < j < total):
-            raise ModelSchemaError(f"bracket indices ({i},{j}) out of range (0..{total - 1}, i<j)")
+            raise ModelSchemaError(f"bracket indices {_quote([i, j])} not in 0..{total - 1}, i<j")
         if (i, j) in brackets:
             raise ModelSchemaError(f"duplicate bracket entry ({i},{j})")
         parsed = brackets[(i, j)] = {}
         for pair in _typed(comp, list, f"bracket ({i},{j})"):
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ModelSchemaError(f"malformed bracket term {pair!r} in ({i},{j})")
+                raise ModelSchemaError(f"malformed bracket term {_quote(pair)} in ({i},{j})")
             k, coeff = pair
             if not (type(k) is int and 0 <= k < total):
                 raise ModelSchemaError(
-                    f"bracket ({i},{j}) hits generator {k!r} outside 0..{total - 1}")
+                    f"bracket ({i},{j}) hits generator {_quote(k)} outside 0..{total - 1}")
             if k in parsed:
                 raise ModelSchemaError(f"bracket ({i},{j}) lists generator {k} twice")
             parsed[k] = _rational(coeff, f"bracket ({i},{j}) component {k}")
@@ -159,10 +164,10 @@ def model_from_obj(obj: dict) -> LieModel:
     flags = _typed(meta_obj.get("flags", {}), dict, "meta.flags")
     reps = {}
     for label, rd in _typed(_req(obj, "reps", "model"), dict, "reps").items():
-        where = f"rep {label!r}"
+        where = f"rep {_quote(label)}"
         dim = _req(_typed(rd, dict, where), "dim", where)
         if type(dim) is not int or dim < 1:
-            raise ModelSchemaError(f"{where} needs a positive integer dim, got {dim!r}")
+            raise ModelSchemaError(f"{where} needs a positive integer dim, got {_quote(dim)}")
         mats = _typed(_req(rd, "matrices", where), list, f"{where} matrices")
         if len(mats) != dims[1]:
             raise ModelSchemaError(
@@ -175,10 +180,10 @@ def model_from_obj(obj: dict) -> LieModel:
             # the string "0", the common entry, needs no parse to be dropped
             parsed_mats.append({(i, j): x for i, row in enumerate(mat) for j, c in enumerate(row)
                                 if c != "0" and (x := _rational(c, where))})
-        f = _typed(flags.get(label, {}), dict, f"meta.flags[{label!r}]")
+        f = _typed(flags.get(label, {}), dict, f"meta.flags[{_quote(label)}]")
         ghost, g_module = f.get("ghost", False), f.get("g_module", False)
         if type(ghost) is not bool or type(g_module) is not bool:
-            raise ModelSchemaError(f"meta.flags[{label!r}] flags must be true or false, got {f!r}")
+            raise ModelSchemaError(f"meta.flags[{_quote(label)}] must be booleans: {_quote(f)}")
         reps[label] = Rep(label, parsed_mats, dim, ghost=ghost, g_module=g_module)
     try:
         return LieModel(tuple(dims), names, brackets, reps=reps, meta=meta)

@@ -86,29 +86,28 @@ def find_relations(m: LieModel, rep: Rep, degree: int,
     quotient cohomology at grade (degree, 0, degree): the evaluated
     combination only has to be the induced differential of a g0-invariant
     cochain with minus count at least ``degree``.  Either way every returned
-    relation is independently re-verified.
+    relation is independently re-verified: a kernel row x with a monomial
+    pivot is g times a relation, g its content there, and with s_j the
+    sources' numerators and D the ``dual_d`` den, psi = -D sum_j x_j s_j
+    over its source entries has d(psi) = g times the relation's residual.
     """
     if degree > rep.dim:
         raise ValueError("degree exceeds module dimension")
     cforms = chern_forms(m, rep, degree)
     parts = partitions_of(degree)
     monomials = [wedge_all(cforms[q - 1] for q in p) for p in parts]
-    columns = [f.coefficients(degree) for f in monomials]
-    # The Chern monomials carry tau^degree and enter as rational columns, the
-    # exact corrections b_j as D den_j d(b_j) in integers, D the dual_d den.
-    # A kernel row x with a monomial pivot is g times a relation, g its
-    # content there, and psi = -sum_j x_j D den_j b_j (zero when strict) has
-    # d(psi) = g times the relation's residual.
+    columns = [f.coefficients(degree) for f in monomials]  # at tau^degree
     n, (den, d) = len(parts), m.dual_d()
-    sources = invariant_basis(m, 2 * degree - 1, degree - 1, degree) if modulo_exact else []
-    columns += [derivation_nums(m, d, b.nums, degree) for b in sources]
+    sources = ([b.nums for b in invariant_basis(m, 2 * degree - 1, degree - 1, degree)]
+               if modulo_exact else [])
+    columns += [derivation_nums(m, d, s, degree) for s in sources]  # D d(s_j)
     out = []
     for row in row_space_rref(nullspace(columns)):
         if min(row) >= n:
             continue
         g = gcd(*(row.get(j, 0) for j in range(n)))
         coeffs = tuple(row.get(j, 0) // g for j in range(n))
-        psi = combination((-x * den * sources[j - n].den, sources[j - n])
+        psi = combination((-x * den, Form(sources[j - n]))
                           for j, x in row.items() if j >= n).tau_shift(degree)
         residual = combination(zip(coeffs, monomials))
         if plus_component(m, ce_differential(m, psi), degree) != residual.scale(g):
@@ -140,11 +139,12 @@ def is_closed(m: LieModel, xi: Form, grade: Grade) -> tuple[bool, Form]:
 def invariant_cocycles(m: LieModel, grade: Grade, min_minus: int | None = None) -> list[Form]:
     """Basis of the g0-invariant forms at the given grade that are closed in
     the quotient differential (min_minus defaults to the grade's p).  Column
-    j is d(b_j) times den_j and the ``dual_d`` den, so x gives sum x_j den_j b_j."""
+    j is D d(s_j), D the ``dual_d`` den and s_j basis vector j's numerators,
+    so a kernel vector x gives the cocycle psi = sum_j x_j s_j."""
     min_minus = grade.p if min_minus is None else min_minus
-    basis = invariant_basis(m, grade.degree(), grade.r, min_minus)
-    cols = [derivation_nums(m, m.dual_d()[1], b.nums, grade.r + 1) for b in basis]
-    return [combination((c * basis[j].den, basis[j]) for j, c in combo.items())
+    space = [b.nums for b in invariant_basis(m, grade.degree(), grade.r, min_minus)]
+    cols = [derivation_nums(m, m.dual_d()[1], s, grade.r + 1) for s in space]
+    return [combination((c, Form(space[j])) for j, c in combo.items())
             for combo in nullspace(cols)]
 
 
@@ -184,22 +184,19 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
     itself invariant.  The search is one ``solve`` of [A | b], with b the
     tau^e coefficients of xi and e its tau exponent, which also gives the
     certificate ranks; a ``not_exact`` result costs one more, for its witness.
-    Column j of A is ``derivation_nums`` of d on b_j's numerators, so with D the
-    ``dual_d`` den and den_j b_j's (1 for a monomial), psi = sum_j x_j D den_j
-    b_j, and no ``Form`` is built per column.  Either result is re-verified:
-    psi by its differential, a witness exactly.
+    Column j of A is D d(s_j), D the ``dual_d`` den and s_j the numerators of
+    basis vector j (a monomial's unit vector unless ``invariant_only``), so
+    psi = D sum_j x_j s_j over the support of x.  Either result is
+    re-verified: psi by its differential, a witness exactly.
     """
     if grade.r < 1:
         raise ValueError("primitive search needs plus count >= 1")
     if not is_at_grade(m, xi, grade):
         raise ValueError(f"target not at grade {grade.as_tuple()}")
     deg, (den, d) = grade.degree() - 1, m.dual_d()
-    if invariant_only:
-        basis = invariant_basis(m, deg, grade.r - 1, min_minus)
-        columns = [derivation_nums(m, d, b.nums, grade.r) for b in basis]
-    else:
-        masks = monomial_masks(m, deg, grade.r - 1, min_minus)
-        columns = [derivation_nums(m, d, {mask: 1}, grade.r) for mask in masks]
+    space = ([b.nums for b in invariant_basis(m, deg, grade.r - 1, min_minus)] if invariant_only
+             else [{mask: 1} for mask in monomial_masks(m, deg, grade.r - 1, min_minus)])
+    columns = [derivation_nums(m, d, s, grade.r) for s in space]
     n = len(columns)
     b = xi.coefficients(xi.tau)
     x, rank = solve(columns, b)
@@ -213,8 +210,7 @@ def find_primitive(m: LieModel, xi: Form, grade: Grade, invariant_only: bool = T
              "columns": n, "tau_exponent": xi.tau},
             y,
         )
-    psi = (combination((c * den * basis[j].den, basis[j]) for j, c in x.items()) if invariant_only
-           else Form({masks[j]: c * den for j, c in x.items()})).tau_shift(xi.tau)
+    psi = combination((c * den, Form(space[j])) for j, c in x.items()).tau_shift(xi.tau)
     check = plus_component(m, ce_differential(m, psi), grade.r)
     if check != xi:
         raise AssertionError("primitive failed re-verification")

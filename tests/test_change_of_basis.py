@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 import cartan_invariants as ci
+from cartan_invariants import linalg
 from cartan_invariants.forms import Grade
 from cartan_invariants.invariants import InvPoly
 from cartan_invariants.model import LieModel, Part, Rep, sparse_sum, tangent_rep
@@ -30,10 +31,14 @@ CASES = [
 ]
 
 
-def _basis_change(m: LieModel, parts, seed: int) -> tuple[list[list[F]], list[list[F]]]:
+ENTRIES = (-1, 0, 0, 0, 1, F(1, 2))
+
+
+def _basis_change(m: LieModel, parts, seed: int,
+                  entries=ENTRIES) -> tuple[list[list[F]], list[list[F]]]:
     """P and its inverse, with column i of P the new generator i in old
     coordinates: the identity outside ``parts``, unit diagonal and seeded
-    small entries inside each part, drawn again while P is singular."""
+    entries from ``entries`` inside each part, drawn again while P is singular."""
     rng = random.Random(seed)
     while True:
         P = [[F(int(i == j)) for j in range(m.total)] for i in range(m.total)]
@@ -42,7 +47,7 @@ def _basis_change(m: LieModel, parts, seed: int) -> tuple[list[list[F]], list[li
             for i in block:
                 for j in block:
                     if i != j:
-                        P[i][j] = F(rng.choice((-1, 0, 0, 0, 1, F(1, 2))))
+                        P[i][j] = F(rng.choice(entries))
         inverse = _inverse(P)
         if inverse is not None:
             return P, inverse
@@ -67,8 +72,8 @@ def _tangent_label(m: LieModel) -> str:
     return "graded-tangent" if "graded-tangent" in m.reps else "tangent"
 
 
-def _rebased(m: LieModel, parts, seed: int) -> LieModel:
-    P, Pinv = _basis_change(m, parts, seed)
+def _rebased(m: LieModel, parts, seed: int, entries=ENTRIES) -> LieModel:
+    P, Pinv = _basis_change(m, parts, seed, entries)
     cols = [{j: P[j][i] for j in range(m.total) if P[j][i]} for i in range(m.total)]
     brackets = {}
     for i in range(m.total):
@@ -117,3 +122,24 @@ def test_answers_do_not_depend_on_the_basis(family, params, parts):
     assert ci.validate_model(new).ok
     assert all(ci.validate_rep(new, rep).ok for rep in new.reps.values())
     assert _answers(new) == _answers(m)
+
+
+def test_wide_constants_keep_the_elimination_narrow(monkeypatch):
+    """projective(3) with its g0 basis changed by entries k/27 has a dual_d
+    den of 15 digits.  Every row that linalg._clear leaves is divided by its
+    content, so none grows past 4,096 bits (without that pass the widest
+    passes 26,000), and the answers are those of the model itself."""
+    m = ci.projective(3)
+    new = _rebased(m, (Part.ZERO,), seed=11, entries=tuple(F(k, 27) for k in (-2, -1, 0, 0, 0, 1, 2)))
+    assert new.dual_d()[0] == 202_218_646_827_591
+    widest = 0
+    clear = linalg._clear
+
+    def measured(r, c, pivot_row):
+        nonlocal widest
+        clear(r, c, pivot_row)
+        widest = max([widest, *(abs(v).bit_length() for v in r.values())])
+
+    monkeypatch.setattr(linalg, "_clear", measured)
+    assert _answers(new) == _answers(m)
+    assert widest <= 4096, widest

@@ -577,6 +577,24 @@ def test_bad_model_file_exits_two_with_one_line(tmp_path, edit):
     assert err.startswith("schema error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["conformal-coeffs", "--n", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+    ["conformal-coeffs", "--n", "1_0"],
+    ["conformal-coeffs", "--n", " 3"],
+    ["conformal-coeffs", "--n", "abc"],
+    ["relations", "projective", "--n", "2", "--rep", "tangent", "--degree", "\u0662"],
+    ["chern", "projective", "--n", "2", "--o-weights", "\u0663", "--rep", "O(3)"],
+    ["chern", "projective", "--n", "2", "--o-weights", "1, 2", "--rep", "tangent"],
+    ["cs", "projective", "--n", "2", "--rep", "tangent", "--poly", "c\u0662"],
+    ["primitive", "projective", "--n", "2", "--target", "\u0663*c2"],
+])
+def test_cli_integers_are_ascii_digits(argv):
+    """Every integer on the command line is [+-]?[0-9]+, as in a model file."""
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_model_build_refuses_a_non_finite_number(tmp_path, number):
     """``json.loads`` reads these as floats, which, emitted again, are not JSON."""
@@ -595,6 +613,22 @@ def test_a_wide_literal_is_one_short_line(tmp_path):
     code, out, err = cli("model", "validate", path)
     assert (code, out) == (2, "") and err.count("\n") == 1 and len(err) < 150, err
     assert err.startswith("schema error: ") and "over the cap of 1000 digits" in err
+
+
+@pytest.mark.parametrize("path, value", [
+    (["reps"], [0] * 300_000),
+    (["brackets", 0], "x" * 100_000),
+    (["reps", "graded-tangent", "dim"], "9" * 100_000),
+], ids=["reps-of-zeros", "wide-bracket-entry", "wide-rep-dim"])
+def test_a_wide_offending_value_is_one_short_line(tmp_path, path, value):
+    """A schema error quotes at most 40 characters of the value at fault."""
+    obj = json.loads(emit_model_json(ci.g2_flag()))
+    _set(path, value)(obj)
+    file = tmp_path / "g2.json"
+    file.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = cli("report", str(file))
+    assert (code, out) == (2, "") and err.count("\n") == 1, err[:300]
+    assert err.startswith("schema error: ") and len(err.encode()) < 300, err[:300]
 
 
 @pytest.mark.parametrize("edit", INVALID_MODELS)

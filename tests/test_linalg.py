@@ -308,8 +308,8 @@ def _fraction_witness_check(columns, b, y):
 
 
 def test_witness_check_in_integers_matches_the_fraction_sums():
-    """The integer pairings of is_fredholm_witness decide exactly as Fraction
-    sums do, on true witnesses, on witnesses with one entry moved, scaled or
+    """is_fredholm_witness decides exactly as the Fraction sums written out
+    here do, on true witnesses, on witnesses with one entry moved, scaled or
     dropped, and on vectors with a key no column has."""
     rng = random.Random(20261019)
     seen = {True: 0, False: 0}
